@@ -35,6 +35,9 @@ module Workload = Toss_data.Workload
 module Quality = Toss_eval.Quality
 module Rewrite = Toss_core.Rewrite
 module Simjoin = Toss_core.Simjoin
+module Planner = Toss_core.Planner
+module Plan = Toss_core.Plan
+module Toss_condition = Toss_core.Toss_condition
 module Engine = Toss_server.Engine
 module Protocol = Toss_server.Protocol
 module Server = Toss_server.Server
@@ -314,7 +317,8 @@ let join_setup ~seed ~n_papers ~eps =
   (left, right, bytes, seo)
 
 (* An equality cross-condition join: the planner lowers it to a hash
-   pairing, while [~planner:false] keeps the all-pairs nested loop. The
+   pairing, while its reference plan ([~optimize:false], run by
+   [self_join_plan]) keeps the all-pairs nested loop. The
    planner-sensitive benchmarks self-join DBLP on the paper title --
    each title pairs with only itself, so the nested loop's |L|x|R|
    evaluations dwarf the answer and the hash pairing's advantage is what
@@ -342,8 +346,8 @@ let title_self_join () =
     ~rleaf:"title" ()
 
 (* The similarity twin of [title_self_join]: the cross atom is [~], so
-   the planner lowers it to the signature-indexed sim pairing while
-   [~simjoin:false] keeps the nested loop. With the titles in the
+   the planner lowers it to the signature-indexed sim pairing while the
+   reference plan keeps the nested loop. With the titles in the
    ontology each title's cluster is essentially itself, so the answer
    stays linear in the corpus while the pair space grows quadratically
    -- the regime the signature index exists for. *)
@@ -364,6 +368,21 @@ let title_sim_self_join () =
       ]
   in
   (v root condition, [ 1; 3 ])
+
+(* A self-join of [coll] planned and run through [Plan.run]. With
+   [~optimize:false] this is the planner's reference plan -- the same
+   compiled sides, nested-loop pairing -- which the ablations and the
+   [join-eq-naive] kernel time against the planned pairing. *)
+let self_join_plan ~mode ~optimize seo coll ~pattern ~sl =
+  let eval =
+    match mode with
+    | Rewrite.Tax -> Condition.eval_tax
+    | Rewrite.Toss -> Toss_condition.evaluator seo
+  in
+  fst
+    (Plan.run ~eval
+       ~coll_of:(fun _ -> coll)
+       (Planner.plan_join ~mode ~optimize seo coll coll ~pattern ~sl))
 
 let fig16b () =
   B.print_header "Figure 16(b): join scalability -- time vs total data size";
@@ -502,7 +521,8 @@ let abl_fuse () =
 
 let abl_plan () =
   B.print_header
-    "Ablation: cost-aware planner on vs off (equality join, hash vs nested loop)";
+    "Ablation: planned hash pairing vs the planner's nested-loop reference plan \
+     (equality join)";
   let pattern, sl = title_self_join () in
   let rows =
     List.map
@@ -514,17 +534,16 @@ let abl_plan () =
           seo_of_docs ~content_tags:[ "booktitle" ] ~eps:2.0
             [ Doc.of_tree rendered.Dblp_gen.tree ]
         in
-        let time_of planner =
-          let (results, _), t =
-            B.time_median ~runs:3 (fun () ->
-                Executor.join ~mode:Executor.Tax ~planner seo coll coll
-                  ~pattern ~sl)
-          in
-          (List.length results, t)
+        let time_of optimize =
+          B.time_median ~runs:3 (fun () ->
+              self_join_plan ~mode:Rewrite.Tax ~optimize seo coll ~pattern ~sl)
         in
-        let n_naive, naive = time_of false in
-        let n_plan, planned = time_of true in
-        assert (n_naive = n_plan);
+        let r_naive, naive = time_of false in
+        let r_plan, planned = time_of true in
+        (* Hash pairing emits accepted pairs in nested-loop order, so
+           plain list equality is the witness-for-witness check. *)
+        assert (r_naive = r_plan);
+        let n_plan = List.length r_plan in
         (n_papers, n_plan, naive, planned))
       [ 200; 400; 800 ]
   in
@@ -543,7 +562,7 @@ let abl_plan () =
 
 let abl_simjoin () =
   B.print_header
-    "Ablation: similarity-join operator on vs off (sim-pair vs nested loop)";
+    "Ablation: sim-pair pairing vs the planner's nested-loop reference plan";
   let pattern, sl = title_sim_self_join () in
   let rows =
     List.map
@@ -565,13 +584,9 @@ let abl_simjoin () =
           seo_of_docs ~content_tags:[ "title" ] ~eps:2.0
             [ Doc.of_tree rendered.Dblp_gen.tree ]
         in
-        let time_of simjoin =
-          let (results, _), t =
-            B.time_median ~runs:3 (fun () ->
-                Executor.join ~mode:Executor.Toss ~simjoin seo coll coll
-                  ~pattern ~sl)
-          in
-          (results, t)
+        let time_of optimize =
+          B.time_median ~runs:3 (fun () ->
+              self_join_plan ~mode:Rewrite.Toss ~optimize seo coll ~pattern ~sl)
         in
         let r_naive, naive = time_of false in
         let r_sim, sim = time_of true in
@@ -639,9 +654,13 @@ let abl_compile () =
      paths to the oracle); the compiled matcher skips the store scans and\n\
      per-document pruning and decides every pattern node in one arena pass\n"
 
+(* The store's value indexes, measured where they live: the label
+   scans the rewriter sends for the Figure 16(a) query, evaluated with
+   the indexes and by a full scan of every document. *)
 let abl_idx () =
-  B.print_header "Ablation: store value indexes on vs off (Figure 16(a) query)";
-  let pattern, sl = Workload.scalability_selection () in
+  B.print_header
+    "Ablation: store value indexes on vs off (Figure 16(a) label scans)";
+  let pattern, _ = Workload.scalability_selection () in
   let rows =
     List.map
       (fun n_papers ->
@@ -652,16 +671,32 @@ let abl_idx () =
           seo_of_docs ~content_tags:[ "booktitle" ] ~eps:2.0
             [ Doc.of_tree rendered.Dblp_gen.tree ]
         in
-        let time_of use_index =
-          let _, stats = Executor.select ~use_index seo coll ~pattern ~sl in
-          Executor.total_s stats.Executor.phases
+        let queries = Rewrite.label_queries ~mode:Rewrite.Toss seo pattern in
+        let scan_all use_index =
+          List.map
+            (fun (_, xpath) -> Collection.Snapshot.eval ~use_index coll xpath)
+            queries
         in
-        (n_papers, time_of true, time_of false))
+        (* Build the lazy per-document indexes outside the measurement. *)
+        ignore (scan_all true);
+        let indexed, ti = B.time_median ~runs:5 (fun () -> scan_all true) in
+        let scanned, tu = B.time_median ~runs:5 (fun () -> scan_all false) in
+        assert (indexed = scanned);
+        let rows =
+          List.fold_left (fun acc hits -> acc + List.length hits) 0 indexed
+        in
+        (n_papers, List.length queries, rows, ti, tu))
       [ 500; 1000; 2000 ]
   in
   emit "abl-idx"
-    ~columns:[ "papers"; "indexed (s)"; "unindexed (s)" ]
-    (List.map (fun (n, ti, tu) -> [ string_of_int n; B.fs ti; B.fs tu ]) rows)
+    ~columns:[ "papers"; "scans"; "rows"; "indexed (s)"; "unindexed (s)"; "speedup" ]
+    (List.map
+       (fun (n, scans, rows, ti, tu) ->
+         [
+           string_of_int n; string_of_int scans; string_of_int rows; B.fs ti;
+           B.fs tu; B.f2 (tu /. ti);
+         ])
+       rows)
 
 (* ------------------------------------------------------------------ *)
 (* Serving: the versioned result cache, cold vs warm vs disabled        *)
@@ -911,10 +946,8 @@ let spawn_router shards =
 
 (* Open-loop latency of a single server vs a router over two shards, at
    the same offered load -- the scale-out acceptance experiment. The
-   single server additionally gets a closed-loop [Client.bench] pass
-   with the same request count, whose rosy tail illustrates exactly the
-   coordinated omission [toss loadgen] exists to avoid (the open-loop
-   percentiles are measured from each request's scheduled arrival). *)
+   percentiles are measured from each request's scheduled arrival, so
+   backlog is charged to the requests it delays. *)
 let serve_sharded () =
   B.print_header
     "Serving: sharded scatter-gather vs single server (open-loop loadgen)";
@@ -941,25 +974,6 @@ let serve_sharded () =
   (* Single server, open loop. *)
   let single_addr, stop_single = spawn_server () in
   let single = loadgen single_addr in
-  (* Same server, closed loop, the same template mix the open-loop run
-     drew from (the corpus it ingested is still resident): each worker
-     waits for its previous response, so queueing delay never accrues
-     to any request's latency. *)
-  let closed =
-    let mix = Loadgen.query_mix ~seed:42 ~n_papers:40 in
-    match
-      Client.bench ~socket:single_addr ~requests ~concurrency:8 (fun i ->
-          Protocol.Query
-            {
-              collection = "bib";
-              tql = mix.(i mod Array.length mix);
-              mode = Executor.Toss;
-              cache = true;
-            })
-    with
-    | Ok r -> r
-    | Error msg -> failwith ("serve-sharded closed-loop bench: " ^ msg)
-  in
   stop_single ();
   (* Two shards behind the router, same offered load. *)
   let s1, stop1 = spawn_server () in
@@ -983,23 +997,12 @@ let serve_sharded () =
   emit "serve-sharded"
     ~columns:
       [ "deployment"; "target qps"; "achieved"; "ok"; "p50 ms"; "p99 ms"; "p999 ms" ]
-    [
-      row "single" single;
-      row "router+2shards" sharded;
-      [
-        "single (closed loop)"; "-";
-        B.f2 (float_of_int closed.Client.requests /. closed.Client.elapsed_s);
-        string_of_int closed.Client.ok;
-        B.f2 closed.Client.p50_ms; "-"; B.f2 closed.Client.max_ms;
-      ];
-    ];
+    [ row "single" single; row "router+2shards" sharded ];
   Printf.printf
     "\nopen-loop latency is measured from each request's scheduled Poisson\n\
      arrival, so backlog a slow answer causes is charged to the requests\n\
-     it delays; the closed-loop row issues requests only after the previous\n\
-     response (coordinated omission) and its tail is optimistic. The router\n\
-     must sustain the same offered load as the single server; its per-request\n\
-     floor adds one scatter-gather hop.\n";
+     it delays. The router must sustain the same offered load as the single\n\
+     server; its per-request floor adds one scatter-gather hop.\n";
   (* The acceptance gate from the issue: the sharded deployment sustains
      the target rate no worse than the single server (5% slack for timer
      jitter at the 1-2 s horizon of this experiment). *)
@@ -1291,8 +1294,8 @@ let perf_suite ~slowdown () =
                ~pattern:eq_pattern ~sl:eq_sl));
       ("join-eq-naive", runs, fun () ->
           ignore
-            (Executor.join ~mode:Executor.Tax ~planner:false eq_seo eq_coll
-               eq_coll ~pattern:eq_pattern ~sl:eq_sl));
+            (self_join_plan ~mode:Rewrite.Tax ~optimize:false eq_seo eq_coll
+               ~pattern:eq_pattern ~sl:eq_sl));
       ("join-sim", runs, fun () -> ignore (simk_sim ()));
       (* One measured sweep: 10^8 predicate evaluations make this a
          multi-second kernel whose variance is negligible at that scale;

@@ -225,8 +225,8 @@ let print_trace oc (stats : Executor.stats) =
   print_phase_table oc stats;
   Printf.fprintf oc "trace:\n%s" (Toss_obs.Span.to_string stats.Executor.trace)
 
-let query files right query mode eps show_xpath explain no_planner no_compile
-    no_simjoin trace show_stats explain_analyze analyze_json profile slow_ms =
+let query files right query mode eps show_xpath explain no_compile trace
+    show_stats explain_analyze analyze_json profile slow_ms =
   (* EXPLAIN ANALYZE implies tracing: the analyzed plan is the span tree
      with its per-operator actuals (and allocation deltas). *)
   if trace || explain_analyze || analyze_json <> None then
@@ -282,10 +282,8 @@ let query files right query mode eps show_xpath explain no_planner no_compile
               | Tql.Select sl ->
                   if explain then begin
                     let plan =
-                      Toss_core.Planner.plan_join ~mode
-                        ~optimize:(not no_planner) ~compile:(not no_compile)
-                        ~simjoin:(not no_simjoin) seo coll rcoll
-                        ~pattern:q.Tql.pattern ~sl
+                      Toss_core.Planner.plan_join ~mode ~compile:(not no_compile)
+                        seo coll rcoll ~pattern:q.Tql.pattern ~sl
                     in
                     print_string "EXPLAIN\n";
                     print_string (Toss_core.Plan.to_string plan);
@@ -294,9 +292,8 @@ let query files right query mode eps show_xpath explain no_planner no_compile
                   end
                   else begin
                     let results, stats =
-                      Executor.join ~mode ~planner:(not no_planner)
-                        ~compile:(not no_compile) ~simjoin:(not no_simjoin) seo
-                        coll rcoll ~pattern:q.Tql.pattern ~sl
+                      Executor.join ~mode ~compile:(not no_compile) seo coll
+                        rcoll ~pattern:q.Tql.pattern ~sl
                     in
                     Printf.printf "%d result(s) in %.4fs\n" (List.length results)
                       (Executor.total_s stats.Executor.phases);
@@ -326,8 +323,8 @@ let query files right query mode eps show_xpath explain no_planner no_compile
               (* EXPLAIN without ANALYZE: build the plan (rewrite +
                  statistics only) and show it without executing. *)
               let plan =
-                Toss_core.Planner.plan_select ~mode ~optimize:(not no_planner)
-                  ~compile:(not no_compile) seo coll ~pattern:q.Tql.pattern ~sl
+                Toss_core.Planner.plan_select ~mode ~compile:(not no_compile)
+                  seo coll ~pattern:q.Tql.pattern ~sl
               in
               let e =
                 Toss_core.Explain.with_plan
@@ -350,8 +347,8 @@ let query files right query mode eps show_xpath explain no_planner no_compile
               List.iter (fun t -> print_string (Printer.to_pretty_string t)) results
           | Tql.Select sl ->
               let results, stats =
-                Executor.select ~mode ~planner:(not no_planner)
-                  ~compile:(not no_compile) seo coll ~pattern:q.Tql.pattern ~sl
+                Executor.select ~mode ~compile:(not no_compile) seo coll
+                  ~pattern:q.Tql.pattern ~sl
               in
               Printf.printf "%d result(s) in %.4fs\n" (List.length results)
                 (Executor.total_s stats.Executor.phases);
@@ -412,25 +409,13 @@ let query_cmd =
                  planner's estimated cardinalities, scan order, pruning \
                  and join strategy.")
   in
-  let no_planner =
-    Arg.(value & flag & info [ "no-planner" ]
-           ~doc:"Disable cost-based planning: scans run in rewrite order, \
-                 no candidate-document pruning, nested-loop pairing. \
-                 Results are identical; only the work differs.")
-  in
   let no_compile =
     Arg.(value & flag & info [ "no-compile" ]
-           ~doc:"Disable pattern compilation: run the interpreted \
-                 scan/prune/embed pipeline instead of the single-pass \
-                 compiled matcher. Results are identical; only the work \
-                 differs.")
-  in
-  let no_simjoin =
-    Arg.(value & flag & info [ "no-simjoin" ]
-           ~doc:"Joins only: disable the signature-indexed similarity \
-                 pairing ($(b,sim-pair)) and keep nested-loop pairing \
-                 for $(b,~)/$(b,isa) cross conditions. Results are \
-                 identical; only the work differs.")
+           ~doc:"Disable pattern compilation: run the paper's \
+                 rewrite-to-XPath pipeline (planned store scans, \
+                 candidate-document pruning, per-document embedding) \
+                 instead of the single-pass compiled matcher. Results \
+                 are identical; only the work differs.")
   in
   let trace =
     Arg.(value & flag & info [ "trace" ]
@@ -471,8 +456,8 @@ let query_cmd =
        ~doc:"Run a TQL pattern-tree query over one or more documents.")
     Term.(ret
             (const query $ files $ right $ q $ mode $ eps $ show_xpath $ explain
-             $ no_planner $ no_compile $ no_simjoin $ trace $ show_stats
-             $ explain_analyze $ analyze_json $ profile $ slow_ms))
+             $ no_compile $ trace $ show_stats $ explain_analyze $ analyze_json
+             $ profile $ slow_ms))
 
 (* ----------------------------- stats ------------------------------ *)
 
@@ -601,9 +586,8 @@ let serve_cmd =
                  and append every insert to it (created if missing).")
   in
   let domains =
-    Arg.(value & opt int 4 & info [ "domains"; "workers" ] ~docv:"N"
-           ~doc:"Worker domains executing queued requests in parallel \
-                 ($(b,--workers) is accepted as an alias).")
+    Arg.(value & opt int 4 & info [ "domains" ] ~docv:"N"
+           ~doc:"Worker domains executing queued requests in parallel.")
   in
   let max_queue =
     Arg.(value & opt int 64 & info [ "max-queue" ] ~docv:"N"
@@ -659,7 +643,7 @@ let serve_cmd =
 (* ----------------------------- client ----------------------------- *)
 
 let client_run socket codec allow_partial op arg1 arg2 arg3 mode no_cache
-    deadline_ms trace_id bench concurrency allow_errors table =
+    deadline_ms trace_id table =
   let need2 what k =
     match (arg1, arg2) with
     | Some a, Some b -> k a b
@@ -702,58 +686,37 @@ let client_run socket codec allow_partial op arg1 arg2 arg3 mode no_cache
   match request with
   | Error msg -> `Error (true, msg)
   | Ok request -> (
-      match bench with
-      | Some requests -> (
-          Printf.eprintf
-            "toss client: note: --bench is closed-loop and understates tail \
-             latency under load; prefer `toss loadgen` (open-loop)\n%!";
-          match
-            Toss_server.Client.bench ~codec ~socket ~requests ~concurrency
-              ?deadline_ms
-              (fun _ -> request)
-          with
-          | Error msg -> `Error (false, msg)
-          | Ok r ->
-              print_endline (Toss_json.to_string (Toss_server.Client.bench_to_json r));
-              if
-                (not allow_errors)
-                && (r.Toss_server.Client.transport_errors > 0
-                   || r.Toss_server.Client.errors <> [])
-              then exit 1
-              else `Ok ())
-      | None -> (
-          match Toss_server.Client.connect ~codec socket with
-          | Error msg -> `Error (false, msg)
-          | Ok conn -> (
-              let result =
-                Toss_server.Client.call conn ?deadline_ms ?trace_id
-                  ~allow_partial request
-              in
-              Toss_server.Client.close conn;
-              match result with
-              | Ok payload ->
-                  (* [--table] renders the human form of a stats payload;
-                     [metrics] prints the raw Prometheus exposition (the
-                     scrape format — curl-pipe friendly); everything else
-                     prints the result as one JSON line. *)
-                  (match
-                     if table then
-                       Option.bind (Toss_json.member "table" payload)
-                         Toss_json.to_str
-                     else if op = "metrics" then
-                       Option.bind (Toss_json.member "prometheus" payload)
-                         Toss_json.to_str
-                     else None
-                   with
-                  | Some text -> print_string text
-                  | None -> print_endline (Toss_json.to_string payload));
-                  `Ok ()
-              | Error (Toss_server.Client.Wire e) ->
-                  Printf.eprintf "error %s: %s\n"
-                    (Toss_server.Protocol.code_name e.Toss_server.Protocol.code)
-                    e.Toss_server.Protocol.message;
-                  exit 1
-              | Error (Toss_server.Client.Transport msg) -> `Error (false, msg))))
+      match Toss_server.Client.connect ~codec socket with
+      | Error msg -> `Error (false, msg)
+      | Ok conn -> (
+          let result =
+            Toss_server.Client.call conn ?deadline_ms ?trace_id ~allow_partial
+              request
+          in
+          Toss_server.Client.close conn;
+          match result with
+          | Ok payload ->
+              (* [--table] renders the human form of a stats payload;
+                 [metrics] prints the raw Prometheus exposition (the
+                 scrape format — curl-pipe friendly); everything else
+                 prints the result as one JSON line. *)
+              (match
+                 if table then
+                   Option.bind (Toss_json.member "table" payload) Toss_json.to_str
+                 else if op = "metrics" then
+                   Option.bind (Toss_json.member "prometheus" payload)
+                     Toss_json.to_str
+                 else None
+               with
+              | Some text -> print_string text
+              | None -> print_endline (Toss_json.to_string payload));
+              `Ok ()
+          | Error (Toss_server.Client.Wire e) ->
+              Printf.eprintf "error %s: %s\n"
+                (Toss_server.Protocol.code_name e.Toss_server.Protocol.code)
+                e.Toss_server.Protocol.message;
+              exit 1
+          | Error (Toss_server.Client.Transport msg) -> `Error (false, msg)))
 
 let codec_arg =
   Arg.(value
@@ -808,25 +771,6 @@ let client_cmd =
                  characters); the server echoes it and keys its logs by \
                  it. Generated server-side when omitted.")
   in
-  let bench =
-    Arg.(value & opt (some int) None & info [ "bench" ] ~docv:"N"
-           ~doc:"Closed-loop benchmark: send the request $(docv) times and \
-                 print a latency/error summary as JSON. Exits 1 on any \
-                 error unless $(b,--allow-errors). Deprecated for latency \
-                 measurement: closed-loop numbers hide queueing delay \
-                 (coordinated omission) — prefer $(b,toss loadgen), the \
-                 open-loop generator.")
-  in
-  let concurrency =
-    Arg.(value & opt int 4 & info [ "concurrency" ] ~docv:"C"
-           ~doc:"Bench connections (threads), each with one request \
-                 outstanding.")
-  in
-  let allow_errors =
-    Arg.(value & flag & info [ "allow-errors" ]
-           ~doc:"Bench only: report errors in the summary instead of \
-                 exiting 1 (for deliberately induced overload).")
-  in
   let table =
     Arg.(value & flag & info [ "table" ]
            ~doc:"With $(b,stats): print the human-readable metrics table \
@@ -834,12 +778,11 @@ let client_cmd =
   in
   Cmd.v
     (Cmd.info "client"
-       ~doc:"Talk to a running $(b,toss serve): one-shot requests or a \
-             closed-loop benchmark.")
+       ~doc:"Send one request to a running $(b,toss serve) or \
+             $(b,toss router). For load, use $(b,toss loadgen).")
     Term.(ret
             (const client_run $ socket $ codec_arg $ allow_partial $ op $ arg1
-             $ arg2 $ arg3 $ mode $ no_cache $ deadline_ms $ trace_id $ bench
-             $ concurrency $ allow_errors $ table))
+             $ arg2 $ arg3 $ mode $ no_cache $ deadline_ms $ trace_id $ table))
 
 (* ----------------------------- router ----------------------------- *)
 
@@ -996,7 +939,7 @@ let loadgen_cmd =
              $ qps $ concurrency $ seed $ papers $ zipf $ deadline_ms
              $ no_ingest $ allow_errors))
 
-let check_run seed runs op no_simjoin fault repro_out =
+let check_run seed runs op fault repro_out =
   match Toss_check.Harness.fault_of_string fault with
   | None ->
       `Error
@@ -1005,7 +948,7 @@ let check_run seed runs op no_simjoin fault repro_out =
            (String.concat ", " Toss_check.Harness.fault_names))
   | Some fault ->
       let outcome =
-        Toss_check.Harness.run ~fault ?op ~simjoin:(not no_simjoin) ~seed ~runs ()
+        Toss_check.Harness.run ~fault ?op ~seed ~runs ()
       in
       Toss_check.Harness.report Format.std_formatter outcome;
       (match outcome with
@@ -1036,12 +979,6 @@ let check_cmd =
          & info [ "op" ] ~docv:"OP"
              ~doc:"Restrict generated cases to one operator (select or join).")
   in
-  let no_simjoin =
-    Arg.(value & flag & info [ "no-simjoin" ]
-           ~doc:"Run every generated join through nested-loop pairing \
-                 instead of the sim-pair operator (the CI matrix's \
-                 second axis).")
-  in
   let fault =
     Arg.(value & opt string "none"
          & info [ "inject-fault" ] ~docv:"FAULT"
@@ -1062,7 +999,7 @@ let check_cmd =
              every engine configuration against a naive reference oracle; \
              failures are shrunk to a minimal repro. Exits 1 on a \
              discrepancy.")
-    Term.(ret (const check_run $ seed $ runs $ op $ no_simjoin $ fault $ repro_out))
+    Term.(ret (const check_run $ seed $ runs $ op $ fault $ repro_out))
 
 let () =
   let default = Term.(ret (const (`Help (`Pager, None)))) in

@@ -5,25 +5,11 @@ module Condition = Toss_tax.Condition
 module Executor = Toss_core.Executor
 module Toss_condition = Toss_core.Toss_condition
 
-type config = { compile : bool; planner : bool; use_index : bool }
+type config = Compiled | Interpreted
 
-let configs =
-  [
-    { compile = true; planner = true; use_index = true };
-    { compile = true; planner = true; use_index = false };
-    { compile = true; planner = false; use_index = true };
-    { compile = true; planner = false; use_index = false };
-    { compile = false; planner = true; use_index = true };
-    { compile = false; planner = true; use_index = false };
-    { compile = false; planner = false; use_index = true };
-    { compile = false; planner = false; use_index = false };
-  ]
+let configs = [ Compiled; Interpreted ]
 
-let config_name c =
-  Printf.sprintf "compile=%s planner=%s index=%s"
-    (if c.compile then "on" else "off")
-    (if c.planner then "on" else "off")
-    (if c.use_index then "on" else "off")
+let config_name = function Compiled -> "compiled" | Interpreted -> "interpreted"
 
 type failure = {
   case : Gen.case;
@@ -46,7 +32,7 @@ let equal_multiset a b =
 
 let modes = [ Executor.Tax; Executor.Toss ]
 
-let check_case ?(simjoin = true) (case : Gen.case) =
+let check_case (case : Gen.case) =
   let seo = Gen.seo_of case in
   let coll = Collection.snapshot (Collection.of_trees ~name:"check" case.Gen.docs) in
   let rcoll =
@@ -58,6 +44,7 @@ let check_case ?(simjoin = true) (case : Gen.case) =
   let fail mode config expected got detail =
     Some { case; mode; config; expected; got; detail }
   in
+  let compile config = config = Compiled in
   let check_mode mode =
     let eval =
       match mode with
@@ -71,9 +58,8 @@ let check_case ?(simjoin = true) (case : Gen.case) =
         List.find_map
           (fun config ->
             let results, stats =
-              Executor.select ~mode ~planner:config.planner
-                ~compile:config.compile ~use_index:config.use_index seo coll
-                ~pattern ~sl
+              Executor.select ~mode ~compile:(compile config) seo coll ~pattern
+                ~sl
             in
             let got = canonical results in
             if not (equal_multiset expected got) then
@@ -91,9 +77,8 @@ let check_case ?(simjoin = true) (case : Gen.case) =
         List.find_map
           (fun config ->
             let results, _ =
-              Executor.join ~mode ~planner:config.planner
-                ~compile:config.compile ~use_index:config.use_index ~simjoin seo
-                coll rcoll ~pattern ~sl
+              Executor.join ~mode ~compile:(compile config) seo coll rcoll
+                ~pattern ~sl
             in
             let got = canonical results in
             if not (equal_multiset expected got) then

@@ -1,23 +1,24 @@
 (** One case, every engine configuration, against the oracle.
 
-    A case passes when, for both semantics (TAX and TOSS) and all eight
-    engine configurations (compiled matcher on/off × planner on/off ×
-    value index on/off — which also covers hash/sim-pair vs nested-loop
-    pairing for joins), the executor's results equal the oracle's as
-    canonicalized witness-tree multisets, and (for selections) the
-    executor's [n_embeddings] funnel stat equals the oracle's count of
-    condition-satisfying embeddings. Because the compiled axis runs the
-    same cases through both the arena matcher and the interpreted
-    scan/prune/embed pipeline, the interpreter serves as a second,
-    in-engine reference alongside the naive oracle. *)
+    A case passes when, for both semantics (TAX and TOSS) and both
+    engine configurations (the compiled matcher and the interpreted
+    rewrite→XPath→reassemble pipeline, both planned — which covers the
+    hash, sim-pair and nested-loop pairings the planner picks for
+    joins), the executor's results equal the oracle's as canonicalized
+    witness-tree multisets, and (for selections) the executor's
+    [n_embeddings] funnel stat equals the oracle's count of
+    condition-satisfying embeddings. Because the same cases run through
+    both the arena matcher and the interpreted scan/prune/embed
+    pipeline, the interpreter serves as a second, in-engine reference
+    alongside the naive oracle. *)
 
-type config = { compile : bool; planner : bool; use_index : bool }
+type config = Compiled | Interpreted
 
 val configs : config list
-(** The eight compile/planner/index combinations, most-optimized
-    first. *)
+(** [[Compiled; Interpreted]]: the default engine first. *)
 
 val config_name : config -> string
+(** ["compiled"] or ["interpreted"]. *)
 
 type failure = {
   case : Gen.case;
@@ -34,9 +35,6 @@ val canonical : Toss_xml.Tree.t list -> Toss_xml.Tree.t list
 (** Sorted by {!Toss_xml.Tree.compare} — the multiset normal form
     results are compared in. *)
 
-val check_case : ?simjoin:bool -> Gen.case -> failure option
+val check_case : Gen.case -> failure option
 (** [None] when every mode × configuration agrees with the oracle; the
-    first discrepancy otherwise. [simjoin] (default true) is forwarded
-    to {!Toss_core.Executor.join} — the CLI's [--no-simjoin] axis, which
-    pins the nested-loop pairing for similarity cross-conditions instead
-    of the sim-pair operator. *)
+    first discrepancy otherwise. *)

@@ -33,7 +33,7 @@ let fault_names =
 let doc_count (case : Gen.case) =
   List.length case.Gen.docs + List.length case.Gen.right_docs
 
-let run ?(fault = Plan.No_fault) ?op ?simjoin ~seed ~runs () =
+let run ?(fault = Plan.No_fault) ?op ~seed ~runs () =
   let master = Rng.create seed in
   let with_fault f =
     Plan.fault := fault;
@@ -45,10 +45,10 @@ let run ?(fault = Plan.No_fault) ?op ?simjoin ~seed ~runs () =
         else
           let case_seed = Rng.sub_seed master in
           let case = Gen.case ?op case_seed in
-          match Diff.check_case ?simjoin case with
+          match Diff.check_case case with
           | None -> go (i + 1)
           | Some _ ->
-              let _shrunk, failure, steps = Shrink.minimize ?simjoin case in
+              let _shrunk, failure, steps = Shrink.minimize case in
               Fail { run = i; case_seed; failure; steps }
       in
       go 1)

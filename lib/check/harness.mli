@@ -23,16 +23,13 @@ val fault_names : string list
 val run :
   ?fault:Toss_core.Plan.fault ->
   ?op:Gen.op ->
-  ?simjoin:bool ->
   seed:int ->
   runs:int ->
   unit ->
   outcome
-(** Deterministic for a given (seed, runs, op, simjoin, fault). The
-    injected fault is active only for the duration of the call;
-    [Plan.fault] is restored on exit, including on exceptions.
-    [simjoin:false] runs every join through the nested-loop reference
-    instead of the sim-pair operator — the CI matrix's second axis. *)
+(** Deterministic for a given (seed, runs, op, fault). The injected
+    fault is active only for the duration of the call; [Plan.fault] is
+    restored on exit, including on exceptions. *)
 
 val repro : Diff.failure -> string
 (** The paste-into-test reproduction for a failure: a comment naming the

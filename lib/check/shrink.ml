@@ -127,7 +127,7 @@ let reductions (case : Gen.case) =
         (indices case.Gen.right_docs);
     ]
 
-let minimize ?(max_steps = 400) ?simjoin (case : Gen.case) =
+let minimize ?(max_steps = 400) (case : Gen.case) =
   let steps = ref 0 in
   let rec go case failure =
     let next =
@@ -136,7 +136,7 @@ let minimize ?(max_steps = 400) ?simjoin (case : Gen.case) =
           if !steps >= max_steps then None
           else begin
             incr steps;
-            match Diff.check_case ?simjoin candidate with
+            match Diff.check_case candidate with
             | Some f -> Some (candidate, f)
             | None -> None
           end)
@@ -146,6 +146,6 @@ let minimize ?(max_steps = 400) ?simjoin (case : Gen.case) =
     | Some (smaller, f) -> go smaller f
     | None -> (case, failure, !steps)
   in
-  match Diff.check_case ?simjoin case with
+  match Diff.check_case case with
   | None -> invalid_arg "Shrink.minimize: case does not fail"
   | Some failure -> go case failure

@@ -8,13 +8,10 @@
     removing leaf pattern nodes — until no single-step reduction
     reproduces the failure. *)
 
-val minimize :
-  ?max_steps:int -> ?simjoin:bool -> Gen.case -> Gen.case * Diff.failure * int
+val minimize : ?max_steps:int -> Gen.case -> Gen.case * Diff.failure * int
 (** [minimize case] returns a locally-minimal failing case, its (possibly
     different) discrepancy, and the number of candidate cases tried.
     [max_steps] bounds the number of oracle-vs-executor comparisons spent
-    shrinking (default 400). [simjoin] is forwarded to every
-    {!Diff.check_case} call, so a failure found with the sim-pair
-    operator disabled shrinks under the same configuration.
+    shrinking (default 400).
 
     @raise Invalid_argument if [case] does not fail to begin with. *)

@@ -95,11 +95,9 @@ let event_query_end ~op ~trace ~phases ~stats:(n_candidates, n_embeddings, n_res
           ("elapsed_s", Event.Float (total_s phases));
         ]
 
-(* Both entry points are thin facades now: phase (i) builds a plan (the
+(* Both entry points are thin facades: phase (i) builds a plan (the
    planner rewrites the pattern and consults collection statistics),
-   phases (ii)/(iii) are [Plan.run]. [planner:false] executes the same
-   query through a naive plan — rewrite-order scans, no pruning,
-   nested-loop pairing — preserving the pre-planner strategy. *)
+   phases (ii)/(iii) are [Plan.run]. *)
 
 let finish ~op ~plan (results, (exec : Plan.exec_stats)) trace =
   let phases = phases_of_trace trace in
@@ -122,8 +120,7 @@ let finish ~op ~plan (results, (exec : Plan.exec_stats)) trace =
       trace;
     } )
 
-let select ?(mode = Toss) ?(use_index = true) ?max_expansion ?(planner = true)
-    ?(compile = true) ?check seo collection ~pattern ~sl =
+let select ?(mode = Toss) ?compile ?check seo collection ~pattern ~sl =
   Metrics.incr m_selects;
   event_query_start ~op:"select" ~mode collection;
   let eval = evaluator_of mode seo in
@@ -131,17 +128,14 @@ let select ?(mode = Toss) ?(use_index = true) ?max_expansion ?(planner = true)
     Span.run Names.select_root (fun () ->
         let plan =
           Span.with_ Names.rewrite (fun () ->
-              Planner.plan_select ~mode ~use_index ?max_expansion
-                ~optimize:planner ~compile seo collection ~pattern ~sl)
+              Planner.plan_select ~mode ?compile seo collection ~pattern ~sl)
         in
         event_rewrite_done ~op:"select" (Plan.label_queries plan);
-        (plan, Plan.run ?check ~use_index ~eval ~coll_of:(fun _ -> collection) plan))
+        (plan, Plan.run ?check ~eval ~coll_of:(fun _ -> collection) plan))
   in
   finish ~op:"select" ~plan outcome trace
 
-let join ?(mode = Toss) ?(use_index = true) ?max_expansion ?(planner = true)
-    ?(compile = true) ?(simjoin = true) ?check seo left_coll right_coll ~pattern
-    ~sl =
+let join ?(mode = Toss) ?compile ?check seo left_coll right_coll ~pattern ~sl =
   Metrics.incr m_joins;
   event_query_start ~op:"join" ~mode left_coll;
   let eval = evaluator_of mode seo in
@@ -153,10 +147,10 @@ let join ?(mode = Toss) ?(use_index = true) ?max_expansion ?(planner = true)
     Span.run Names.join_root (fun () ->
         let plan =
           Span.with_ Names.rewrite (fun () ->
-              Planner.plan_join ~mode ~use_index ?max_expansion ~optimize:planner
-                ~compile ~simjoin seo left_coll right_coll ~pattern ~sl)
+              Planner.plan_join ~mode ?compile seo left_coll right_coll ~pattern
+                ~sl)
         in
         event_rewrite_done ~op:"join" (Plan.label_queries plan);
-        (plan, Plan.run ?check ~use_index ~eval ~coll_of plan))
+        (plan, Plan.run ?check ~eval ~coll_of plan))
   in
   finish ~op:"join" ~plan outcome trace

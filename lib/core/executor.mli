@@ -13,21 +13,19 @@
     {!Planner.plan_join} followed by {!Plan.run}: phase (i) builds the
     physical plan (scan ordering, document pruning, and the join pairing
     strategy are decided here from collection statistics), phases (ii)
-    and (iii) interpret it. [planner:false] runs the same query through
-    a deliberately naive plan — rewrite-order scans, no pruning,
-    nested-loop pairing — which is the pre-planner execution strategy
-    and the CLI's [--no-planner]; results are identical either way, only
-    the work to produce them changes.
+    and (iii) interpret it.
 
-    By default ([compile:true]) the plan's matching side is a
-    {!Plan.Compiled_match} leaf: the pattern is compiled once into a
-    single-pass arena matcher ({!Compile}) and no XPath scans are
-    issued, so phase (ii) is empty and phase (iii) holds one [match]
-    span per document. [compile:false] — the CLI's [--no-compile] —
-    keeps the interpreted scan/prune/embed pipeline, which doubles as
-    the in-engine reference implementation the differential harness
-    ([toss check]) compares witness-for-witness against the compiled
-    matcher. Results are identical either way. *)
+    [compile] is the engine's only switch. By default ([compile:true])
+    the plan's matching side is a {!Plan.Compiled_match} leaf: the
+    pattern is compiled once into a single-pass arena matcher
+    ({!Compile}) and no XPath scans are issued, so phase (ii) is empty
+    and phase (iii) holds one [match] span per document.
+    [compile:false] — the CLI's [--no-compile] — runs the paper's
+    rewrite→XPath→reassemble pipeline (planned scans, document pruning,
+    per-document embedding), which doubles as the in-engine reference
+    the differential harness ([toss check]) compares
+    witness-for-witness against the compiled matcher. Results are
+    identical either way. *)
 
 type mode = Rewrite.mode = Tax | Toss
 
@@ -44,14 +42,14 @@ type stats = {
   n_results : int;  (** witness trees returned (after deduplication) *)
   queries : (int * string) list;
       (** label -> XPath sent to the store, in scan (execution) order —
-          most-selective-first when the planner is on *)
+          most-selective-first *)
   trace : Toss_obs.Span.t;
       (** the full span tree of this run; [phases] is a view over its
           [rewrite]/[execute]/[assemble] children, so the two always
           agree. Under [execute] there is one [xpath] span per label
           query (annotated with [rows]/[indexed]/[scanned] by the store)
           and under [assemble] a [prune] span per pruned side
-          (planner only, annotated [docs_in]/[docs_out]), one [embed]
+          (annotated [docs_in]/[docs_out]), one [embed]
           span per surviving document (annotated with the enumeration
           funnel) and, for joins, a [pair] span (annotated with the
           [strategy] and pair counts) — the operators EXPLAIN ANALYZE
@@ -73,9 +71,6 @@ val total_s : phases -> float
 
 val select :
   ?mode:mode ->
-  ?use_index:bool ->
-  ?max_expansion:int ->
-  ?planner:bool ->
   ?compile:bool ->
   ?check:(unit -> unit) ->
   Seo.t ->
@@ -90,21 +85,15 @@ val select :
     effect on an in-flight call. The call itself takes no locks and is
     safe to run on any domain (its observability side effects go to the
     domain-safe {!Toss_obs} registry and the calling domain's span
-    context). [planner] (default true) enables cost-based scan ordering
-    and candidate-doc pruning; [compile] (default true) runs the
-    compiled single-pass matcher instead of the interpreted pipeline.
-    [check] is forwarded to {!Plan.run} as its cooperative cancellation
-    checkpoint (the query server's per-request deadline — under a
-    compiled plan it fires once per arena node); whatever it raises
-    propagates out of this call. *)
+    context). [compile] (default true) runs the compiled single-pass
+    matcher instead of the interpreted pipeline. [check] is forwarded to
+    {!Plan.run} as its cooperative cancellation checkpoint (the query
+    server's per-request deadline — under a compiled plan it fires once
+    per arena node); whatever it raises propagates out of this call. *)
 
 val join :
   ?mode:mode ->
-  ?use_index:bool ->
-  ?max_expansion:int ->
-  ?planner:bool ->
   ?compile:bool ->
-  ?simjoin:bool ->
   ?check:(unit -> unit) ->
   Seo.t ->
   Toss_store.Collection.Snapshot.t ->
@@ -119,11 +108,11 @@ val join :
     root itself stands for the product node and is not matched against
     either store. An ad edge from the root lets the side match anywhere in
     a document; a pc edge pins it to the document root. Cross-collection
-    atoms are evaluated during assembly; with [planner] on, equality
-    atoms split across the sides are used to hash-partition the pairing,
-    and failing that a [~]/[isa] atom selects the signature-indexed
-    similarity pairing ({!Plan.Sim_pair}) when the build side is big
-    enough (the full condition is still re-checked on every key match or
-    overlap candidate). [simjoin:false] — the CLI's [--no-simjoin] —
-    disables only the similarity pairing, keeping the nested-loop path
-    as escape hatch and differential reference. *)
+    atoms are evaluated during assembly: equality atoms split across the
+    sides hash-partition the pairing, failing that a [~]/[isa] atom
+    selects the signature-indexed similarity pairing ({!Plan.Sim_pair})
+    when the build side is big enough, and anything else pairs by nested
+    loop (the full condition is still re-checked on every key match or
+    overlap candidate). The pairing is chosen the same way under either
+    value of [compile]; the nested-loop reference plan for a join is
+    {!Planner.plan_join}[ ~optimize:false]. *)

@@ -39,8 +39,8 @@ let expansions_of ~mode seo (pattern : Pattern.t) =
         | _ -> None)
       (Condition.atoms pattern.Pattern.condition)
 
-let explain ?(mode = Rewrite.Toss) ?max_expansion seo pattern =
-  let queries = Rewrite.label_queries ~mode ?max_expansion seo pattern in
+let explain ?(mode = Rewrite.Toss) seo pattern =
+  let queries = Rewrite.label_queries ~mode seo pattern in
   {
     mode;
     label_queries = List.map (fun (l, q) -> (l, Xpath.to_string q)) queries;

@@ -28,7 +28,7 @@ type t = {
           {!with_trace}; [None] for a purely static plan *)
 }
 
-val explain : ?mode:Rewrite.mode -> ?max_expansion:int -> Seo.t -> Toss_tax.Pattern.t -> t
+val explain : ?mode:Rewrite.mode -> Seo.t -> Toss_tax.Pattern.t -> t
 (** The static plan for a pattern under the given SEO (no query is run). *)
 
 val with_plan : t -> Plan.t -> t

@@ -247,7 +247,7 @@ let rec candidate_filters = function
 (* Phase ii: run every scan of one side, in order, each in its own
    [xpath] span (annotated by the store with rows / index hit counts)
    with an [Xpath_exec] event reusing the span's measured elapsed. *)
-let fetch_side ~check ~use_index coll scans =
+let fetch_side ~check coll scans =
   let table : (int * int, Doc.node list) Hashtbl.t = Hashtbl.create 64 in
   let total = ref 0 in
   List.iter
@@ -257,7 +257,7 @@ let fetch_side ~check ~use_index coll scans =
         Span.timed
           ~meta:[ ("label", string_of_int s.scan_label) ]
           Names.xpath
-          (fun () -> Collection.Snapshot.eval ~use_index coll s.xpath)
+          (fun () -> Collection.Snapshot.eval coll s.xpath)
       in
       (if Event.active () then
          Event.emit Event.Xpath_exec
@@ -280,13 +280,12 @@ let fetch_side ~check ~use_index coll scans =
 
 let side_name = function Single -> "single" | Left -> "left" | Right -> "right"
 
-let run ?(check = ignore) ?(use_index = true) ~eval ~coll_of plan =
+let run ?(check = ignore) ~eval ~coll_of plan =
   (* Phase ii: all label scans, one [execute] span. *)
   let fetched =
     Span.with_ Names.execute (fun () ->
         List.map
-          (fun (side, scans) ->
-            (side, fetch_side ~check ~use_index (coll_of side) scans))
+          (fun (side, scans) -> (side, fetch_side ~check (coll_of side) scans))
           (candidate_filters plan.root))
   in
   (* Scans report fetched candidate nodes; compiled matchers report

@@ -31,8 +31,8 @@ type scan = {
   xpath : Toss_store.Xpath.t;
   est_rows : int option;
       (** planner estimate from {!Toss_store.Collection.estimate_rows};
-          [None] when planning with [optimize:false] (no statistics are
-          consulted) *)
+          [None] in a reference plan built with [optimize:false] (no
+          statistics are consulted) *)
 }
 
 type side = Single | Left | Right
@@ -149,7 +149,6 @@ val fault : fault ref
 
 val run :
   ?check:(unit -> unit) ->
-  ?use_index:bool ->
   eval:(Toss_tax.Condition.env -> Toss_tax.Condition.t -> bool) ->
   coll_of:(side -> Toss_store.Collection.Snapshot.t) ->
   t ->
@@ -165,7 +164,10 @@ val run :
     and one per-document [match] span under [assemble] instead of
     [prune]/[embed]. Must be called inside an executor root span for
     the trace to be observable; works standalone too (spans become
-    no-ops).
+    no-ops), which is how tests and ablations run hand-built and
+    reference plans. Label scans always go through the store's
+    indexes; the unindexed reference lives in the store
+    ({!Toss_store.Collection.Snapshot.eval}[ ~use_index:false]).
 
     [check] is a cooperative cancellation checkpoint, called before
     every label scan, every per-document embedding enumeration, and

@@ -13,13 +13,12 @@ let m_sim_joins = Metrics.counter "planner.joins.sim"
    statistics and ordered most-selective-first under [optimize], left in
    rewrite (pattern preorder) order otherwise. The sort is stable, so
    equally-selective scans keep their rewrite order. *)
-let scans_of ~optimize ~use_index coll queries =
+let scans_of ~optimize coll queries =
   let scans =
     List.map
       (fun (label, xpath) ->
         let est_rows =
-          if optimize then
-            Some (Collection.Snapshot.estimate_rows ~value_index:use_index coll xpath)
+          if optimize then Some (Collection.Snapshot.estimate_rows coll xpath)
           else None
         in
         { Plan.scan_label = label; xpath; est_rows })
@@ -34,16 +33,16 @@ let scans_of ~optimize ~use_index coll queries =
       scans
   else scans
 
-let filter_of ~optimize ~use_index coll ~side ~required queries =
-  let scans = scans_of ~optimize ~use_index coll queries in
+let filter_of ~optimize coll ~side ~required queries =
+  let scans = scans_of ~optimize coll queries in
   let filter =
     Plan.Candidate_filter
       { side; scans = List.map (fun s -> Plan.Label_scan s) scans }
   in
   if optimize then Plan.Doc_prune { required; input = filter } else filter
 
-let plan_select ?(mode = Rewrite.Toss) ?(use_index = true) ?max_expansion
-    ?(optimize = true) ?(compile = true) seo coll ~pattern ~sl =
+let plan_select ?(mode = Rewrite.Toss) ?(optimize = true) ?(compile = true) seo
+    coll ~pattern ~sl =
   Metrics.incr m_plans;
   let spec =
     { Plan.side = Plan.Single; sub_pattern = pattern; sub_sl = sl; pin_root = false }
@@ -54,9 +53,9 @@ let plan_select ?(mode = Rewrite.Toss) ?(use_index = true) ?max_expansion
     { Plan.mode; root = Plan.Compiled_match { spec; matcher } }
   end
   else
-    let queries = Rewrite.label_queries ~mode ?max_expansion seo pattern in
+    let queries = Rewrite.label_queries ~mode seo pattern in
     let input =
-      filter_of ~optimize ~use_index coll ~side:Plan.Single
+      filter_of ~optimize coll ~side:Plan.Single
         ~required:(Pattern.labels pattern) queries
     in
     { Plan.mode; root = Plan.Embed { spec; input } }
@@ -151,9 +150,8 @@ let sim_atom ~mode ~left_labels ~right_labels seo cross_condition =
    build side is what the tiny-build-fallback unit test pins. *)
 let min_simjoin_build_docs = 2
 
-let plan_join ?(mode = Rewrite.Toss) ?(use_index = true) ?max_expansion
-    ?(optimize = true) ?(compile = true) ?(simjoin = true) seo left_coll
-    right_coll ~pattern ~sl =
+let plan_join ?(mode = Rewrite.Toss) ?(optimize = true) ?(compile = true) seo
+    left_coll right_coll ~pattern ~sl =
   Metrics.incr m_plans;
   if compile then Metrics.incr m_compiled;
   let root = pattern.Pattern.root in
@@ -176,9 +174,9 @@ let plan_join ?(mode = Rewrite.Toss) ?(use_index = true) ?max_expansion
     if compile then
       Plan.Compiled_match { spec; matcher = Compile.build ~mode seo sub_pattern }
     else
-      let queries = Rewrite.label_queries ~mode ?max_expansion seo sub_pattern in
+      let queries = Rewrite.label_queries ~mode seo sub_pattern in
       let input =
-        filter_of ~optimize ~use_index coll ~side
+        filter_of ~optimize coll ~side
           ~required:(Pattern.labels sub_pattern) queries
       in
       Plan.Embed { spec; input }
@@ -195,7 +193,7 @@ let plan_join ?(mode = Rewrite.Toss) ?(use_index = true) ?max_expansion
      quadratic term to matter. *)
   let sim =
     if
-      optimize && simjoin && keys = []
+      optimize && keys = []
       && Collection.Snapshot.n_documents right_coll >= min_simjoin_build_docs
     then sim_atom ~mode ~left_labels ~right_labels seo cross_condition
     else None

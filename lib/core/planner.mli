@@ -22,27 +22,25 @@
       whenever the build side's statistics show at least two documents;
       anything else falls back to [Nested_loop_pair].
 
-    With [optimize:false] the same IR is produced but naively — rewrite
-    order, no statistics, no pruning, nested-loop pairing — which is the
-    CLI's [--no-planner]: the legacy execution strategy expressed in the
-    new engine, used as the equivalence baseline.
-
     With [compile:true] (the default) the scan/prune/embed pipeline is
     replaced wholesale by a single {!Plan.Compiled_match} leaf per side:
     the pattern is compiled once ({!Compile.build}) and every document
     of the snapshot is matched in one arena pass, with the
     SEO-expanded predicates evaluated inline instead of being lowered
     to XPath scans. [compile:false] (the CLI's [--no-compile]) keeps
-    the interpreted pipeline — the in-engine reference the differential
-    harness compares against. [use_index], [max_expansion] and
-    [optimize]'s scan shaping only affect the interpreted pipeline;
-    under a join, [optimize] still picks the pairing strategy either
-    way. *)
+    the paper's rewrite→XPath→reassemble pipeline — the in-engine
+    reference the differential harness compares against. Under a join
+    the pairing strategy is chosen the same way either way.
+
+    [optimize] (default true) exists only to build reference plans:
+    with [optimize:false] the same IR is produced naively — rewrite
+    order, no statistics, no pruning, nested-loop pairing — which the
+    equivalence tests and the ABL-PLAN/ABL-SIMJOIN ablations run
+    through {!Plan.run} as the baseline the planned operators must
+    reproduce witness for witness. No serving path plans naively. *)
 
 val plan_select :
   ?mode:Rewrite.mode ->
-  ?use_index:bool ->
-  ?max_expansion:int ->
   ?optimize:bool ->
   ?compile:bool ->
   Seo.t ->
@@ -50,19 +48,14 @@ val plan_select :
   pattern:Toss_tax.Pattern.t ->
   sl:int list ->
   Plan.t
-(** The plan for [σ_{P,SL}] over the snapshot. [use_index] (default
-    true) gates the per-value statistics refinement so planning never
-    forces an index build the execution itself would not perform;
-    [compile] (default true) selects the compiled matcher over the
-    interpreted scan/prune/embed pipeline. *)
+(** The plan for [σ_{P,SL}] over the snapshot. [compile] (default true)
+    selects the compiled matcher over the interpreted scan/prune/embed
+    pipeline; [optimize] only shapes the interpreted pipeline. *)
 
 val plan_join :
   ?mode:Rewrite.mode ->
-  ?use_index:bool ->
-  ?max_expansion:int ->
   ?optimize:bool ->
   ?compile:bool ->
-  ?simjoin:bool ->
   Seo.t ->
   Toss_store.Collection.Snapshot.t ->
   Toss_store.Collection.Snapshot.t ->
@@ -73,7 +66,6 @@ val plan_join :
     two children (the left and right sub-patterns); raises
     [Invalid_argument] otherwise, as {!Executor.join} always has. Under
     [compile] each side becomes its own {!Plan.Compiled_match} leaf
-    feeding the shared pairing operators. [simjoin] (default true; the
-    CLI's [--no-simjoin] when off) gates the [Sim_pair] lowering only —
-    with it off, similarity cross-conditions keep the nested-loop
-    pairing, the escape hatch and differential reference. *)
+    feeding the shared pairing operators. With [optimize:false] every
+    cross condition pairs by [Nested_loop_pair] — the reference the
+    hash and sim-pair lowerings are checked against. *)

@@ -37,7 +37,9 @@ val label_queries :
   (int * Toss_store.Xpath.t) list
 (** One query per pattern label, in preorder. [max_expansion] (default 64)
     caps the size of ontology expansions pushed into a predicate or name
-    test; larger expansions degrade to unconstrained steps. *)
+    test; larger expansions degrade to unconstrained steps, and assembly
+    re-checks the full condition. The planner always uses the default;
+    a smaller cap is for tests that run hand-built plans. *)
 
 (** {1 Memoized SEO expansions}
 

@@ -174,18 +174,18 @@ let query ?mode ?check t ~collection text =
   | Error msg -> Error msg
   | Ok p -> query_at ?mode ?check p text
 
-let join_at ?(mode = Executor.Toss) ?(simjoin = true) ?check p text =
+let join_at ?(mode = Executor.Toss) ?check p text =
   with_query p.pin2_seo text (fun q context ->
       match q.Tql.target with
       | Tql.Project _ -> Error "join does not support PROJECT"
       | Tql.Select sl ->
           let trees, stats =
-            Executor.join ~mode ~simjoin ?check context p.pin2_left p.pin2_right
+            Executor.join ~mode ?check context p.pin2_left p.pin2_right
               ~pattern:q.Tql.pattern ~sl
           in
           Ok { trees; stats = Some stats })
 
-let join ?mode ?simjoin ?check t ~left ~right text =
+let join ?mode ?check t ~left ~right text =
   match pin2 t ~left ~right with
   | Error msg -> Error msg
-  | Ok p -> join_at ?mode ?simjoin ?check p text
+  | Ok p -> join_at ?mode ?check p text

@@ -134,20 +134,17 @@ val pinned2_versions : pinned2 -> int * int
 
 val join_at :
   ?mode:Executor.mode ->
-  ?simjoin:bool ->
   ?check:(unit -> unit) ->
   pinned2 ->
   string ->
   (answer, string) result
 (** Parses a TQL join (the pattern root must have two children, see
     {!Executor.join}) and runs it against the pinned pair. Lock-free and
-    domain-safe as {!query_at}; [simjoin] gates the {!Plan.Sim_pair}
-    lowering (see {!Executor.join}); [check] is the cooperative
-    cancellation checkpoint, consulted inside the pairing probe loop. *)
+    domain-safe as {!query_at}; [check] is the cooperative cancellation
+    checkpoint, consulted inside the pairing probe loop. *)
 
 val join :
   ?mode:Executor.mode ->
-  ?simjoin:bool ->
   ?check:(unit -> unit) ->
   t ->
   left:string ->

@@ -9,38 +9,38 @@ let v ~label entries =
    full precision (the writer escalates to %.17g whenever a shorter
    rendering would not re-parse to the same float). *)
 let to_json t =
-  Json_lite.to_string
-    (Json_lite.Obj
+  Toss_json.to_string
+    (Toss_json.Obj
        [
-         ("bench", Json_lite.Str t.label);
+         ("bench", Toss_json.Str t.label);
          ( "experiments",
-           Json_lite.Obj
+           Toss_json.Obj
              (List.map
                 (fun (name, e) ->
                   ( name,
-                    Json_lite.Obj
+                    Toss_json.Obj
                       [
-                        ("median_s", Json_lite.Num e.median_s);
-                        ("runs", Json_lite.Num (float_of_int e.runs));
+                        ("median_s", Toss_json.Num e.median_s);
+                        ("runs", Toss_json.Num (float_of_int e.runs));
                       ] ))
                 t.entries) );
        ])
 
 let of_json s =
-  match Json_lite.parse s with
+  match Toss_json.parse s with
   | Error msg -> Error ("baseline: " ^ msg)
   | Ok json -> (
       let label =
-        Option.bind (Json_lite.member "bench" json) Json_lite.to_str
+        Option.bind (Toss_json.member "bench" json) Toss_json.to_str
       in
-      match (label, Json_lite.member "experiments" json) with
-      | Some label, Some (Json_lite.Obj kvs) ->
+      match (label, Toss_json.member "experiments" json) with
+      | Some label, Some (Toss_json.Obj kvs) ->
           let entry (name, v) =
-            match Option.bind (Json_lite.member "median_s" v) Json_lite.to_num with
+            match Option.bind (Toss_json.member "median_s" v) Toss_json.to_num with
             | Some median_s ->
                 let runs =
                   match
-                    Option.bind (Json_lite.member "runs" v) Json_lite.to_num
+                    Option.bind (Toss_json.member "runs" v) Toss_json.to_num
                   with
                   | Some r -> int_of_float r
                   | None -> 1

@@ -1,11 +1,10 @@
 (** The repository's one JSON implementation: a minimal reader and a
     writer sharing the same value type.
 
-    Grown out of [Toss_eval.Json_lite] (which remains as a deprecated
-    alias) when the server's wire protocol, [Explain.to_json] and the
-    bench baseline artifacts each needed the same escaping rules — kept
-    dependency-free on purpose: the container pins the toolchain, so no
-    [yojson].
+    Grown out of the bench's baseline reader when the server's wire
+    protocol, [Explain.to_json] and the bench baseline artifacts each
+    needed the same escaping rules — kept dependency-free on purpose:
+    the container pins the toolchain, so no [yojson].
 
     Reading is just enough of RFC 8259 for the artifacts this repository
     writes. Numbers are all parsed as [float]; strings decode the

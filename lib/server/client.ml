@@ -48,171 +48,3 @@ let call t ?id ?deadline_ms ?trace_id ?allow_partial request =
   | Error f -> Error f
   | Ok { Protocol.body = Ok payload; _ } -> Ok payload
   | Ok { Protocol.body = Error e; _ } -> Error (Wire e)
-
-type bench_result = {
-  requests : int;
-  ok : int;
-  cache_hits : int;
-  errors : (string * int) list;
-  transport_errors : int;
-  elapsed_s : float;
-  p50_ms : float;
-  p95_ms : float;
-  max_ms : float;
-  server_p50_ms : float;
-  server_p95_ms : float;
-  queue_p50_ms : float;
-  queue_p95_ms : float;
-}
-
-type thread_tally = {
-  mutable t_ok : int;
-  mutable t_hits : int;
-  mutable t_errors : (string * int) list;
-  mutable t_transport : int;
-  mutable t_latencies : float list;  (** milliseconds, round-trip *)
-  mutable t_server_ms : float list;  (** server-reported execution *)
-  mutable t_queue_ms : float list;  (** server-reported queue wait *)
-}
-
-let count_error tally code =
-  let name = Protocol.code_name code in
-  let n = try List.assoc name tally.t_errors with Not_found -> 0 in
-  tally.t_errors <- (name, n + 1) :: List.remove_assoc name tally.t_errors
-
-let is_cache_hit payload =
-  match Option.bind (J.member "cache" payload) J.to_str with
-  | Some "hit" -> true
-  | _ -> false
-
-let bench_thread ?codec ~socket ?deadline_ms make_request indices tally =
-  match connect ?codec socket with
-  | Error _ -> tally.t_transport <- tally.t_transport + List.length indices
-  | Ok conn ->
-      List.iter
-        (fun i ->
-          let t0 = Unix.gettimeofday () in
-          (match call_response conn ?deadline_ms (make_request i) with
-          | Ok resp ->
-              (match resp.Protocol.body with
-              | Ok payload ->
-                  tally.t_ok <- tally.t_ok + 1;
-                  if is_cache_hit payload then tally.t_hits <- tally.t_hits + 1
-              | Error e -> count_error tally e.Protocol.code);
-              Option.iter
-                (fun ms -> tally.t_server_ms <- ms :: tally.t_server_ms)
-                resp.Protocol.server_ms;
-              Option.iter
-                (fun ms -> tally.t_queue_ms <- ms :: tally.t_queue_ms)
-                resp.Protocol.queue_ms
-          | Error (Wire e) -> count_error tally e.Protocol.code
-          | Error (Transport _) -> tally.t_transport <- tally.t_transport + 1);
-          tally.t_latencies <-
-            ((Unix.gettimeofday () -. t0) *. 1000.) :: tally.t_latencies)
-        indices;
-      close conn
-
-let percentile sorted q =
-  match sorted with
-  | [||] -> 0.
-  | a ->
-      let n = Array.length a in
-      let idx = int_of_float (ceil (q *. float_of_int n)) - 1 in
-      a.(max 0 (min (n - 1) idx))
-
-let bench ?codec ~socket ~requests ~concurrency ?deadline_ms make_request =
-  let concurrency = max 1 concurrency in
-  (* Probe once so "no server" is an error, not a bench full of zeros. *)
-  match connect ?codec socket with
-  | Error msg -> Error msg
-  | Ok probe ->
-      close probe;
-      let shares =
-        (* round-robin assignment of request indices to threads *)
-        Array.make concurrency [] |> fun a ->
-        for i = requests - 1 downto 0 do
-          a.(i mod concurrency) <- i :: a.(i mod concurrency)
-        done;
-        a
-      in
-      let tallies =
-        Array.init concurrency (fun _ ->
-            {
-              t_ok = 0;
-              t_hits = 0;
-              t_errors = [];
-              t_transport = 0;
-              t_latencies = [];
-              t_server_ms = [];
-              t_queue_ms = [];
-            })
-      in
-      let t0 = Unix.gettimeofday () in
-      let threads =
-        Array.mapi
-          (fun i indices ->
-            Thread.create
-              (fun () ->
-                bench_thread ?codec ~socket ?deadline_ms make_request indices
-                  tallies.(i))
-              ())
-          shares
-      in
-      Array.iter Thread.join threads;
-      let elapsed_s = Unix.gettimeofday () -. t0 in
-      let merge f = Array.fold_left (fun acc t -> acc + f t) 0 tallies in
-      let errors =
-        Array.fold_left
-          (fun acc t ->
-            List.fold_left
-              (fun acc (name, n) ->
-                let prev = try List.assoc name acc with Not_found -> 0 in
-                (name, prev + n) :: List.remove_assoc name acc)
-              acc t.t_errors)
-          [] tallies
-      in
-      let gather f =
-        let a =
-          Array.to_list tallies |> List.concat_map f |> Array.of_list
-        in
-        Array.sort compare a;
-        a
-      in
-      let latencies = gather (fun t -> t.t_latencies) in
-      let server_ms = gather (fun t -> t.t_server_ms) in
-      let queue_ms = gather (fun t -> t.t_queue_ms) in
-      Ok
-        {
-          requests;
-          ok = merge (fun t -> t.t_ok);
-          cache_hits = merge (fun t -> t.t_hits);
-          errors = List.sort compare errors;
-          transport_errors = merge (fun t -> t.t_transport);
-          elapsed_s;
-          p50_ms = percentile latencies 0.5;
-          p95_ms = percentile latencies 0.95;
-          max_ms = percentile latencies 1.0;
-          server_p50_ms = percentile server_ms 0.5;
-          server_p95_ms = percentile server_ms 0.95;
-          queue_p50_ms = percentile queue_ms 0.5;
-          queue_p95_ms = percentile queue_ms 0.95;
-        }
-
-let bench_to_json r =
-  J.Obj
-    [
-      ("requests", J.Num (float_of_int r.requests));
-      ("ok", J.Num (float_of_int r.ok));
-      ("cache_hits", J.Num (float_of_int r.cache_hits));
-      ( "errors",
-        J.Obj (List.map (fun (k, n) -> (k, J.Num (float_of_int n))) r.errors) );
-      ("transport_errors", J.Num (float_of_int r.transport_errors));
-      ("elapsed_s", J.Num r.elapsed_s);
-      ("p50_ms", J.Num r.p50_ms);
-      ("p95_ms", J.Num r.p95_ms);
-      ("max_ms", J.Num r.max_ms);
-      ("server_p50_ms", J.Num r.server_p50_ms);
-      ("server_p95_ms", J.Num r.server_p95_ms);
-      ("queue_p50_ms", J.Num r.queue_p50_ms);
-      ("queue_p95_ms", J.Num r.queue_p95_ms);
-    ]

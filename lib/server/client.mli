@@ -1,5 +1,6 @@
-(** Client for the [toss serve] wire protocol: [toss client]'s engine
-    and the in-process harness of the server tests.
+(** Client for the [toss serve] wire protocol: the engine of
+    [toss client] and [toss loadgen], and the in-process harness of the
+    server tests.
 
     {!call} is synchronous (send one message, read one message). A
     transport failure (connect refused, EOF mid-response, malformed
@@ -52,48 +53,3 @@ val call_response :
     error; only transport failures surface as [Error]).
     [allow_partial] opts into partial results from the sharded router
     (see {!Protocol.envelope}). *)
-
-(** {1 Closed-loop load generation} — [toss client --bench] and the CI
-    smoke test. *)
-
-type bench_result = {
-  requests : int;
-  ok : int;
-  cache_hits : int;  (** responses whose payload says ["cache":"hit"] *)
-  errors : (string * int) list;  (** wire error code -> count *)
-  transport_errors : int;
-  elapsed_s : float;
-  p50_ms : float;  (** client round-trip percentiles *)
-  p95_ms : float;
-  max_ms : float;
-  server_p50_ms : float;
-      (** percentiles of the server-reported [server_ms] — execution
-          time alone, so comparing with [p50_ms] separates queueing and
-          transport from compute (closed-loop round-trip numbers hide
-          queueing delay) *)
-  server_p95_ms : float;
-  queue_p50_ms : float;  (** percentiles of the reported [queue_ms] *)
-  queue_p95_ms : float;
-}
-
-val bench :
-  ?codec:Protocol.codec ->
-  socket:string ->
-  requests:int ->
-  concurrency:int ->
-  ?deadline_ms:int ->
-  (int -> Protocol.request) ->
-  (bench_result, string) result
-(** Runs [requests] requests across [concurrency] threads, each with its
-    own connection, each thread issuing its share sequentially (closed
-    loop: a thread has at most one request outstanding). The request
-    factory is called with the global request index. [Error] only if no
-    connection could be established at all.
-
-    Closed-loop numbers understate tail latency under load (coordinated
-    omission): a slow response delays the {e issuing} of subsequent
-    requests, so queueing delay hides itself. Prefer [toss loadgen]
-    ({!Toss_shard.Loadgen}) — an open-loop generator — for latency
-    measurements. *)
-
-val bench_to_json : bench_result -> Toss_json.t

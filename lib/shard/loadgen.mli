@@ -3,12 +3,12 @@
 
     {2 Why open loop}
 
-    [toss client --bench] is closed-loop: each thread waits for a
-    response before issuing its next request, so a slow response {e
-    delays the offered load} — queueing delay hides itself from the
-    measurement (coordinated omission), and reported tails are far
-    rosier than what an independent client population would see. This
-    generator is open-loop: request {e arrival times} are drawn up
+    A closed-loop generator, where each thread waits for a response
+    before issuing its next request, lets a slow response {e delay the
+    offered load} — queueing delay hides itself from the measurement
+    (coordinated omission), and reported tails are far rosier than what
+    an independent client population would see. This generator is
+    open-loop: request {e arrival times} are drawn up
     front from a Poisson process at the target rate, and each request's
     latency is measured from its {e scheduled arrival} to its
     completion — a request that could not even be sent on time (all
@@ -65,9 +65,9 @@ type report = {
 
 val query_mix : seed:int -> n_papers:int -> string array
 (** The TQL templates a run with the same [seed] and [n_papers] draws
-    from — exposed so closed-loop comparisons (the [serve-sharded]
-    bench experiment) can offer the same mix and isolate the
-    measurement methodology rather than the workload. *)
+    from — exposed so other drivers (the serving benchmark's hot-read
+    workload) can offer the same mix without re-deriving it from the
+    corpus. *)
 
 val run : ?ingest:bool -> config -> (report, string) result
 (** Generates and ingests the corpus (unless [ingest] is [false] —

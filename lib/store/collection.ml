@@ -277,15 +277,14 @@ let v_eq_count v ~tag ~value =
    its exact-content predicates through the value indexes. An estimate,
    not a bound — intermediate steps are ignored — but exact for the
    common rewritten shapes [//tag] and [//a/b[.='v' or ...]], which is
-   what the planner orders label scans by. [value_index:false] skips the
-   per-value refinement (and so never forces an index build). *)
-let v_estimate_rows ?(value_index = true) v xpath =
+   what the planner orders label scans by. *)
+let v_estimate_rows v xpath =
   let total_nodes = v_n_nodes v in
   let n_docs = Array.length v.entries in
   let rec est_pred ~tag base = function
     | Xpath.Content_eq value -> (
         match tag with
-        | Some tg when value_index -> min base (v_eq_count v ~tag:tg ~value)
+        | Some tg -> min base (v_eq_count v ~tag:tg ~value)
         | _ -> base)
     | Xpath.And (p, q) -> min (est_pred ~tag base p) (est_pred ~tag base q)
     | Xpath.Or (p, q) -> min base (est_pred ~tag base p + est_pred ~tag base q)
@@ -356,6 +355,5 @@ let eq_lookup t ~tag ~value = v_eq_lookup (snapshot t) ~tag ~value
 let tag_count t tag = v_tag_count (snapshot t) tag
 let docs_with_tag t tag = v_docs_with_tag (snapshot t) tag
 let eq_count t ~tag ~value = v_eq_count (snapshot t) ~tag ~value
-let estimate_rows ?value_index t xpath =
-  v_estimate_rows ?value_index (snapshot t) xpath
+let estimate_rows t xpath = v_estimate_rows (snapshot t) xpath
 let subtrees t results = v_subtrees (snapshot t) results

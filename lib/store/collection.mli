@@ -104,15 +104,13 @@ module Snapshot : sig
   (** Leaf elements with the given tag and exact content, summed across
       all documents (forces the per-document indexes). *)
 
-  val estimate_rows : ?value_index:bool -> t -> Xpath.t -> int
+  val estimate_rows : t -> Xpath.t -> int
   (** Estimated result cardinality of the query: per union path, the
       number of elements matching the last step's name test, refined by
       its exact-content predicates through the value indexes ([Or] sums,
       [And] takes the minimum), capped at {!n_nodes}. Exact for the
       common rewritten shapes [//tag] and [//a/b[.='v' or ...]]; an
-      estimate otherwise (intermediate steps are ignored). With
-      [value_index:false] the per-value refinement is skipped, so no
-      index build is forced. *)
+      estimate otherwise (intermediate steps are ignored). *)
 
   val subtrees :
     t -> (doc_id * Toss_xml.Tree.Doc.node) list -> Toss_xml.Tree.t list
@@ -193,7 +191,7 @@ val eq_count : t -> tag:string -> value:string -> int
 (** Leaf elements with the given tag and exact content, summed across
     all documents (forces the per-document indexes). *)
 
-val estimate_rows : ?value_index:bool -> t -> Xpath.t -> int
+val estimate_rows : t -> Xpath.t -> int
 (** {!Snapshot.estimate_rows} against the current version. *)
 
 val subtrees : t -> (doc_id * Toss_xml.Tree.Doc.node) list -> Toss_xml.Tree.t list

@@ -112,7 +112,7 @@ let test_series_gnuplot () =
   checkb "reads the csv" true (has "fig.csv");
   checkb "plots both value columns" true (has "using 1:2" && has "using 1:3")
 
-module Json = Toss_eval.Json_lite
+module Json = Toss_json
 module Baseline = Toss_eval.Baseline
 
 let test_json_values () =

@@ -1,7 +1,6 @@
-(* Tests for the shared JSON module: the writer (new in the server PR)
-   and its round-trip contract with the reader. The reader itself is
-   covered by test_eval (through the deprecated [Toss_eval.Json_lite]
-   alias, which must keep working). *)
+(* Tests for the shared JSON module: the writer and its round-trip
+   contract with the reader. The reader itself is covered by test_eval,
+   next to the bench baselines it was first written for. *)
 
 module J = Toss_json
 

@@ -6,7 +6,7 @@ module Metrics = Toss_obs.Metrics
 module Span = Toss_obs.Span
 module Event = Toss_obs.Event
 module Trace = Toss_obs.Trace
-module Json = Toss_eval.Json_lite
+module Json = Toss_json
 module Tree = Toss_xml.Tree
 module Doc = Tree.Doc
 module Pattern = Toss_tax.Pattern

@@ -2,15 +2,18 @@
 
    The planner must never change answers, only the work done to produce
    them. The equivalence suite runs a generated workload (50+
-   query/mode combinations over the Section 6 corpus) through every
-   config in {compile on, off} x {planner on, off} x {use_index on, off}
-   and requires identical result trees (same list, same order) and
-   identical embedding counts — in particular, the compiled single-pass
-   matcher must agree exactly with the interpreted scan/prune/embed
-   pipeline. Joins get a fourth axis (sim-pair on/off). Unit tests pin
-   the selectivity estimator, the most-selective-first scan ordering,
-   and the hash/sim-pair/nested-loop pairing choice (including the
-   tiny-build-side fallback). *)
+   query/mode combinations over the Section 6 corpus) through three
+   plans, each run by [Plan.run]: the compiled plan, the planned
+   interpreted plan, and the planner's naive reference plan
+   ([~optimize:false]: rewrite-order scans, no pruning, nested-loop
+   pairing). All three must return identical result trees (same list,
+   same order) and identical embedding counts — in particular the
+   compiled single-pass matcher must agree exactly with the interpreted
+   scan/prune/embed pipeline. Joins check each planned pairing (hash,
+   sim-pair) against the nested-loop reference the same way. Unit tests
+   pin the selectivity estimator, the most-selective-first scan
+   ordering, and the hash/sim-pair/nested-loop pairing choice
+   (including the tiny-build-side fallback). *)
 
 module Tree = Toss_xml.Tree
 module Doc = Tree.Doc
@@ -24,6 +27,7 @@ module Executor = Toss_core.Executor
 module Planner = Toss_core.Planner
 module Plan = Toss_core.Plan
 module Rewrite = Toss_core.Rewrite
+module Toss_condition = Toss_core.Toss_condition
 module Corpus = Toss_data.Corpus
 module Dblp_gen = Toss_data.Dblp_gen
 module Sigmod_gen = Toss_data.Sigmod_gen
@@ -58,63 +62,82 @@ let seo =
   | Ok seo -> seo
   | Error msg -> failwith msg
 
-let configs =
-  [
-    (true, true, true); (true, true, false); (true, false, true);
-    (true, false, false); (false, true, true); (false, true, false);
-    (false, false, true); (false, false, false);
-  ]
+let is_hash plan =
+  match plan.Plan.root with
+  | Plan.Dedup (Plan.Hash_pair _) -> true
+  | _ -> false
 
-(* Run one selection under every config; all eight must agree exactly. *)
-let check_select_equivalent ~what coll mode ~pattern ~sl =
-  let reference = ref None in
-  List.iter
-    (fun (compile, planner, use_index) ->
-      let results, stats =
-        Executor.select ~mode ~compile ~planner ~use_index seo coll ~pattern ~sl
-      in
-      let tag =
-        Printf.sprintf "%s compile=%b planner=%b index=%b" what compile planner
-          use_index
-      in
-      match !reference with
-      | None -> reference := Some (results, stats.Executor.n_embeddings)
-      | Some (r0, e0) ->
-          checkb (tag ^ ": same results") true (results = r0);
-          checki (tag ^ ": same embeddings") e0 stats.Executor.n_embeddings)
-    configs
+let is_nested plan =
+  match plan.Plan.root with
+  | Plan.Dedup (Plan.Nested_loop_pair _) -> true
+  | _ -> false
 
-(* Joins add a fourth axis: the sim-pair operator on/off. Every
-   (compile, planner, index, simjoin) combination must return the same
-   witness trees in the same order — in particular the signature-indexed
-   pairing must agree witness-for-witness with the nested loop it
-   replaces. *)
-let check_join_equivalent ~what ~pattern ~sl =
-  let reference = ref None in
-  List.iter
-    (fun (compile, planner, use_index) ->
+let is_sim plan =
+  match plan.Plan.root with
+  | Plan.Dedup (Plan.Sim_pair _) -> true
+  | _ -> false
+
+(* Runs every named plan through [Plan.run]; all must agree exactly with
+   the first. *)
+let check_plans_agree ~what ~mode ~coll_of plans =
+  let eval =
+    match mode with
+    | Executor.Tax -> Condition.eval_tax
+    | Executor.Toss -> Toss_condition.evaluator seo
+  in
+  let runs = List.map (fun (name, plan) -> (name, Plan.run ~eval ~coll_of plan)) plans in
+  match runs with
+  | [] -> ()
+  | (_, (r0, s0)) :: rest ->
       List.iter
-        (fun simjoin ->
-          let results, stats =
-            Executor.join ~compile ~planner ~use_index ~simjoin seo dblp_coll
-              sigmod_coll ~pattern ~sl
-          in
-          let tag =
-            Printf.sprintf "%s compile=%b planner=%b index=%b simjoin=%b" what
-              compile planner use_index simjoin
-          in
-          match !reference with
-          | None -> reference := Some (results, stats.Executor.n_embeddings)
-          | Some (r0, e0) ->
-              checkb (tag ^ ": same results") true (results = r0);
-              checki (tag ^ ": same embeddings") e0 stats.Executor.n_embeddings)
-        [ true; false ])
-    configs
+        (fun (name, (results, stats)) ->
+          let tag = Printf.sprintf "%s %s" what name in
+          checkb (tag ^ ": same results") true (results = r0);
+          checki (tag ^ ": same embeddings") s0.Plan.n_embeddings
+            stats.Plan.n_embeddings)
+        rest
+
+(* One selection: compiled, planned interpreted, and the naive
+   interpreted reference. *)
+let check_select_equivalent ~what coll mode ~pattern ~sl =
+  let plan ?optimize ?compile () =
+    Planner.plan_select ~mode ?optimize ?compile seo coll ~pattern ~sl
+  in
+  check_plans_agree ~what ~mode
+    ~coll_of:(fun _ -> coll)
+    [
+      ("compiled", plan ());
+      ("interpreted", plan ~compile:false ());
+      ("naive reference", plan ~optimize:false ~compile:false ());
+    ]
+
+(* One join: both planned plans must use [pairing] — so the check is
+   never a nested loop compared with itself — and agree witness for
+   witness with the nested-loop reference plan. *)
+let check_join_equivalent ~what ~pairing ~pattern ~sl =
+  let plan ?optimize ?compile () =
+    Planner.plan_join ?optimize ?compile seo dblp_coll sigmod_coll ~pattern ~sl
+  in
+  let compiled = plan () and interpreted = plan ~compile:false () in
+  let reference = plan ~optimize:false ~compile:false () in
+  checkb (what ^ ": compiled plan uses the planned pairing") true (pairing compiled);
+  checkb (what ^ ": interpreted plan uses the planned pairing") true
+    (pairing interpreted);
+  checkb (what ^ ": reference pairs by nested loop") true (is_nested reference);
+  check_plans_agree ~what ~mode:Executor.Toss
+    ~coll_of:(function
+      | Plan.Right -> sigmod_coll
+      | Plan.Left | Plan.Single -> dblp_coll)
+    [
+      ("compiled", compiled);
+      ("interpreted", interpreted);
+      ("nested-loop reference", reference);
+    ]
 
 (* ------------------- equivalence: selections ---------------------- *)
 
 (* 25 workload queries x 2 modes = 50 query/mode combinations, each run
-   under all four configs. *)
+   through all three plans. *)
 let test_selection_equivalence () =
   let queries = Workload.selection_queries ~n:25 corpus in
   checki "workload size" 25 (List.length queries);
@@ -161,16 +184,20 @@ let test_sigmod_hits_equivalence () =
   in
   check_select_equivalent ~what:"articles by page" sigmod_coll Executor.Toss
     ~pattern ~sl:[];
-  (* The interpreted planner trace carries a prune span; the naive plan
-     has none, and the compiled matcher replaces both with match spans. *)
+  (* The interpreted planner trace carries a prune span; the naive
+     reference plan has no prune operator, and the compiled matcher
+     replaces both with match spans. *)
   let _, stats = Executor.select ~compile:false seo sigmod_coll ~pattern ~sl:[] in
   checkb "planner trace has a prune span" true
     (Span.find stats.Executor.trace "prune" <> None);
-  let _, stats =
-    Executor.select ~compile:false ~planner:false seo sigmod_coll ~pattern ~sl:[]
+  let naive =
+    Planner.plan_select ~optimize:false ~compile:false seo sigmod_coll ~pattern
+      ~sl:[]
   in
-  checkb "naive trace has no prune span" true
-    (Span.find stats.Executor.trace "prune" = None);
+  checkb "naive plan has no prune operator" true
+    (match naive.Plan.root with
+    | Plan.Embed { input = Plan.Candidate_filter _; _ } -> true
+    | _ -> false);
   let _, stats = Executor.select seo sigmod_coll ~pattern ~sl:[] in
   checkb "compiled trace has no prune span" true
     (Span.find stats.Executor.trace "prune" = None);
@@ -198,11 +225,11 @@ let equi_join_pattern () =
   (v root condition, [ 1; 3 ])
 
 let test_join_equivalence_similarity () =
-  (* Figure 16(b): a ~ cross-condition — under the planner this lowers
-     to the signature-indexed sim-pair operator, whose answers must
-     match the nested-loop reference (the simjoin=false axis) exactly. *)
+  (* Figure 16(b): a ~ cross-condition — the planner lowers it to the
+     signature-indexed sim-pair operator, whose answers must match the
+     nested-loop reference plan exactly. *)
   let pattern, sl = Workload.join_query () in
-  check_join_equivalent ~what:"sim join" ~pattern ~sl
+  check_join_equivalent ~what:"sim join" ~pairing:is_sim ~pattern ~sl
 
 let test_join_equivalence_hash () =
   let pattern, sl = equi_join_pattern () in
@@ -210,7 +237,7 @@ let test_join_equivalence_hash () =
      produces pairs — an empty answer would make this vacuous. *)
   let results, _ = Executor.join seo dblp_coll sigmod_coll ~pattern ~sl in
   checkb "equi-join has matches" true (Workload.result_key_pairs results <> []);
-  check_join_equivalent ~what:"equi join" ~pattern ~sl
+  check_join_equivalent ~what:"equi join" ~pairing:is_hash ~pattern ~sl
 
 (* ---------------------- unit: selectivity ------------------------- *)
 
@@ -223,8 +250,7 @@ let small_coll =
   | Error _ -> failwith "bad xml");
   c
 
-let est ?value_index q =
-  Collection.estimate_rows ?value_index small_coll (Xpath_parser.parse_exn q)
+let est q = Collection.estimate_rows small_coll (Xpath_parser.parse_exn q)
 
 let test_estimate_rows () =
   checki "tag count" 3 (est "//a");
@@ -233,7 +259,6 @@ let test_estimate_rows () =
   checki "or sums" 3 (est "//a[.='x' or .='y']");
   checki "and takes min" 1 (est "//a[.='x' and .='y']");
   checki "union of paths sums" 4 (est "//a|//b");
-  checki "no refinement without value index" 3 (est ~value_index:false "//a[.='x']");
   checki "capped at collection size" 6 (est "//*");
   checki "tag stats" 3 (Collection.tag_count small_coll "a");
   checki "docs with tag" 1 (Collection.docs_with_tag small_coll "a");
@@ -272,35 +297,18 @@ let test_scan_ordering () =
 
 (* ------------------- unit: pairing strategy ----------------------- *)
 
-let is_hash plan =
-  match plan.Plan.root with
-  | Plan.Dedup (Plan.Hash_pair _) -> true
-  | _ -> false
-
-let is_nested plan =
-  match plan.Plan.root with
-  | Plan.Dedup (Plan.Nested_loop_pair _) -> true
-  | _ -> false
-
-let is_sim plan =
-  match plan.Plan.root with
-  | Plan.Dedup (Plan.Sim_pair _) -> true
-  | _ -> false
-
 let test_pairing_choice () =
   let eq_pattern, eq_sl = equi_join_pattern () in
   let sim_pattern, sim_sl = Workload.join_query () in
-  let plan_of ?optimize ?simjoin pattern sl =
-    Planner.plan_join ?optimize ?simjoin seo dblp_coll sigmod_coll ~pattern ~sl
+  let plan_of ?optimize pattern sl =
+    Planner.plan_join ?optimize seo dblp_coll sigmod_coll ~pattern ~sl
   in
   checkb "equality lowers to hash" true (is_hash (plan_of eq_pattern eq_sl));
   checkb "similarity lowers to sim-pair" true
     (is_sim (plan_of sim_pattern sim_sl));
-  checkb "no sim-pair with --no-simjoin" true
-    (is_nested (plan_of ~simjoin:false sim_pattern sim_sl));
-  checkb "no hash without the planner" true
+  checkb "no hash in the reference plan" true
     (is_nested (plan_of ~optimize:false eq_pattern eq_sl));
-  checkb "no sim-pair without the planner" true
+  checkb "no sim-pair in the reference plan" true
     (is_nested (plan_of ~optimize:false sim_pattern sim_sl));
   (* A 1-document build side is below the planner's threshold: the
      quadratic term is already gone, so signature construction would be
