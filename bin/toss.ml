@@ -225,30 +225,22 @@ let print_trace oc (stats : Executor.stats) =
   print_phase_table oc stats;
   Printf.fprintf oc "trace:\n%s" (Toss_obs.Span.to_string stats.Executor.trace)
 
+(* [--slow-ms]: one slow-query record (the executor's span tree) on
+   stderr when the run took at least the threshold. *)
+let log_slow slow_ms (stats : Executor.stats) =
+  Option.iter
+    (fun ms ->
+      Option.iter prerr_endline
+        (Toss_obs.Span.slow_record ~threshold_s:(float_of_int ms /. 1000.)
+           stats.Executor.trace))
+    slow_ms
+
 let query files right query mode eps show_xpath explain no_compile trace
-    show_stats explain_analyze analyze_json profile slow_ms =
+    show_stats explain_analyze analyze_json slow_ms =
   (* EXPLAIN ANALYZE implies tracing: the analyzed plan is the span tree
      with its per-operator actuals (and allocation deltas). *)
   if trace || explain_analyze || analyze_json <> None then
     Toss_obs.Span.set_enabled true;
-  (* Profiler sinks. [--profile] streams every event as JSONL to a file;
-     [--slow-ms] writes one slow-query record (full event stream + span
-     tree) to stderr per query at or over the threshold. *)
-  let profile_oc = Option.map open_out profile in
-  Option.iter
-    (fun oc -> Toss_obs.Event.install (Toss_obs.Event.jsonl_to_channel oc))
-    profile_oc;
-  Option.iter
-    (fun ms ->
-      Toss_obs.Event.install
-        (Toss_obs.Event.slow_query ~threshold_s:(float_of_int ms /. 1000.)
-           ~write:(fun line ->
-             output_string stderr line;
-             output_char stderr '\n';
-             flush stderr)))
-    slow_ms;
-  Fun.protect ~finally:(fun () -> Option.iter close_out_noerr profile_oc)
-  @@ fun () ->
   let trees = List.map load_doc files in
   let c = Collection.create "cli" in
   List.iter (fun t -> ignore (Collection.add_document c t)) trees;
@@ -295,16 +287,24 @@ let query files right query mode eps show_xpath explain no_compile trace
                       Executor.join ~mode ~compile:(not no_compile) seo coll
                         rcoll ~pattern:q.Tql.pattern ~sl
                     in
+                    log_slow slow_ms stats;
                     Printf.printf "%d result(s) in %.4fs\n" (List.length results)
                       (Executor.total_s stats.Executor.phases);
                     List.iter
                       (fun t -> print_string (Printer.to_pretty_string t))
                       results;
                     if trace then print_trace stdout stats;
+                    (* A join has no single rewrite to explain: its
+                       analyzed plan is the span tree alone. *)
                     if explain_analyze then begin
                       print_string "EXPLAIN ANALYZE\n";
                       print_string (Toss_obs.Span.to_string stats.Executor.trace)
                     end;
+                    Option.iter
+                      (fun path ->
+                        write_out (Some path)
+                          (Toss_obs.Span.to_json stats.Executor.trace ^ "\n"))
+                      analyze_json;
                     if show_stats then
                       print_string
                         (Toss_obs.Metrics.to_table (Toss_obs.Metrics.snapshot ()));
@@ -350,6 +350,7 @@ let query files right query mode eps show_xpath explain no_compile trace
                 Executor.select ~mode ~compile:(not no_compile) seo coll
                   ~pattern:q.Tql.pattern ~sl
               in
+              log_slow slow_ms stats;
               Printf.printf "%d result(s) in %.4fs\n" (List.length results)
                 (Executor.total_s stats.Executor.phases);
               List.iter (fun t -> print_string (Printer.to_pretty_string t)) results;
@@ -437,19 +438,14 @@ let query_cmd =
   let analyze_json =
     Arg.(value & opt (some string) None & info [ "analyze-json" ] ~docv:"FILE"
            ~doc:"Write the analyzed plan (as printed by \
-                 $(b,--explain-analyze)) as JSON to $(docv).")
-  in
-  let profile =
-    Arg.(value & opt (some string) None & info [ "profile" ] ~docv:"FILE"
-           ~doc:"Stream the structured profiler events of this run \
-                 (query_start, rewrite_done, xpath_exec, embed_done, \
-                 query_end) as line-delimited JSON to $(docv).")
+                 $(b,--explain-analyze)) as JSON to $(docv). For a join \
+                 ($(b,--right)) that is the span tree alone.")
   in
   let slow_ms =
     Arg.(value & opt (some int) None & info [ "slow-ms" ] ~docv:"MS"
            ~doc:"Slow-query log: if the query takes at least $(docv) \
-                 milliseconds, write one JSON record with its full \
-                 event stream and span tree to stderr.")
+                 milliseconds, write one JSON record with its span tree \
+                 to stderr.")
   in
   Cmd.v
     (Cmd.info "query"
@@ -457,7 +453,7 @@ let query_cmd =
     Term.(ret
             (const query $ files $ right $ q $ mode $ eps $ show_xpath $ explain
              $ no_compile $ trace $ show_stats $ explain_analyze $ analyze_json
-             $ profile $ slow_ms))
+             $ slow_ms))
 
 (* ----------------------------- stats ------------------------------ *)
 
@@ -531,15 +527,6 @@ let serve_run listen socket db domains max_queue default_deadline_ms no_cache
     match listen_addr listen socket with
     | Error msg -> `Error (true, msg)
     | Ok listen ->
-    Option.iter
-      (fun ms ->
-        Toss_obs.Event.install
-          (Toss_obs.Event.slow_query ~threshold_s:(float_of_int ms /. 1000.)
-             ~write:(fun line ->
-               output_string stderr line;
-               output_char stderr '\n';
-               flush stderr)))
-      slow_ms;
     let config =
       {
         Toss_server.Server.listen;
@@ -554,6 +541,7 @@ let serve_run listen socket db domains max_queue default_deadline_ms no_cache
         eps;
         access_log;
         trace_sample;
+        slow_ms;
       }
     in
     let ready resolved =
@@ -612,9 +600,9 @@ let serve_cmd =
   in
   let slow_ms =
     Arg.(value & opt (some int) None & info [ "slow-ms" ] ~docv:"MS"
-           ~doc:"Slow-query log: write one JSON record to stderr per query \
-                 at or over the threshold, keyed by the request's trace id \
-                 (correct with any number of domains).")
+           ~doc:"Slow-query log: write one JSON record (the span tree, \
+                 keyed by the request's trace id) to stderr per executed \
+                 query or join at or over $(docv) milliseconds.")
   in
   let access_log =
     Arg.(value & opt (some string) None & info [ "access-log" ] ~docv:"FILE"

@@ -3,7 +3,6 @@ module Collection = Toss_store.Collection
 module Xpath = Toss_store.Xpath
 module Metrics = Toss_obs.Metrics
 module Span = Toss_obs.Span
-module Event = Toss_obs.Event
 module Names = Toss_obs.Names
 
 type mode = Rewrite.mode = Tax | Toss
@@ -64,49 +63,26 @@ let evaluator_of mode seo =
 
 let mode_name = function Tax -> "tax" | Toss -> "toss"
 
-(* Event-log boundaries of one executor run. Payload construction is
-   guarded on [Event.active] so the uninstrumented path allocates
-   nothing. *)
-let event_query_start ~op ~mode collection =
-  if Event.active () then
-    Event.emit Event.Query_start
-      ~payload:
-        [
-          ("op", Event.Str op);
-          ("mode", Event.Str (mode_name mode));
-          ("collection", Event.Str (Collection.Snapshot.name collection));
-        ]
-
-let event_rewrite_done ~op queries =
-  if Event.active () then
-    Event.emit Event.Rewrite_done
-      ~payload:
-        [ ("op", Event.Str op); ("queries", Event.Int (List.length queries)) ]
-
-let event_query_end ~op ~trace ~phases ~stats:(n_candidates, n_embeddings, n_results) =
-  if Event.active () then
-    Event.emit Event.Query_end ~trace
-      ~payload:
-        [
-          ("op", Event.Str op);
-          ("results", Event.Int n_results);
-          ("candidates", Event.Int n_candidates);
-          ("embeddings", Event.Int n_embeddings);
-          ("elapsed_s", Event.Float (total_s phases));
-        ]
+(* The root span records what the run was over and what it returned:
+   meta [mode] and [collection] (a join's left collection) at open time,
+   and [results] once the plan has run — so a slow-query record or a
+   sampled trace stands on its own. *)
+let root_meta ~mode collection =
+  [ ("mode", mode_name mode); ("collection", Collection.Snapshot.name collection) ]
 
 (* Both entry points are thin facades: phase (i) builds a plan (the
    planner rewrites the pattern and consults collection statistics),
    phases (ii)/(iii) are [Plan.run]. *)
 
-let finish ~op ~plan (results, (exec : Plan.exec_stats)) trace =
+let finish ~plan (results, (exec : Plan.exec_stats)) trace =
   let phases = phases_of_trace trace in
   let n_results = List.length results in
+  let trace =
+    { trace with Span.meta = trace.Span.meta @ [ ("results", string_of_int n_results) ] }
+  in
   note_phases phases;
   note_sizes ~candidates:exec.Plan.n_candidates ~embeddings:exec.Plan.n_embeddings
     ~results:n_results;
-  event_query_end ~op ~trace ~phases
-    ~stats:(exec.Plan.n_candidates, exec.Plan.n_embeddings, n_results);
   let query_strings =
     List.map (fun (l, q) -> (l, Xpath.to_string q)) (Plan.label_queries plan)
   in
@@ -122,35 +98,31 @@ let finish ~op ~plan (results, (exec : Plan.exec_stats)) trace =
 
 let select ?(mode = Toss) ?compile ?check seo collection ~pattern ~sl =
   Metrics.incr m_selects;
-  event_query_start ~op:"select" ~mode collection;
   let eval = evaluator_of mode seo in
   let (plan, outcome), trace =
-    Span.run Names.select_root (fun () ->
+    Span.run ~meta:(root_meta ~mode collection) Names.select_root (fun () ->
         let plan =
           Span.with_ Names.rewrite (fun () ->
               Planner.plan_select ~mode ?compile seo collection ~pattern ~sl)
         in
-        event_rewrite_done ~op:"select" (Plan.label_queries plan);
         (plan, Plan.run ?check ~eval ~coll_of:(fun _ -> collection) plan))
   in
-  finish ~op:"select" ~plan outcome trace
+  finish ~plan outcome trace
 
 let join ?(mode = Toss) ?compile ?check seo left_coll right_coll ~pattern ~sl =
   Metrics.incr m_joins;
-  event_query_start ~op:"join" ~mode left_coll;
   let eval = evaluator_of mode seo in
   let coll_of = function
     | Plan.Left | Plan.Single -> left_coll
     | Plan.Right -> right_coll
   in
   let (plan, outcome), trace =
-    Span.run Names.join_root (fun () ->
+    Span.run ~meta:(root_meta ~mode left_coll) Names.join_root (fun () ->
         let plan =
           Span.with_ Names.rewrite (fun () ->
               Planner.plan_join ~mode ?compile seo left_coll right_coll ~pattern
                 ~sl)
         in
-        event_rewrite_done ~op:"join" (Plan.label_queries plan);
         (plan, Plan.run ?check ~eval ~coll_of plan))
   in
-  finish ~op:"join" ~plan outcome trace
+  finish ~plan outcome trace

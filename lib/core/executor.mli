@@ -44,25 +44,25 @@ type stats = {
       (** label -> XPath sent to the store, in scan (execution) order —
           most-selective-first *)
   trace : Toss_obs.Span.t;
-      (** the full span tree of this run; [phases] is a view over its
-          [rewrite]/[execute]/[assemble] children, so the two always
-          agree. Under [execute] there is one [xpath] span per label
-          query (annotated with [rows]/[indexed]/[scanned] by the store)
-          and under [assemble] a [prune] span per pruned side
-          (annotated [docs_in]/[docs_out]), one [embed]
-          span per surviving document (annotated with the enumeration
-          funnel) and, for joins, a [pair] span (annotated with the
+      (** the full span tree of this run — its only record: EXPLAIN
+          ANALYZE, the access log's sampled traces and the slow-query
+          log all read it. The root ([executor.select] or
+          [executor.join]) carries meta [mode], [collection] (a join's
+          left collection) and [results] (= [n_results]). [phases] is a
+          view over its [rewrite]/[execute]/[assemble] children, so the
+          two always agree. Under [execute] there is one [xpath] span
+          per label query (annotated with [rows]/[indexed]/[scanned] by
+          the store) and under [assemble] a [prune] span per pruned
+          side (annotated [docs_in]/[docs_out]), one [embed] span per
+          surviving document (annotated with the enumeration funnel)
+          and, for joins, a [pair] span (annotated with the
           [strategy] and pair counts) — the operators EXPLAIN ANALYZE
           renders. Compiled runs (the default) issue no scans: [execute]
           is empty and [assemble] holds one [match] span per document
           (annotated [nodes]/[structural]/[matches]) instead of
           [prune]/[embed]. Allocation deltas are populated when
-          [Toss_obs.Span.set_enabled true] was called beforehand.
-
-          When a [Toss_obs.Event] sink is installed, a run additionally
-          emits the event stream [query_start], [rewrite_done], one
-          [xpath_exec] per label query, one [embed_done] per surviving
-          document, and [query_end] (carrying this trace). *)
+          [Toss_obs.Span.set_enabled true] was called beforehand. A run
+          that raises (a deadline [check], say) returns no tree. *)
 }
 
 val total_s : phases -> float

@@ -9,7 +9,6 @@ module Tree = Toss_xml.Tree
 module Doc = Tree.Doc
 module Metrics = Toss_obs.Metrics
 module Span = Toss_obs.Span
-module Event = Toss_obs.Event
 module Names = Toss_obs.Names
 
 type scan = { scan_label : int; xpath : Xpath.t; est_rows : int option }
@@ -245,29 +244,19 @@ let rec candidate_filters = function
       candidate_filters left @ candidate_filters right
 
 (* Phase ii: run every scan of one side, in order, each in its own
-   [xpath] span (annotated by the store with rows / index hit counts)
-   with an [Xpath_exec] event reusing the span's measured elapsed. *)
+   [xpath] span (annotated by the store with rows / index hit counts). *)
 let fetch_side ~check coll scans =
   let table : (int * int, Doc.node list) Hashtbl.t = Hashtbl.create 64 in
   let total = ref 0 in
   List.iter
     (fun s ->
       check ();
-      let hits, sp =
-        Span.timed
+      let hits =
+        Span.with_
           ~meta:[ ("label", string_of_int s.scan_label) ]
           Names.xpath
           (fun () -> Collection.Snapshot.eval coll s.xpath)
       in
-      (if Event.active () then
-         Event.emit Event.Xpath_exec
-           ~payload:
-             [
-               ("label", Event.Int s.scan_label);
-               ("xpath", Event.Str (Xpath.to_string s.xpath));
-               ("rows", Event.Int (List.length hits));
-               ("elapsed_s", Event.Float sp.Span.elapsed_s);
-             ]);
       List.iter
         (fun (doc_id, node) ->
           incr total;
@@ -386,14 +375,6 @@ let run ?(check = ignore) ~eval ~coll_of plan =
                        in
                        Span.annotate
                          [ ("witnesses", string_of_int (List.length witnesses)) ];
-                       (if Event.active () then
-                          Event.emit Event.Embed_done
-                            ~payload:
-                              [
-                                ("doc", Event.Int doc_id);
-                                ("embeddings", Event.Int (List.length bindings));
-                                ("witnesses", Event.Int (List.length witnesses));
-                              ]);
                        witnesses))
                  ids)
         | Left | Right ->
@@ -423,14 +404,6 @@ let run ?(check = ignore) ~eval ~coll_of plan =
                             spec.sub_pattern
                         in
                         n_embeddings := !n_embeddings + List.length bindings;
-                        (if Event.active () then
-                           Event.emit Event.Embed_done
-                             ~payload:
-                               [
-                                 ("side", Event.Str name);
-                                 ("doc", Event.Int doc_id);
-                                 ("embeddings", Event.Int (List.length bindings));
-                               ]);
                         List.map (fun b -> (doc, b)) bindings))
                   ids ))
     | Nested_loop_pair { cross_condition; left; right } ->
@@ -588,32 +561,20 @@ let run ?(check = ignore) ~eval ~coll_of plan =
                   ("structural", string_of_int dstats.Compile.structural);
                   ("matches", string_of_int dstats.Compile.n_matches);
                 ];
-              (bindings, dstats, doc))
+              (bindings, doc))
         in
         match spec.side with
         | Single ->
             Trees
               (List.concat_map
                  (fun doc_id ->
-                   let bindings, dstats, doc =
+                   let bindings, doc =
                      match_doc ~meta:[ ("doc", string_of_int doc_id) ] doc_id
                    in
-                   let witnesses =
-                     dedup
-                       (List.map
-                          (fun b -> Witness.of_binding doc b ~sl:spec.sub_sl)
-                          bindings)
-                   in
-                   (if Event.active () then
-                      Event.emit Event.Embed_done
-                        ~payload:
-                          [
-                            ("doc", Event.Int doc_id);
-                            ("nodes", Event.Int dstats.Compile.nodes_visited);
-                            ("embeddings", Event.Int dstats.Compile.n_matches);
-                            ("witnesses", Event.Int (List.length witnesses));
-                          ]);
-                   witnesses)
+                   dedup
+                     (List.map
+                        (fun b -> Witness.of_binding doc b ~sl:spec.sub_sl)
+                        bindings))
                  ids)
         | Left | Right ->
             let name = side_name spec.side in
@@ -621,20 +582,11 @@ let run ?(check = ignore) ~eval ~coll_of plan =
               ( spec,
                 List.concat_map
                   (fun doc_id ->
-                    let bindings, dstats, doc =
+                    let bindings, doc =
                       match_doc
                         ~meta:[ ("side", name); ("doc", string_of_int doc_id) ]
                         doc_id
                     in
-                    (if Event.active () then
-                       Event.emit Event.Embed_done
-                         ~payload:
-                           [
-                             ("side", Event.Str name);
-                             ("doc", Event.Int doc_id);
-                             ("nodes", Event.Int dstats.Compile.nodes_visited);
-                             ("embeddings", Event.Int dstats.Compile.n_matches);
-                           ]);
                     List.map (fun b -> (doc, b)) bindings)
                   ids ))
   in

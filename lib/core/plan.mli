@@ -157,12 +157,11 @@ val run :
     interpreter performs no locking of its own and reads only immutable
     version state, so concurrent runs on separate domains are safe and a
     run's results are unaffected by writers advancing the collections
-    mid-flight. One [execute] span containing an [xpath] span
-    (and [Xpath_exec] event) per scan, then one [assemble] span
-    containing the [prune], per-document [embed] and (for joins) [pair]
-    spans; compiled plans have no scans (the [execute] span is empty)
-    and one per-document [match] span under [assemble] instead of
-    [prune]/[embed]. Must be called inside an executor root span for
+    mid-flight. One [execute] span containing an [xpath] span per
+    scan, then one [assemble] span containing the [prune], per-document
+    [embed] and (for joins) [pair] spans; compiled plans have no scans
+    (the [execute] span is empty) and one per-document [match] span
+    under [assemble] instead of [prune]/[embed]. Must be called inside an executor root span for
     the trace to be observable; works standalone too (spans become
     no-ops), which is how tests and ablations run hand-built and
     reference plans. Label scans always go through the store's

@@ -8,7 +8,6 @@ type t = {
 
 let tracing = Atomic.make false
 let set_enabled b = Atomic.set tracing b
-let enabled () = Atomic.get tracing
 
 (* An open span under construction; children accumulate in reverse. *)
 type frame = {
@@ -30,46 +29,13 @@ let stack_key : frame list ref Domain.DLS.key =
 
 let stack () = Domain.DLS.get stack_key
 
-(* The ring of recent completed traces is shared across domains and
-   mutex-guarded: recording happens once per root span, far off any hot
-   path. *)
-let ring_lock = Mutex.create ()
-let capacity = ref 32
-let ring : t list ref = ref []
-
-let set_capacity n =
-  if n < 1 then invalid_arg "Span.set_capacity";
-  Mutex.lock ring_lock;
-  capacity := n;
-  ring := [];
-  Mutex.unlock ring_lock
-
-let clear_recent () =
-  Mutex.lock ring_lock;
-  ring := [];
-  Mutex.unlock ring_lock
-
-let recent () =
-  Mutex.lock ring_lock;
-  let r = !ring in
-  Mutex.unlock ring_lock;
-  r
-
-let record root =
-  Mutex.lock ring_lock;
-  ring := root :: !ring;
-  if List.length !ring > !capacity then
-    ring := List.filteri (fun i _ -> i < !capacity) !ring;
-  Mutex.unlock ring_lock
-
 let allocated_words () =
   let s = Gc.quick_stat () in
   s.Gc.minor_words +. s.Gc.major_words -. s.Gc.promoted_words
 
 let word_bytes = float_of_int (Sys.word_size / 8)
 
-(* Finish the top frame into a node, attach it to its parent (or the ring
-   buffer when it is a root), and return it. *)
+(* Finish the top frame into a node. *)
 let finish frame =
   let elapsed_s = Unix.gettimeofday () -. frame.start_s in
   let alloc_bytes =
@@ -121,7 +87,7 @@ let exec ?(meta = []) name fn =
     let node = finish frame in
     (match !stack with
     | parent :: _ -> parent.rev_children <- node :: parent.rev_children
-    | [] -> if Atomic.get tracing then record node);
+    | [] -> ());
     node
   in
   match fn () with
@@ -136,12 +102,10 @@ let annotate kvs =
   | frame :: _ -> frame.fmeta <- frame.fmeta @ kvs
 
 let with_ ?meta name fn = fst (exec ?meta name fn)
-let timed ?meta name fn = exec ?meta name fn
 
 let run ?meta name fn =
   (* Temporarily detach from any enclosing stack (of this domain) so the
-     caller gets a self-contained tree. The finished span still lands in
-     the ring buffer (when tracing) — it is a root of its own trace. *)
+     caller gets a self-contained tree. *)
   let stack = stack () in
   let saved = !stack in
   stack := [];
@@ -152,8 +116,6 @@ let run ?meta name fn =
 let rec find t name =
   if t.name = name then Some t
   else List.find_map (fun c -> find c name) t.children
-
-let total_s t = t.elapsed_s
 
 let self_s t =
   Float.max 0.
@@ -185,16 +147,34 @@ let pp ppf t =
 
 let to_string t = Format.asprintf "%a" pp t
 
+(* Names and meta are JSON-quoted, not OCaml-quoted: meta carries
+   client-supplied strings (a collection name) whose non-ASCII and
+   control bytes [%S] would turn into decimal escapes no JSON reader
+   accepts. *)
 let rec to_json t =
+  let q = Toss_json.quote in
   let meta =
     match t.meta with
     | [] -> ""
     | m ->
         Printf.sprintf ",\"meta\":{%s}"
           (String.concat ","
-             (List.map (fun (k, v) -> Printf.sprintf "%S:%S" k v) m))
+             (List.map (fun (k, v) -> q k ^ ":" ^ q v) m))
   in
   Printf.sprintf
-    "{\"name\":%S,\"elapsed_s\":%.9f,\"alloc_bytes\":%.0f%s,\"children\":[%s]}"
-    t.name t.elapsed_s t.alloc_bytes meta
+    "{\"name\":%s,\"elapsed_s\":%.9f,\"alloc_bytes\":%.0f%s,\"children\":[%s]}"
+    (q t.name) t.elapsed_s t.alloc_bytes meta
     (String.concat "," (List.map to_json t.children))
+
+let slow_record ~threshold_s root =
+  if root.elapsed_s < threshold_s then None
+  else
+    let trace_id =
+      match List.assoc_opt "trace_id" root.meta with
+      | Some id -> ",\"trace_id\":" ^ Toss_json.quote id
+      | None -> ""
+    in
+    Some
+      (Printf.sprintf
+         "{\"type\":\"slow_query\"%s,\"threshold_s\":%.6f,\"elapsed_s\":%.6f,\"trace\":%s}"
+         trace_id threshold_s root.elapsed_s (to_json root))

@@ -4,23 +4,26 @@
     and — when tracing is {!set_enabled} — the allocation delta over the
     region (via [Gc.quick_stat]). Spans nest: a {!with_} call inside
     another becomes a child in the finished tree, in execution order.
-    Completed root spans are kept in a bounded ring buffer ({!recent})
-    for after-the-fact inspection.
+
+    The span tree is the only record of a query run: the executor's
+    phase statistics, EXPLAIN ANALYZE, the access log's sampled traces
+    and the slow-query log ({!slow_record}) are all views over it.
 
     Cost model: a span always records wall-clock time (two
     [Unix.gettimeofday] calls — the executor's phase statistics are a
     view over the span tree, so timing cannot be optional), but GC
-    sampling and ring-buffer retention only happen when tracing is
-    enabled. Tracing is {e disabled by default}, so instrumented code
-    pays the same clock reads the hand-rolled timing did.
+    sampling only happens when tracing is enabled. Tracing is
+    {e disabled by default}, so instrumented code pays the same clock
+    reads the hand-rolled timing did.
 
     Concurrency: the open-span context is {e domain-local}, so queries
     tracing on separate pool domains build independent, correctly
-    nested trees in parallel. Systhreads within one domain share that
-    domain's context — interleaved spans from such threads can attach to
-    the wrong parent (never crash); keep span-producing work one-per-
-    domain, as the server does. The {!recent} ring and the tracing flag
-    are shared across domains and internally synchronized. *)
+    nested trees in parallel — each finished tree holds exactly one
+    request. Systhreads within one domain share that domain's context —
+    interleaved spans from such threads can attach to the wrong parent
+    (never crash); keep span-producing work one-per-domain, as the
+    server does. The tracing flag is shared across domains (an
+    [Atomic]). *)
 
 type t = {
   name : string;
@@ -36,15 +39,13 @@ type t = {
 }
 
 val set_enabled : bool -> unit
-(** Turns GC sampling and ring-buffer recording on or off (default off). *)
-
-val enabled : unit -> bool
+(** Turns GC sampling on or off (default off). *)
 
 val with_ : ?meta:(string * string) list -> string -> (unit -> 'a) -> 'a
 (** [with_ name fn] runs [fn] inside a span. If a span is already open,
-    the new span becomes its child; otherwise it is a root and, when
-    tracing is enabled, is pushed to {!recent} on completion. The span is
-    finished (and recorded) even when [fn] raises. *)
+    the new span becomes its child; otherwise it is a root, which is
+    discarded on completion (use {!run} to keep a root). The span is
+    finished even when [fn] raises. *)
 
 val annotate : (string * string) list -> unit
 (** Appends key/value pairs to the {e innermost open} span's [meta]
@@ -55,40 +56,20 @@ val annotate : (string * string) list -> unit
     [embed] span with candidate counts — which is what the CLI's
     [--explain-analyze] tree renders. *)
 
-val timed : ?meta:(string * string) list -> string -> (unit -> 'a) -> 'a * t
-(** Like {!with_}, but also returns the finished span — still attached as
-    a child of any enclosing span (unlike {!run}, which detaches). Lets an
-    instrumented call site reuse the span's measured [elapsed_s] instead
-    of reading the clock again: the executor's [Xpath_exec] event reports
-    exactly the enclosing [xpath] span's duration, so the event log and
-    EXPLAIN ANALYZE cannot disagree about how long a store round-trip
-    took. *)
-
 val run : ?meta:(string * string) list -> string -> (unit -> 'a) -> 'a * t
 (** Like {!with_}, but also returns the finished span — how the executor
     obtains the trace it exposes in its statistics. [run] always starts a
     fresh root (it detaches from any enclosing span), nested {!with_}
-    calls attach as children, and the finished root is recorded in
-    {!recent} when tracing is enabled. *)
+    calls attach as children. When [fn] raises, the exception propagates
+    and no tree is returned. *)
 
 (** {1 Inspection} *)
 
 val find : t -> string -> t option
 (** First span named [name] in a preorder walk (the span itself first). *)
 
-val total_s : t -> float
-(** The span's own wall-clock duration ([elapsed_s]). *)
-
 val self_s : t -> float
 (** Duration not covered by the span's direct children. *)
-
-val recent : unit -> t list
-(** Recently completed root spans, newest first. *)
-
-val clear_recent : unit -> unit
-
-val set_capacity : int -> unit
-(** Resizes the ring buffer (default 32); drops retained spans. *)
 
 val pp : Format.formatter -> t -> unit
 (** Indented tree: one line per span with duration, share of the root,
@@ -97,4 +78,20 @@ val pp : Format.formatter -> t -> unit
 val to_string : t -> string
 
 val to_json : t -> string
-(** Nested JSON object mirroring the span tree. *)
+(** Nested JSON object mirroring the span tree. Names, meta keys and
+    meta values are written as JSON string literals (UTF-8 passes
+    through, control bytes become [\uXXXX]), so the output is valid JSON
+    whatever a client put into the meta, e.g. a collection name. *)
+
+(** {1 Slow-query log} *)
+
+val slow_record : threshold_s:float -> t -> string option
+(** The slow-query log's record for a finished root span: [None] when
+    the root ran for less than [threshold_s] seconds, otherwise one JSON
+    line (no trailing newline):
+    [{"type":"slow_query","trace_id":…,"threshold_s":…,"elapsed_s":…,
+    "trace":{…}}], where [elapsed_s] is the root's own duration and
+    [trace] its {!to_json} tree. [trace_id] is read from the root's
+    [meta] and the field is omitted when the root carries none (runs
+    outside a {!Trace.with_id}, such as the CLI's). [threshold_s = 0.]
+    logs every root. *)

@@ -1,9 +1,9 @@
 (* The current request's trace id, one slot per domain. Like the span
    stack (span.ml) this is Domain.DLS state: the server's pool domains
    run one request at a time, so a slot set around a job covers exactly
-   that job's spans and events. Systhreads within a domain share the
-   slot — which is why the server sets it only inside pool jobs, never
-   from its reader threads. *)
+   that job's spans. Systhreads within a domain share the slot — which
+   is why the server sets it only inside pool jobs, never from its
+   reader threads. *)
 let slot : string option ref Domain.DLS.key =
   Domain.DLS.new_key (fun () -> ref None)
 

@@ -1,16 +1,16 @@
 (** Per-request trace context.
 
     A trace id is an opaque string correlating everything one request
-    did: the server stamps it on every {!Span} frame and {!Event}
-    emitted while the request executes, echoes it in the response, and
-    keys the access log and slow-query records by it. Clients may
+    did: the server stamps it on every {!Span} frame opened while the
+    request executes, echoes it in the response, and keys the access
+    log and slow-query records by it. Clients may
     supply their own id (to join server records with their logs); the
     server generates one otherwise.
 
     The current id lives in a [Domain.DLS] slot — {b domain-local},
     like the span stack: each pool domain runs one request at a time,
     so wrapping the request body in {!with_id} scopes the id to exactly
-    that request's spans and events. Systhreads within one domain share
+    that request's spans. Systhreads within one domain share
     the slot; code running on shared-domain threads (the server's
     connection readers) must not set it. Plain CLI runs never set a
     trace id, and nothing is stamped when the slot is empty. *)

@@ -68,8 +68,11 @@ val exec_traced :
   Protocol.request ->
   (Toss_json.t, Protocol.error) result * Toss_obs.Span.t option
 (** Like {!exec}, but also returns the executed query's span tree when
-    one was built: [Some] exactly for a [Query] that ran the executor
-    (a cache hit runs nothing, so it has no tree), [None] otherwise.
-    This is how the server records full traces for sampled requests at
-    zero extra cost — the executor always builds the tree; the server
-    merely chooses whether to serialize it. *)
+    one was built: [Some] exactly for a [Query] or a [Join] whose
+    executor ran to completion — rooted at [executor.select] or
+    [executor.join] respectively — and [None] otherwise: a cache hit
+    runs nothing, a [PROJECT] query bypasses the executor, and a run
+    that failed (a deadline, say) returns no tree. This is how the
+    server records full traces for sampled requests and slow-query
+    records at zero extra cost — the executor always builds the tree;
+    the server merely chooses whether to serialize it. *)

@@ -1,7 +1,6 @@
 module J = Toss_json
 module Metrics = Toss_obs.Metrics
 module Trace = Toss_obs.Trace
-module Event = Toss_obs.Event
 module Span = Toss_obs.Span
 
 type config = {
@@ -15,6 +14,7 @@ type config = {
   eps : float;
   access_log : string option;
   trace_sample : int;
+  slow_ms : int option;
 }
 
 let default_config ~listen =
@@ -29,6 +29,7 @@ let default_config ~listen =
     eps = 2.0;
     access_log = None;
     trace_sample = 0;
+    slow_ms = None;
   }
 
 (* One line per request, written whole under [alock]: pool domains
@@ -243,6 +244,23 @@ let sampled state =
   state.config.trace_sample > 0
   && Atomic.fetch_and_add state.sample_tick 1 mod state.config.trace_sample = 0
 
+(* The slow-query log: one record per executed query whose executor
+   root span ran for at least [slow_ms]. A single [output_string] per
+   record keeps lines from concurrent pool domains whole (channel
+   operations are atomic across domains). Requests that ran no executor
+   (cache hits, inserts, deadline aborts) have no tree and log nothing. *)
+let log_slow state trace =
+  match (state.config.slow_ms, trace) with
+  | Some ms, Some root ->
+      Option.iter
+        (fun line ->
+          try
+            output_string stderr (line ^ "\n");
+            flush stderr
+          with Sys_error _ -> ())
+        (Span.slow_record ~threshold_s:(float_of_int ms /. 1000.) root)
+  | _ -> ()
+
 let handle_request state conn (env : Protocol.envelope) =
   let rid = env.id in
   let trace_id =
@@ -256,7 +274,7 @@ let handle_request state conn (env : Protocol.envelope) =
       (* Answered inline: observability must survive pool saturation.
          The reader systhread shares its domain's DLS with every other
          connection, so the trace id is NOT installed here — inline ops
-         emit no events; their records are stamped directly. *)
+         open no spans; their records are stamped directly. *)
       let t0 = Unix.gettimeofday () in
       let body, _ = exec_guarded state ~deadline:None env.request in
       let exec_s = Unix.gettimeofday () -. t0 in
@@ -284,12 +302,7 @@ let handle_request state conn (env : Protocol.envelope) =
       let want_trace = sampled state in
       let job ~queue_wait_s =
         Fun.protect
-          ~finally:(fun () ->
-            (* A deadline abort emits Query_start but never Query_end;
-               without this the slow-query sink would buffer the
-               orphaned stream forever. No-op when already flushed. *)
-            Event.drop_trace trace_id;
-            release_job conn)
+          ~finally:(fun () -> release_job conn)
           (fun () ->
             let t0 = Unix.gettimeofday () in
             let body, trace =
@@ -303,12 +316,13 @@ let handle_request state conn (env : Protocol.envelope) =
                     None )
               | _ ->
                   (* The trace id rides the worker domain's DLS for
-                     exactly this request: every span frame and event
-                     the engine emits below is stamped with it. *)
+                     exactly this request: every span frame the engine
+                     opens below is stamped with it. *)
                   Trace.with_id trace_id (fun () ->
                       exec_guarded state ~deadline env.request)
             in
             let exec_s = Unix.gettimeofday () -. t0 in
+            log_slow state trace;
             log_access state ~trace_id ~request:env.request
               ~queue_s:queue_wait_s ~exec_s ~body
               ~trace:(if want_trace then trace else None);

@@ -33,12 +33,19 @@
     field if it sent one, a generated one otherwise) and the id is
     echoed in the response. For pooled ops the id is installed in the
     worker domain's {!Toss_obs.Trace} slot around execution, so every
-    span frame and event the request emits — on any domain — carries
-    it; the slow-query sink ([--slow-ms]) reassembles those events into
-    per-request records keyed by the id, correct under full
-    parallelism. Reader systhreads never install a trace id (they share
-    one domain's DLS across connections); inline ops are stamped
-    directly in their log records instead.
+    span frame the request opens carries it. The span stack is
+    domain-local, so each executed query's tree holds exactly that
+    request, however many run in parallel. Reader systhreads never
+    install a trace id (they share one domain's DLS across
+    connections); inline ops are stamped directly in their log records
+    instead.
+
+    When [slow_ms] is set, every pooled request whose executor ran —
+    a query that missed the cache, or a join — and whose root span
+    took at least [slow_ms] writes one {!Toss_obs.Span.slow_record}
+    line to stderr, before its response is sent. Cache hits, inserts,
+    explains and requests that failed mid-query (a deadline, say)
+    build no tree and write no record.
 
     When [access_log] is set, the server appends one JSON line per
     request — before sending the response, so a client that has its
@@ -78,11 +85,14 @@ type config = {
           pooled request; [0] (the default) samples none. Sampling is
           head-based — the decision is made at admission — and costs
           nothing on unsampled requests. *)
+  slow_ms : int option;
+      (** slow-query log threshold in milliseconds (see above); [None]
+          (the default) logs nothing, [Some 0] every executed query *)
 }
 
 val default_config : listen:Transport.addr -> config
 (** 4 domains, queue of 64, no default deadline, cache of 256,
-    [eps = 2], no access log, no trace sampling. *)
+    [eps = 2], no access log, no trace sampling, no slow-query log. *)
 
 val run : ?ready:(string -> unit) -> config -> (unit, string) result
 (** Binds the listen address (reclaiming a stale Unix socket file

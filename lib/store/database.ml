@@ -41,5 +41,5 @@ let snapshot t =
         t.collections [])
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
-let query ?use_index t ~collection:name q =
-  Collection.eval_string ?use_index (collection_exn t name) q
+let query t ~collection:name q =
+  Collection.eval_string (collection_exn t name) q

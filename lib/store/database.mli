@@ -34,7 +34,7 @@ val snapshot : t -> (string * Collection.Snapshot.t) list
     database suitable for lock-free multi-domain reads. Collections
     added (or versions published) after the call are not reflected. *)
 
-val query : ?use_index:bool -> t -> collection:string -> string ->
+val query : t -> collection:string -> string ->
   (Collection.doc_id * Toss_xml.Tree.Doc.node) list
 (** Parses and evaluates an XPath query against a collection.
     @raise Not_found for an unknown collection

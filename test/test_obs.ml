@@ -4,8 +4,8 @@
 
 module Metrics = Toss_obs.Metrics
 module Span = Toss_obs.Span
-module Event = Toss_obs.Event
 module Trace = Toss_obs.Trace
+module Names = Toss_obs.Names
 module Json = Toss_json
 module Tree = Toss_xml.Tree
 module Doc = Tree.Doc
@@ -241,39 +241,6 @@ let test_span_exception_safety () =
   let _, root = Span.run "after" (fun () -> ()) in
   checkb "no stale children leak in" true (root.Span.children = [])
 
-let test_span_ring_buffer () =
-  Span.set_enabled true;
-  Span.clear_recent ();
-  Fun.protect
-    ~finally:(fun () -> Span.set_enabled false)
-    (fun () ->
-      ignore (Span.with_ "trace-1" (fun () -> ()));
-      ignore (Span.with_ "trace-2" (fun () -> ()));
-      Alcotest.(check (list string))
-        "newest first"
-        [ "trace-2"; "trace-1" ]
-        (List.map (fun s -> s.Span.name) (Span.recent ()));
-      checkb "alloc tracked when enabled" true
-        (List.for_all (fun s -> s.Span.alloc_bytes >= 0.) (Span.recent ())));
-  Span.clear_recent ();
-  ignore (Span.with_ "untraced" (fun () -> ()));
-  checkb "nothing recorded when disabled" true (Span.recent () = [])
-
-let test_span_capacity () =
-  Span.set_enabled true;
-  Fun.protect
-    ~finally:(fun () ->
-      Span.set_enabled false;
-      Span.set_capacity 32)
-    (fun () ->
-      Span.set_capacity 2;
-      List.iter
-        (fun n -> ignore (Span.with_ n (fun () -> ())))
-        [ "a"; "b"; "c" ];
-      Alcotest.(check (list string))
-        "oldest dropped" [ "c"; "b" ]
-        (List.map (fun s -> s.Span.name) (Span.recent ())))
-
 (* ------------------------------------------------------------------ *)
 (* Quantile estimates                                                   *)
 (* ------------------------------------------------------------------ *)
@@ -360,7 +327,7 @@ let test_quantiles_in_exports () =
     (contains ~needle:"\"p95\":" (Metrics.to_json snap))
 
 (* ------------------------------------------------------------------ *)
-(* Event log                                                            *)
+(* Query records: the executor's span tree and the slow-query log       *)
 (* ------------------------------------------------------------------ *)
 
 (* A tiny two-paper fixture; one pattern whose TOSS run exercises the
@@ -391,81 +358,7 @@ let ullman_pattern =
          Condition.content_sim 2 "Jeffrey D. Ullman";
        ])
 
-let with_sink sink f =
-  Event.clear_sinks ();
-  Event.install sink;
-  Fun.protect ~finally:Event.clear_sinks f
-
-let test_event_inactive_by_default () =
-  Event.clear_sinks ();
-  checkb "no sinks -> inactive" true (not (Event.active ()));
-  Event.emit ~payload:[ ("k", Event.Int 1) ] Event.Query_start;
-  with_sink Event.null (fun () ->
-      checkb "null sink keeps active true" true (Event.active ()))
-
-let test_event_ordering () =
-  let sink = Event.memory () in
-  with_sink sink (fun () ->
-      Event.emit Event.Query_start;
-      Event.emit Event.Rewrite_done;
-      Event.emit (Event.Custom "checkpoint");
-      Event.emit Event.Query_end);
-  let evs = Event.events sink in
-  Alcotest.(check (list string))
-    "kinds in emission order"
-    [ "query_start"; "rewrite_done"; "checkpoint"; "query_end" ]
-    (List.map (fun (e : Event.t) -> Event.kind_name e.Event.kind) evs);
-  let rec pairwise = function
-    | a :: (b :: _ as rest) -> ((a, b) :: pairwise rest)
-    | _ -> []
-  in
-  List.iter
-    (fun ((a : Event.t), (b : Event.t)) ->
-      checkb "seq strictly increasing" true (a.Event.seq < b.Event.seq);
-      checkb "ts non-decreasing" true (a.Event.ts_s <= b.Event.ts_s))
-    (pairwise evs)
-
-let test_event_ring_capacity () =
-  let sink = Event.memory ~capacity:3 () in
-  with_sink sink (fun () ->
-      List.iter
-        (fun i -> Event.emit ~payload:[ ("i", Event.Int i) ] (Event.Custom "tick"))
-        [ 1; 2; 3; 4; 5 ]);
-  let kept =
-    List.map (fun e -> Option.get (Event.payload_int e "i")) (Event.events sink)
-  in
-  Alcotest.(check (list int)) "last capacity events, oldest first" [ 3; 4; 5 ] kept
-
-let test_event_jsonl_escaping () =
-  let lines = ref [] in
-  let sink = Event.jsonl (fun line -> lines := line :: !lines) in
-  with_sink sink (fun () ->
-      Event.emit
-        ~payload:
-          [
-            ("text", Event.Str "say \"hi\"\nline2\ttab\\slash");
-            ("n", Event.Int 3);
-            ("f", Event.Float 0.5);
-            ("b", Event.Bool true);
-          ]
-        (Event.Custom "escape/test"));
-  match !lines with
-  | [ line ] -> (
-      match Json.parse line with
-      | Error msg -> Alcotest.failf "emitted line is not valid JSON: %s (%s)" msg line
-      | Ok json ->
-          checks "kind survives" "escape/test"
-            (Option.get (Option.bind (Json.member "kind" json) Json.to_str));
-          let payload = Option.get (Json.member "payload" json) in
-          checks "string round-trips through escapes" "say \"hi\"\nline2\ttab\\slash"
-            (Option.get (Option.bind (Json.member "text" payload) Json.to_str));
-          checkf "int" 3.
-            (Option.get (Option.bind (Json.member "n" payload) Json.to_num));
-          checkb "bool" true
-            (Option.get (Option.bind (Json.member "b" payload) Json.to_bool)))
-  | lines -> Alcotest.failf "expected exactly one line, got %d" (List.length lines)
-
-let run_query_with_events ?(compile = true) () =
+let run_query ?(compile = true) () =
   let seo =
     match
       Seo.of_documents ~metric:Workload.experiment_metric ~eps:2.0
@@ -474,106 +367,148 @@ let run_query_with_events ?(compile = true) () =
     | Ok seo -> seo
     | Error msg -> failwith msg
   in
-  let coll = Collection.create "events" in
+  let coll = Collection.create "obs" in
   ignore (Collection.add_document coll db);
   let coll = Collection.snapshot coll in
   Executor.select ~compile seo coll ~pattern:ullman_pattern ~sl:[ 1 ]
 
-let test_slow_query_threshold () =
-  let captured = ref [] in
-  let keep line = captured := line :: !captured in
-  (* Far above any realistic runtime: nothing may be logged. *)
-  with_sink (Event.slow_query ~threshold_s:3600. ~write:keep) (fun () ->
-      ignore (run_query_with_events ()));
-  checki "fast query not logged" 0 (List.length !captured);
-  (* Threshold zero: every query logs exactly one record. *)
-  with_sink (Event.slow_query ~threshold_s:0. ~write:keep) (fun () ->
-      ignore (run_query_with_events ()));
-  checki "slow query logged once" 1 (List.length !captured)
+let rec spans_named name (sp : Span.t) =
+  (if sp.Span.name = name then [ sp ] else [])
+  @ List.concat_map (spans_named name) sp.Span.children
 
-(* The slow-query record must be replayable: parse it back and walk the
-   captured event stream. *)
+let meta_int key (sp : Span.t) = int_of_string (List.assoc key sp.Span.meta)
+
+let sum_meta key spans =
+  List.fold_left (fun acc sp -> acc + meta_int key sp) 0 spans
+
+let json_str key json = Option.bind (Json.member key json) Json.to_str
+
+(* The slow-query record is built from the executor's root span: nothing
+   under the threshold; at threshold 0 one parseable JSON line carrying
+   the whole tree, keyed by the trace id when the run had one. *)
+let test_slow_query_threshold () =
+  let _, stats = run_query () in
+  checkb "fast query not logged" true
+    (Span.slow_record ~threshold_s:3600. stats.Executor.trace = None);
+  let record trace =
+    match Span.slow_record ~threshold_s:0. trace with
+    | None -> Alcotest.fail "threshold 0 must log every query"
+    | Some line -> (
+        checkb "a single line" false (String.contains line '\n');
+        match Json.parse line with
+        | Error msg -> Alcotest.failf "slow record is not valid JSON: %s" msg
+        | Ok json -> json)
+  in
+  let json = record stats.Executor.trace in
+  checkb "record type" true (json_str "type" json = Some "slow_query");
+  checkb "rooted at the executor" true
+    (Option.bind (Json.member "trace" json) (json_str "name")
+    = Some Names.select_root);
+  checkb "untraced run has no trace_id" true (Json.member "trace_id" json = None);
+  let _, traced = Trace.with_id "slow-1" (fun () -> run_query ()) in
+  checkb "traced run keyed by its id" true
+    (json_str "trace_id" (record traced.Executor.trace) = Some "slow-1")
+
+(* The slow-query record must be replayable: parse it back and rebuild
+   the span tree it carries. The replayed tree has the live tree's
+   shape, names and annotations, so the record alone is enough to read
+   off the run's facts. *)
+type replayed = R of string * (string * string) list * replayed list
+
+let rec replay json =
+  let name = Option.get (json_str "name" json) in
+  let meta =
+    match Json.member "meta" json with
+    | Some (Json.Obj kvs) ->
+        List.map (fun (k, v) -> (k, Option.get (Json.to_str v))) kvs
+    | _ -> []
+  in
+  let children =
+    List.map replay
+      (Option.get (Option.bind (Json.member "children" json) Json.to_list))
+  in
+  R (name, meta, children)
+
+let rec shape (sp : Span.t) =
+  R (sp.Span.name, sp.Span.meta, List.map shape sp.Span.children)
+
 let test_slow_query_record_replays () =
-  let captured = ref [] in
-  with_sink
-    (Event.slow_query ~threshold_s:0. ~write:(fun l -> captured := l :: !captured))
-    (fun () -> ignore (run_query_with_events ~compile:false ()));
-  match !captured with
-  | [ line ] -> (
+  let _, stats = run_query ~compile:false () in
+  let trace = stats.Executor.trace in
+  match Span.slow_record ~threshold_s:0. trace with
+  | None -> Alcotest.fail "threshold 0 must log every query"
+  | Some line -> (
       match Json.parse line with
       | Error msg -> Alcotest.failf "slow record is not valid JSON: %s" msg
       | Ok json ->
           checks "record type" "slow_query"
-            (Option.get (Option.bind (Json.member "type" json) Json.to_str));
-          checks "op" "select"
-            (Option.get (Option.bind (Json.member "op" json) Json.to_str));
-          let events =
-            Option.get (Option.bind (Json.member "events" json) Json.to_list)
+            (Option.get (json_str "type" json));
+          (* the record prints elapsed_s to the microsecond *)
+          Alcotest.(check (float 1e-6))
+            "elapsed is the root's" trace.Span.elapsed_s
+            (Option.get (Option.bind (Json.member "elapsed_s" json) Json.to_num));
+          let (R (name, meta, _) as replayed) =
+            replay (Option.get (Json.member "trace" json))
           in
-          checki "n_events agrees" (List.length events)
-            (int_of_float
-               (Option.get (Option.bind (Json.member "n_events" json) Json.to_num)));
-          let kinds =
-            List.map
-              (fun e -> Option.get (Option.bind (Json.member "kind" e) Json.to_str))
-              events
+          checks "replay starts at the executor" Names.select_root name;
+          checkb "replay mirrors the span tree" true (replayed = shape trace);
+          checki "replayed results" stats.Executor.n_results
+            (int_of_string (List.assoc "results" meta));
+          let rec xpath_rows (R (name, meta, children)) =
+            (if name = Names.xpath then int_of_string (List.assoc "rows" meta)
+             else 0)
+            + List.fold_left (fun acc c -> acc + xpath_rows c) 0 children
           in
-          checks "stream starts the query" "query_start" (List.hd kinds);
-          checks "stream ends the query" "query_end"
-            (List.nth kinds (List.length kinds - 1));
-          checkb "rewrite precedes xpath" true
-            (List.mem "rewrite_done" kinds && List.mem "xpath_exec" kinds);
-          let last = List.nth events (List.length events - 1) in
-          checkb "query_end carries the span tree" true
-            (Json.member "trace" last <> None))
-  | lines -> Alcotest.failf "expected one slow record, got %d" (List.length lines)
+          checki "replayed xpath rows sum to candidates"
+            stats.Executor.n_candidates (xpath_rows replayed))
 
-(* The executor's event stream itself: a select emits the expected kinds
-   in pipeline order, and the xpath_exec row counts sum to the stats
-   record's candidate count. *)
-let test_executor_event_stream () =
-  let sink = Event.memory () in
-  let _, stats = with_sink sink (fun () -> run_query_with_events ~compile:false ()) in
-  let evs = Event.events sink in
-  let kinds = List.map (fun (e : Event.t) -> Event.kind_name e.Event.kind) evs in
-  Alcotest.(check (list string))
-    "pipeline order"
-    [ "query_start"; "rewrite_done"; "xpath_exec"; "xpath_exec"; "embed_done";
-      "query_end" ]
-    kinds;
-  let rows =
-    List.fold_left
-      (fun acc (e : Event.t) ->
-        match e.Event.kind with
-        | Event.Xpath_exec -> acc + Option.get (Event.payload_int e "rows")
-        | _ -> acc)
-      0 evs
+(* Span names and meta reach JSON through the JSON quoter. Meta can
+   hold client strings (a collection name), so UTF-8, quotes, a
+   backslash and control bytes must all survive the round trip. *)
+let test_span_json_escaping () =
+  let awkward = "b\xc3\xbccher \"x\" \\y\n\t\x01" in
+  let (), sp =
+    Span.run ~meta:[ ("collection", awkward) ] "r\xc3\xa9sum\xc3\xa9" (fun () ->
+        Span.with_ ~meta:[ (awkward, "v") ] "child" ignore)
   in
-  checki "xpath rows sum to candidates" stats.Executor.n_candidates rows;
-  let last = List.nth evs (List.length evs - 1) in
-  checkb "query_end carries the trace" true (last.Event.trace <> None);
-  checki "results in payload" stats.Executor.n_results
-    (Option.get (Event.payload_int last "results"))
+  (match Json.parse (Span.to_json sp) with
+  | Error msg -> Alcotest.failf "span JSON does not parse: %s" msg
+  | Ok json -> checkb "tree round-trips" true (replay json = shape sp));
+  match Option.map Json.parse (Span.slow_record ~threshold_s:0. sp) with
+  | Some (Ok json) ->
+      checkb "slow record carries the tree" true
+        (Option.map replay (Json.member "trace" json) = Some (shape sp))
+  | Some (Error msg) -> Alcotest.failf "slow record does not parse: %s" msg
+  | None -> Alcotest.fail "threshold 0 must log every root"
 
-(* The compiled matcher (the default) issues no store queries, so its
-   stream has no xpath_exec events: one embed_done per document, with the
-   match counts in the payload. *)
-let test_compiled_event_stream () =
-  let sink = Event.memory () in
-  let _, stats = with_sink sink (fun () -> run_query_with_events ()) in
-  let evs = Event.events sink in
-  let kinds = List.map (fun (e : Event.t) -> Event.kind_name e.Event.kind) evs in
-  Alcotest.(check (list string))
-    "compiled pipeline order"
-    [ "query_start"; "rewrite_done"; "embed_done"; "query_end" ]
-    kinds;
-  let embed =
-    List.find (fun (e : Event.t) -> e.Event.kind = Event.Embed_done) evs
-  in
-  checki "embeddings in payload" stats.Executor.n_embeddings
-    (Option.get (Event.payload_int embed "embeddings"));
-  checki "nodes visited recorded" stats.Executor.n_candidates
-    (Option.get (Event.payload_int embed "nodes"))
+(* The interpreted pipeline's facts, read off the tree: one [xpath] span
+   per label query whose [rows] sum to the candidate count, and a root
+   recording the mode, the collection and the result count. *)
+let test_interpreted_tree_facts () =
+  let _, stats = run_query ~compile:false () in
+  let trace = stats.Executor.trace in
+  let xpaths = spans_named Names.xpath trace in
+  checki "one xpath span per label query" 2 (List.length xpaths);
+  checki "xpath rows sum to candidates" stats.Executor.n_candidates
+    (sum_meta "rows" xpaths);
+  checki "root results" stats.Executor.n_results (meta_int "results" trace);
+  checks "root mode" "toss" (List.assoc "mode" trace.Span.meta);
+  checks "root collection" "obs" (List.assoc "collection" trace.Span.meta)
+
+(* The compiled matcher (the default) issues no store queries: its
+   facts are on the per-document [match] spans, whose [nodes] sum to the
+   candidate count and [matches] to the embedding count. *)
+let test_compiled_tree_facts () =
+  let _, stats = run_query () in
+  let trace = stats.Executor.trace in
+  checkb "no store scans" true (spans_named Names.xpath trace = []);
+  let matches = spans_named Names.matcher trace in
+  checkb "a match span per document" true (matches <> []);
+  checki "match nodes sum to candidates" stats.Executor.n_candidates
+    (sum_meta "nodes" matches);
+  checki "match matches sum to embeddings" stats.Executor.n_embeddings
+    (sum_meta "matches" matches);
+  checki "root results" stats.Executor.n_results (meta_int "results" trace)
 
 (* ------------------------------------------------------------------ *)
 (* Trace context                                                        *)
@@ -614,18 +549,7 @@ let test_trace_validation () =
   checkb "non-ascii rejected" true (not (Trace.is_valid "caf\xc3\xa9"));
   checkb "punctuation ok" true (Trace.is_valid "req/42:retry-1_x.y~")
 
-let test_trace_stamps_events_and_spans () =
-  let sink = Event.memory () in
-  with_sink sink (fun () ->
-      Event.emit (Event.Custom "outside");
-      Trace.with_id "stamp-1" (fun () -> Event.emit (Event.Custom "inside")));
-  (match Event.events sink with
-  | [ outside; inside ] ->
-      checkb "no id outside" true (outside.Event.trace_id = None);
-      checkb "stamped inside" true (inside.Event.trace_id = Some "stamp-1");
-      checkb "stamp survives serialization" true
-        (contains ~needle:"\"trace_id\":\"stamp-1\"" (Event.to_json inside))
-  | evs -> Alcotest.failf "expected two events, got %d" (List.length evs));
+let test_trace_stamps_spans () =
   let _, root =
     Trace.with_id "stamp-2" (fun () ->
         Span.run "traced" (fun () -> ignore (Span.with_ "child" (fun () -> ()))))
@@ -640,94 +564,6 @@ let test_trace_stamps_events_and_spans () =
   let _, untraced = Span.run "untraced" (fun () -> ()) in
   checkb "no stamp without a trace" true
     (List.assoc_opt "trace_id" untraced.Span.meta = None)
-
-(* ------------------------------------------------------------------ *)
-(* Per-trace slow-query capture                                         *)
-(* ------------------------------------------------------------------ *)
-
-let record_of line =
-  match Json.parse line with
-  | Error msg -> Alcotest.failf "slow record is not valid JSON: %s" msg
-  | Ok json -> json
-
-let record_trace_id json =
-  Option.bind (Json.member "trace_id" json) Json.to_str
-
-let record_event_ids json =
-  Option.get (Option.bind (Json.member "events" json) Json.to_list)
-  |> List.map (fun e -> Option.bind (Json.member "trace_id" e) Json.to_str)
-
-(* Two requests interleave their event streams — exactly what happens
-   when two pool domains execute concurrently. The sink must
-   demultiplex on trace id: one record per request, each holding only
-   its own events. *)
-let test_slow_sink_demultiplexes () =
-  let captured = ref [] in
-  with_sink
-    (Event.slow_query ~threshold_s:0. ~write:(fun l -> captured := l :: !captured))
-    (fun () ->
-      let under id kind = Trace.with_id id (fun () -> Event.emit kind) in
-      under "req-a" Event.Query_start;
-      under "req-b" Event.Query_start;
-      under "req-a" (Event.Custom "a-work");
-      under "req-b" (Event.Custom "b-work");
-      under "req-b" Event.Query_end;
-      under "req-a" (Event.Custom "a-more");
-      under "req-a" Event.Query_end);
-  match List.rev_map record_of !captured with
-  | [ first; second ] ->
-      checkb "b finished first" true (record_trace_id first = Some "req-b");
-      checkb "a finished second" true (record_trace_id second = Some "req-a");
-      Alcotest.(check (list int))
-        "each record holds only its own events" [ 3; 4 ]
-        (List.map (fun r -> List.length (record_event_ids r)) [ first; second ]);
-      List.iter
-        (fun r ->
-          let id = record_trace_id r in
-          List.iter
-            (fun ev_id -> checkb "event id matches record id" true (ev_id = id))
-            (record_event_ids r))
-        [ first; second ]
-  | records -> Alcotest.failf "expected two records, got %d" (List.length records)
-
-(* Untraced emission (the CLI path) still works through the legacy
-   single-stream buffer, without needing a trace id. *)
-let test_slow_sink_untraced_still_works () =
-  let captured = ref [] in
-  with_sink
-    (Event.slow_query ~threshold_s:0. ~write:(fun l -> captured := l :: !captured))
-    (fun () ->
-      Event.emit Event.Query_start;
-      Event.emit (Event.Custom "work");
-      Event.emit Event.Query_end);
-  match List.map record_of !captured with
-  | [ record ] ->
-      checkb "no trace id on an untraced record" true (record_trace_id record = None);
-      checki "all events captured" 3 (List.length (record_event_ids record))
-  | records -> Alcotest.failf "expected one record, got %d" (List.length records)
-
-(* A request that dies between Query_start and Query_end (deadline
-   abort, exception) must not leak its buffered stream: the server
-   calls drop_trace from the job's cleanup. *)
-let test_slow_sink_drop_trace () =
-  let captured = ref [] in
-  with_sink
-    (Event.slow_query ~threshold_s:0. ~write:(fun l -> captured := l :: !captured))
-    (fun () ->
-      Trace.with_id "doomed" (fun () ->
-          Event.emit Event.Query_start;
-          Event.emit (Event.Custom "partial"));
-      Event.drop_trace "doomed";
-      (* A late event (or end) for the dropped id is ignored, not
-         resurrected as a fresh stream. *)
-      Trace.with_id "doomed" (fun () -> Event.emit Event.Query_end);
-      (* An unrelated request is unaffected. *)
-      Trace.with_id "alive" (fun () ->
-          Event.emit Event.Query_start;
-          Event.emit Event.Query_end));
-  match List.map record_of !captured with
-  | [ record ] -> checkb "only the live request flushed" true (record_trace_id record = Some "alive")
-  | records -> Alcotest.failf "expected one record, got %d" (List.length records)
 
 (* ------------------------------------------------------------------ *)
 (* Prometheus exposition                                                *)
@@ -1030,35 +866,23 @@ let () =
           Alcotest.test_case "generation" `Quick test_trace_generate;
           Alcotest.test_case "validation" `Quick test_trace_validation;
           Alcotest.test_case "stamps events and spans" `Quick
-            test_trace_stamps_events_and_spans;
-          Alcotest.test_case "slow sink demultiplexes" `Quick
-            test_slow_sink_demultiplexes;
-          Alcotest.test_case "slow sink untraced" `Quick
-            test_slow_sink_untraced_still_works;
-          Alcotest.test_case "slow sink drop_trace" `Quick
-            test_slow_sink_drop_trace;
+            test_trace_stamps_spans;
         ] );
       ( "events",
         [
-          Alcotest.test_case "inactive by default" `Quick
-            test_event_inactive_by_default;
-          Alcotest.test_case "ordering" `Quick test_event_ordering;
-          Alcotest.test_case "ring capacity" `Quick test_event_ring_capacity;
-          Alcotest.test_case "jsonl escaping" `Quick test_event_jsonl_escaping;
           Alcotest.test_case "slow-query threshold" `Quick test_slow_query_threshold;
           Alcotest.test_case "slow-query record replays" `Quick
             test_slow_query_record_replays;
           Alcotest.test_case "executor event stream" `Quick
-            test_executor_event_stream;
+            test_interpreted_tree_facts;
           Alcotest.test_case "compiled event stream" `Quick
-            test_compiled_event_stream;
+            test_compiled_tree_facts;
         ] );
       ( "spans",
         [
           Alcotest.test_case "nesting" `Quick test_span_nesting;
           Alcotest.test_case "exception safety" `Quick test_span_exception_safety;
-          Alcotest.test_case "ring buffer" `Quick test_span_ring_buffer;
-          Alcotest.test_case "capacity" `Quick test_span_capacity;
+          Alcotest.test_case "json escaping" `Quick test_span_json_escaping;
         ] );
       ( "executor integration",
         [

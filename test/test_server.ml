@@ -327,7 +327,7 @@ let await_ready run =
    Unix sockets the bare path, for TCP [tcp:HOST:PORT] with the kernel-
    chosen port — and a stop function. *)
 let start_server ?(domains = 3) ?(max_queue = 64) ?db_dir ?(cache_capacity = 256)
-    ?socket_path ?listen ?access_log ?(trace_sample = 0) () =
+    ?socket_path ?listen ?access_log ?(trace_sample = 0) ?slow_ms () =
   let listen =
     match listen with
     | Some l -> l
@@ -344,6 +344,7 @@ let start_server ?(domains = 3) ?(max_queue = 64) ?db_dir ?(cache_capacity = 256
       cache_capacity;
       access_log;
       trace_sample;
+      slow_ms;
     }
   in
   await_ready (fun ready -> Server.run ~ready config)
@@ -724,58 +725,85 @@ let test_trace_echo () =
   Client.close conn;
   stop ()
 
-(* The regression the per-trace slow sink exists for: several domains
-   executing queries concurrently, every query slow-logged. Each record
-   must carry exactly one request's events — before the sink was keyed
-   by trace id, concurrent requests interleaved into garbage records. *)
-let test_multidomain_slow_capture () =
-  let lock = Mutex.create () in
-  let captured = ref [] in
-  Toss_obs.Event.clear_sinks ();
-  Toss_obs.Event.install
-    (Toss_obs.Event.slow_query ~threshold_s:0. ~write:(fun line ->
-         Mutex.lock lock;
-         captured := line :: !captured;
-         Mutex.unlock lock));
-  Fun.protect ~finally:Toss_obs.Event.clear_sinks @@ fun () ->
-  let socket, stop = start_server ~domains:4 () in
-  let conn = Result.get_ok (Client.connect socket) in
-  ignore (Client.call conn (Protocol.Insert { collection = "bib"; xml = paper 1 }));
-  Client.close conn;
-  let n_threads = 4 and per_thread = 6 in
-  let failures = Array.make n_threads None in
-  let threads =
-    Array.init n_threads (fun t ->
-        Thread.create
-          (fun () ->
-            match Client.connect socket with
-            | Error msg -> failures.(t) <- Some msg
-            | Ok conn ->
-                for j = 1 to per_thread do
-                  let trace_id = Printf.sprintf "t%d-%d" t j in
-                  match
-                    Client.call conn ~trace_id (query_request ~cache:false tql)
-                  with
-                  | Ok _ -> ()
-                  | Error f -> failures.(t) <- Some (Client.failure_to_string f)
-                done;
-                Client.close conn)
-          ())
+(* Runs [f] with the process's stderr redirected to a fresh file, and
+   returns its result with the lines written meanwhile: the slow-query
+   log of an in-process server. *)
+let with_stderr_captured f =
+  let path = temp_name "toss_stderr" in
+  flush stderr;
+  let saved = Unix.dup Unix.stderr in
+  let fd = Unix.openfile path [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o600 in
+  Unix.dup2 fd Unix.stderr;
+  Unix.close fd;
+  let result =
+    Fun.protect
+      ~finally:(fun () ->
+        flush stderr;
+        Unix.dup2 saved Unix.stderr;
+        Unix.close saved)
+      f
   in
-  Array.iter Thread.join threads;
-  stop ();
-  Array.iter (Option.iter Alcotest.fail) failures;
-  let records = List.map J.parse_exn !captured in
+  let lines = In_channel.with_open_text path In_channel.input_all in
+  Sys.remove path;
+  (result, String.split_on_char '\n' lines)
+
+let slow_records lines =
+  List.filter_map
+    (fun line ->
+      if String.starts_with ~prefix:"{\"type\":\"slow_query\"" line then
+        Some (J.parse_exn line)
+      else None)
+    lines
+
+let record_id r =
+  match Option.bind (J.member "trace_id" r) J.to_str with
+  | Some id -> id
+  | None -> Alcotest.fail "slow record without trace_id"
+
+let record_root_name r =
+  Option.bind (J.member "trace" r) (fun t -> Option.bind (J.member "name" t) J.to_str)
+
+(* Several domains execute queries concurrently, every query slow-logged.
+   The span stack is domain-local, so each record's tree must hold
+   exactly one request: one record per trace id, and every node of its
+   tree stamped with that id. *)
+let test_multidomain_slow_capture () =
+  let n_threads = 4 and per_thread = 6 in
+  let (), lines =
+    with_stderr_captured @@ fun () ->
+    let socket, stop = start_server ~domains:4 ~slow_ms:0 () in
+    let conn = Result.get_ok (Client.connect socket) in
+    ignore (Client.call conn (Protocol.Insert { collection = "bib"; xml = paper 1 }));
+    Client.close conn;
+    let failures = Array.make n_threads None in
+    let threads =
+      Array.init n_threads (fun t ->
+          Thread.create
+            (fun () ->
+              match Client.connect socket with
+              | Error msg -> failures.(t) <- Some msg
+              | Ok conn ->
+                  for j = 1 to per_thread do
+                    let trace_id = Printf.sprintf "t%d-%d" t j in
+                    match
+                      Client.call conn ~trace_id (query_request ~cache:false tql)
+                    with
+                    | Ok _ -> ()
+                    | Error f -> failures.(t) <- Some (Client.failure_to_string f)
+                  done;
+                  Client.close conn)
+            ())
+    in
+    Array.iter Thread.join threads;
+    stop ();
+    Array.iter (Option.iter Alcotest.fail) failures
+  in
+  let records = slow_records lines in
   let expected =
     List.concat_map
       (fun t -> List.init per_thread (fun j -> Printf.sprintf "t%d-%d" t (j + 1)))
       (List.init n_threads Fun.id)
     |> List.sort compare
-  in
-  let record_id r =
-    match Option.bind (J.member "trace_id" r) J.to_str with
-    | Some id -> id
-    | None -> Alcotest.fail "slow record without trace_id"
   in
   Alcotest.(check (list string))
     "one record per query, keyed by its trace id" expected
@@ -783,27 +811,8 @@ let test_multidomain_slow_capture () =
   List.iter
     (fun r ->
       let id = record_id r in
-      let events = Option.get (Option.bind (J.member "events" r) J.to_list) in
-      checkb "record has events" true (events <> []);
-      List.iter
-        (fun e ->
-          checkb "every event belongs to the record's request" true
-            (Option.bind (J.member "trace_id" e) J.to_str = Some id))
-        events;
-      let kinds =
-        List.map
-          (fun e -> Option.get (Option.bind (J.member "kind" e) J.to_str))
-          events
-      in
-      checks "stream starts the query" "query_start" (List.hd kinds);
-      checks "stream ends the query" "query_end"
-        (List.nth kinds (List.length kinds - 1));
-      (* The span tree on query_end is complete and stamped throughout:
-         no frames from a concurrent request leaked in. *)
-      let last = List.nth events (List.length events - 1) in
-      let trace = Option.get (J.member "trace" last) in
       checkb "root span is the select" true
-        (Option.bind (J.member "name" trace) J.to_str = Some "executor.select");
+        (record_root_name r = Some "executor.select");
       let rec check_span sp =
         (match Option.bind (J.member "meta" sp) (J.member "trace_id") with
         | Some tid -> checkb "span stamped with the record's id" true (J.to_str tid = Some id)
@@ -812,8 +821,156 @@ let test_multidomain_slow_capture () =
         | Some children -> List.iter check_span children
         | None -> ()
       in
-      check_span trace)
+      check_span (Option.get (J.member "trace" r)))
     records
+
+(* A record needs a finished executor tree: a query that dies of its
+   deadline mid-run and a cache hit write none, while a join writes one
+   rooted at the join. *)
+let test_slow_log_executed_only () =
+  let big =
+    let corpus = Toss_data.Corpus.generate ~seed:4 ~n_papers:300 () in
+    Toss_xml.Printer.to_string ~decl:false
+      (Toss_data.Dblp_gen.render ~seed:4 corpus).Toss_data.Dblp_gen.tree
+  in
+  let big_tql =
+    "MATCH #1:inproceedings(/#2:booktitle) WHERE #2.content isa \"database \
+     conference\" SELECT #1"
+  in
+  let join_tql =
+    "MATCH #0:pt(//#1:paper(/#2:author), //#3:paper(/#4:author)) WHERE \
+     #2.content ~ #4.content SELECT #1,#3"
+  in
+  let (), lines =
+    with_stderr_captured @@ fun () ->
+    let socket, stop = start_server ~slow_ms:0 () in
+    let conn = Result.get_ok (Client.connect socket) in
+    let call ?deadline_ms trace_id request =
+      Client.call conn ?deadline_ms ~trace_id request
+    in
+    List.iter
+      (fun (collection, xml) ->
+        ignore (call "insert" (Protocol.Insert { collection; xml })))
+      [ ("bib", paper 1); ("refs", paper 1); ("big", big) ];
+    (* The first query after the big insert builds the ontology, far
+       longer than the budget, so the executor is cut off mid-run. *)
+    (match
+       call ~deadline_ms:5 "deadline-1"
+         (Protocol.Query
+            { collection = "big"; tql = big_tql; mode = Executor.Toss; cache = false })
+     with
+    | Error (Client.Wire e) ->
+        checks "typed deadline" "deadline_exceeded" (Protocol.code_name e.Protocol.code)
+    | Ok _ | Error (Client.Transport _) -> Alcotest.fail "expected deadline_exceeded");
+    ignore (call "miss-1" (query_request tql));
+    (match call "hit-1" (query_request tql) with
+    | Ok payload ->
+        checkb "second query is a cache hit" true (member_str "cache" payload = Some "hit")
+    | Error f -> Alcotest.fail (Client.failure_to_string f));
+    (match
+       call "join-1"
+         (Protocol.Join
+            { left = "bib"; right = "refs"; tql = join_tql; mode = Executor.Toss })
+     with
+    | Ok _ -> ()
+    | Error f -> Alcotest.fail (Client.failure_to_string f));
+    Client.close conn;
+    stop ()
+  in
+  let records = slow_records lines in
+  Alcotest.(check (list string))
+    "records only for executions that finished" [ "join-1"; "miss-1" ]
+    (List.sort compare (List.map record_id records));
+  List.iter
+    (fun r ->
+      checkb "each record rooted at its executor" true
+        (record_root_name r
+        = Some (if record_id r = "join-1" then "executor.join" else "executor.select")))
+    records
+
+(* A collection name is whatever the client sent, and it lands in the
+   executor root span's meta. With every request sampled and
+   slow-logged, a query on a non-ASCII collection must still get its
+   answer, and both its access-log line and its slow record must be
+   valid JSON carrying the name. *)
+let test_utf8_collection_logs () =
+  let log_path = temp_name "toss_access" in
+  let collection = "b\xc3\xbccher" in
+  Fun.protect ~finally:(fun () -> if Sys.file_exists log_path then Sys.remove log_path)
+  @@ fun () ->
+  let (), stderr_lines =
+    with_stderr_captured @@ fun () ->
+    let socket, stop =
+      start_server ~access_log:log_path ~trace_sample:1 ~slow_ms:0 ()
+    in
+    let conn = Result.get_ok (Client.connect socket) in
+    ignore (Client.call conn (Protocol.Insert { collection; xml = paper 1 }));
+    (* A response lost to a logging failure would block [call] forever:
+       wait for it on a thread, so the test fails instead of hanging. *)
+    let answer = Atomic.make None in
+    let caller =
+      Thread.create
+        (fun () ->
+          Atomic.set answer
+            (Some
+               (Client.call conn ~trace_id:"utf8-q"
+                  (Protocol.Query
+                     { collection; tql; mode = Executor.Toss; cache = false }))))
+        ()
+    in
+    let rec await polls =
+      match Atomic.get answer with
+      | Some r -> r
+      | None when polls = 0 -> Alcotest.fail "the query got no response"
+      | None ->
+          Thread.delay 0.01;
+          await (polls - 1)
+    in
+    (match await 1000 with
+    | Ok payload -> checkb "query answered" true (J.member "trees" payload <> None)
+    | Error f -> Alcotest.fail (Client.failure_to_string f));
+    Thread.join caller;
+    Client.close conn;
+    stop ()
+  in
+  let parse what line =
+    match J.parse line with
+    | Ok v -> v
+    | Error msg -> Alcotest.failf "%s is not valid JSON (%s): %s" what msg line
+  in
+  let root_collection r =
+    Option.bind (J.member "trace" r) (fun t ->
+        Option.bind (Option.bind (J.member "meta" t) (J.member "collection")) J.to_str)
+  in
+  let access =
+    In_channel.with_open_text log_path In_channel.input_all
+    |> String.split_on_char '\n'
+    |> List.filter (( <> ) "")
+    |> List.map (parse "access-log line")
+  in
+  (match
+     List.find_opt
+       (fun r -> Option.bind (J.member "trace_id" r) J.to_str = Some "utf8-q")
+       access
+   with
+  | Some q ->
+      checkb "access log names the collection" true
+        (member_str "collection" q = Some collection);
+      checkb "sampled tree names the collection" true
+        (root_collection q = Some collection)
+  | None -> Alcotest.fail "no access-log record for the query");
+  let slow =
+    List.filter_map
+      (fun line ->
+        if String.starts_with ~prefix:"{\"type\":\"slow_query\"" line then
+          Some (parse "slow record" line)
+        else None)
+      stderr_lines
+  in
+  Alcotest.(check (list string))
+    "one slow record, for the query" [ "utf8-q" ] (List.map record_id slow);
+  checkb "slow record names the collection" true
+    (root_collection (List.hd slow) = Some collection)
 
 let test_access_log () =
   let log_path = temp_name "toss_access" in
@@ -1416,6 +1573,10 @@ let () =
           Alcotest.test_case "trace id echo and timing" `Quick test_trace_echo;
           Alcotest.test_case "multi-domain slow capture" `Quick
             test_multidomain_slow_capture;
+          Alcotest.test_case "slow log skips unfinished runs" `Quick
+            test_slow_log_executed_only;
           Alcotest.test_case "access log" `Quick test_access_log;
+          Alcotest.test_case "utf-8 collection in logs" `Quick
+            test_utf8_collection_logs;
         ] );
     ]
