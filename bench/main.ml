@@ -932,7 +932,9 @@ let temp_socket prefix =
 let spawn_server ?(domains = 2) () =
   let listen = Transport.Unix_sock (temp_socket "toss_bench_srv") in
   let config = { (Server.default_config ~listen) with Server.domains } in
-  spawn_serving (fun ready -> Server.run ~ready config)
+  let engine = Result.get_ok (Engine.create ()) in
+  spawn_serving (fun ready ->
+      Server.run ~ready config (Engine.exec_traced engine))
 
 let spawn_router shards =
   let listen = Transport.Unix_sock (temp_socket "toss_bench_rtr") in
@@ -941,8 +943,18 @@ let spawn_router shards =
     | Ok m -> m
     | Error msg -> failwith msg
   in
+  let router = Router.create map in
+  let config =
+    {
+      (Server.default_config ~listen) with
+      Server.domains = Router.domains;
+      max_queue = Router.max_queue;
+    }
+  in
   spawn_serving (fun ready ->
-      Router.run ~ready (Router.default_config ~listen ~map))
+      Fun.protect
+        ~finally:(fun () -> Router.close router)
+        (fun () -> Server.run ~ready config (Router.dispatch router)))
 
 (* Open-loop latency of a single server vs a router over two shards, at
    the same offered load -- the scale-out acceptance experiment. The

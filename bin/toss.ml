@@ -509,65 +509,62 @@ let stats_cmd =
 
 (* ----------------------------- serve ------------------------------ *)
 
-(* Exactly one of [--listen ADDR] (tcp:HOST:PORT / unix:PATH / bare
-   path) and the historical [--socket PATH] names the bind address. *)
-let listen_addr listen socket =
-  match (listen, socket) with
-  | Some _, Some _ -> Error "use exactly one of --listen and --socket"
-  | None, None -> Error "one of --listen or --socket is required"
-  | Some a, None -> Toss_server.Transport.parse a
-  | None, Some p -> Ok (Toss_server.Transport.Unix_sock p)
-
-let serve_run listen socket db domains max_queue default_deadline_ms no_cache
+let serve_run listen db domains max_queue default_deadline_ms no_cache
     cache_capacity eps slow_ms access_log trace_sample =
   if domains < 0 then `Error (true, "--domains must be >= 0")
   else if max_queue < 0 then `Error (true, "--max-queue must be >= 0")
   else if trace_sample < 0 then `Error (true, "--trace-sample must be >= 0")
   else begin
-    match listen_addr listen socket with
-    | Error msg -> `Error (true, msg)
-    | Ok listen ->
-    let config =
-      {
-        Toss_server.Server.listen;
-        db_dir = db;
-        domains;
-        max_queue;
-        default_deadline_ms;
-        cache_capacity = (if no_cache then 0 else cache_capacity);
-        (* The same composite measure one-shot [toss query] uses, so a
-           served query returns the same answers as the CLI. *)
-        metric = Some Workload.experiment_metric;
-        eps;
-        access_log;
-        trace_sample;
-        slow_ms;
-      }
-    in
-    let ready resolved =
-      Printf.printf "toss serve: listening on %s (domains=%d, queue=%d, cache=%d)\n%!"
-        resolved domains max_queue config.Toss_server.Server.cache_capacity
-    in
-    match Toss_server.Server.run ~ready config with
-    | Ok () ->
-        print_endline "toss serve: stopped";
-        `Ok ()
+    let cache_capacity = if no_cache then 0 else cache_capacity in
+    match
+      (* The same composite measure one-shot [toss query] uses, so a
+         served query returns the same answers as the CLI. *)
+      Toss_server.Engine.create ?db_dir:db ~metric:Workload.experiment_metric
+        ~eps ~cache_capacity ()
+    with
     | Error msg -> `Error (false, msg)
+    | Ok engine -> (
+        let config =
+          {
+            Toss_server.Server.listen;
+            domains;
+            max_queue;
+            default_deadline_ms;
+            access_log;
+            trace_sample;
+            slow_ms;
+          }
+        in
+        let ready resolved =
+          Printf.printf
+            "toss serve: listening on %s (domains=%d, queue=%d, cache=%d)\n%!"
+            resolved domains max_queue cache_capacity
+        in
+        match
+          Toss_server.Server.run ~ready config
+            (Toss_server.Engine.exec_traced engine)
+        with
+        | Ok () ->
+            print_endline "toss serve: stopped";
+            `Ok ()
+        | Error msg -> `Error (false, msg))
   end
 
+(* [--socket] of [serve] and [router]: any {!Toss_server.Transport.parse}
+   address, as [client], [loadgen] and [--shard] take. *)
+let listen_arg =
+  let addr =
+    Arg.conv'
+      ( Toss_server.Transport.parse,
+        fun ppf a ->
+          Format.pp_print_string ppf (Toss_server.Transport.to_string a) )
+  in
+  Arg.(required & opt (some addr) None & info [ "socket" ] ~docv:"ADDR"
+         ~doc:"Address to listen on: a Unix-domain socket path, \
+               $(b,unix:PATH), or $(b,tcp:HOST:PORT) (port 0 picks a free \
+               port, printed on startup).")
+
 let serve_cmd =
-  let listen =
-    Arg.(value & opt (some string) None & info [ "listen" ] ~docv:"ADDR"
-           ~doc:"Listen address: $(b,tcp:HOST:PORT) (port 0 picks a free \
-                 port, printed on startup), $(b,unix:PATH), or a bare \
-                 socket path. Use exactly one of $(b,--listen) and \
-                 $(b,--socket).")
-  in
-  let socket =
-    Arg.(value & opt (some string) None & info [ "socket" ] ~docv:"PATH"
-           ~doc:"Unix-domain socket path to listen on (shorthand for \
-                 $(b,--listen unix:PATH)).")
-  in
   let db =
     Arg.(value & opt (some string) None & info [ "db" ] ~docv:"DIR"
            ~doc:"Database directory: hydrate collections from it on start \
@@ -624,7 +621,7 @@ let serve_cmd =
              per-request deadlines, admission control and a versioned \
              result cache.")
     Term.(ret
-            (const serve_run $ listen $ socket $ db $ domains $ max_queue
+            (const serve_run $ listen_arg $ db $ domains $ max_queue
              $ default_deadline_ms $ no_cache $ cache_capacity $ eps $ slow_ms
              $ access_log $ trace_sample))
 
@@ -774,36 +771,33 @@ let client_cmd =
 
 (* ----------------------------- router ----------------------------- *)
 
-let router_run listen socket shards replicate connect_retry_ms =
-  match listen_addr listen socket with
+let router_run listen shards replicate connect_retry_ms =
+  match Toss_shard.Shard_map.make ~shards ~replicated:replicate with
   | Error msg -> `Error (true, msg)
-  | Ok listen -> (
-      match Toss_shard.Shard_map.make ~shards ~replicated:replicate with
-      | Error msg -> `Error (true, msg)
-      | Ok map -> (
-          let config = { Toss_shard.Router.listen; map; connect_retry_ms } in
-          let ready resolved =
-            Printf.printf "toss router: listening on %s (shards=%d)\n%!"
-              resolved
-              (Toss_shard.Shard_map.n map)
-          in
-          match Toss_shard.Router.run ~ready config with
-          | Ok () ->
-              print_endline "toss router: stopped";
-              `Ok ()
-          | Error msg -> `Error (false, msg)))
+  | Ok map -> (
+      let router = Toss_shard.Router.create ~connect_retry_ms map in
+      let config =
+        {
+          (Toss_server.Server.default_config ~listen) with
+          domains = Toss_shard.Router.domains;
+          max_queue = Toss_shard.Router.max_queue;
+        }
+      in
+      let ready resolved =
+        Printf.printf "toss router: listening on %s (shards=%d)\n%!" resolved
+          (Toss_shard.Shard_map.n map)
+      in
+      let result =
+        Toss_server.Server.run ~ready config (Toss_shard.Router.dispatch router)
+      in
+      Toss_shard.Router.close router;
+      match result with
+      | Ok () ->
+          print_endline "toss router: stopped";
+          `Ok ()
+      | Error msg -> `Error (false, msg))
 
 let router_cmd =
-  let listen =
-    Arg.(value & opt (some string) None & info [ "listen" ] ~docv:"ADDR"
-           ~doc:"Listen address ($(b,tcp:HOST:PORT), $(b,unix:PATH), or a \
-                 bare socket path). Use exactly one of $(b,--listen) and \
-                 $(b,--socket).")
-  in
-  let socket =
-    Arg.(value & opt (some string) None & info [ "socket" ] ~docv:"PATH"
-           ~doc:"Unix-domain socket path to listen on.")
-  in
   let shards =
     Arg.(non_empty & opt_all string [] & info [ "shard" ] ~docv:"ADDR"
            ~doc:"Address of one shard server (repeatable, order defines \
@@ -821,14 +815,15 @@ let router_cmd =
   in
   Cmd.v
     (Cmd.info "router"
-       ~doc:"Scatter-gather front-end over sharded $(b,toss serve) \
-             instances: speaks the same wire protocol, hash-partitions \
-             inserts, fans queries and joins out to every shard and merges \
-             the answers (canonicalized multiset union), with typed \
-             $(b,shard_unavailable) degradation and opt-in partial \
-             results.")
+       ~doc:"Scatter-gather router over sharded $(b,toss serve) \
+             instances, behind the same front end as $(b,toss serve) \
+             with 2 worker domains: speaks the same wire protocol, \
+             hash-partitions inserts, fans queries and joins out to every \
+             shard and merges the answers (canonicalized multiset union), \
+             with typed $(b,shard_unavailable) degradation and opt-in \
+             partial results.")
     Term.(ret
-            (const router_run $ listen $ socket $ shards $ replicate
+            (const router_run $ listen_arg $ shards $ replicate
              $ connect_retry_ms))
 
 (* ----------------------------- loadgen ---------------------------- *)

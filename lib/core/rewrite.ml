@@ -200,8 +200,9 @@ let label_queries ?(mode = Toss) ?(max_expansion = 64) seo (pattern : Pattern.t)
       Metrics.incr (if consults_seo then m_seo_dependent else m_cacheable)
     in
     let note_fanout n =
-      Metrics.observe_h ~labels:[ ("label", string_of_int label) ] "rewrite.fanout"
-        (float_of_int n)
+      Metrics.observe_int
+        (Metrics.histogram ~labels:[ ("label", string_of_int label) ] "rewrite.fanout")
+        n
     in
     match chain_to pattern label with
     | None ->

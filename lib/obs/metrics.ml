@@ -107,10 +107,6 @@ let observe h v =
 
 let observe_int h v = observe h (float_of_int v)
 
-let incr_c ?labels ?by name = incr ?by (counter ?labels name)
-let set_g ?labels name v = set (gauge ?labels name) v
-let observe_h ?labels name v = observe (histogram ?labels name) v
-
 type histogram_stats = {
   count : int;
   sum : float;

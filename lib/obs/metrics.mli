@@ -29,7 +29,12 @@ type labels = (string * string) list
 (** Label pairs, e.g. [["phase", "execute"]]. Order-insensitive:
     labels are sorted at registration. *)
 
-(** {1 Typed handles} *)
+(** {1 Typed handles}
+
+    A call site whose labels vary per call (a per-pattern-label
+    fan-out, a per-code error count) registers its handle where it
+    updates it, which costs one hash lookup per call; hot paths register
+    at top level. *)
 
 type counter
 (** Monotonically increasing integer. *)
@@ -64,16 +69,6 @@ val observe : histogram -> float -> unit
 
 val observe_int : histogram -> int -> unit
 (** [observe] of an integer quantity (fan-outs, candidate counts). *)
-
-(** {1 Dynamic-label conveniences}
-
-    For call sites whose labels vary per call (e.g. a per-pattern-label
-    fan-out). These pay one hash lookup per call; prefer the typed
-    handles on hot paths. *)
-
-val incr_c : ?labels:labels -> ?by:int -> string -> unit
-val set_g : ?labels:labels -> string -> float -> unit
-val observe_h : ?labels:labels -> string -> float -> unit
 
 (** {1 Snapshots} *)
 

@@ -248,7 +248,7 @@ let do_metrics () =
     (J.Obj
        [ ("prometheus", J.Str (Metrics.to_prometheus (Metrics.snapshot ()))) ])
 
-let exec_traced t ~deadline request =
+let run t ~deadline request =
   let op = Protocol.op_name request in
   Metrics.incr (m_requests op);
   let t0 = Unix.gettimeofday () in
@@ -277,4 +277,7 @@ let exec_traced t ~deadline request =
   | Ok _ -> ());
   (result, trace)
 
-let exec t ~deadline request = fst (exec_traced t ~deadline request)
+let exec t ~deadline request = fst (run t ~deadline request)
+
+let exec_traced t ~deadline ~trace_id:_ (env : Protocol.envelope) =
+  run t ~deadline env.request

@@ -1,5 +1,6 @@
-(** The server's request executor: one {!Toss_core.Session} plus the
+(** The backend of [toss serve]: one {!Toss_core.Session} plus the
     result cache and durable storage, on the MVCC read/write split.
+    {!Server.run} is the front end; {!exec_traced} is what it calls.
 
     {2 Concurrency contract}
 
@@ -60,19 +61,19 @@ val exec :
   t -> deadline:float option -> Protocol.request -> (Toss_json.t, Protocol.error) result
 (** Executes one request, from any domain (see the concurrency contract
     above). [Shutdown] is not the engine's business and answers like
-    [Ping] (the server layer intercepts it first). *)
+    [Ping] (the server answers it and stops). *)
 
-val exec_traced :
-  t ->
-  deadline:float option ->
-  Protocol.request ->
-  (Toss_json.t, Protocol.error) result * Toss_obs.Span.t option
-(** Like {!exec}, but also returns the executed query's span tree when
-    one was built: [Some] exactly for a [Query] or a [Join] whose
-    executor ran to completion — rooted at [executor.select] or
-    [executor.join] respectively — and [None] otherwise: a cache hit
-    runs nothing, a [PROJECT] query bypasses the executor, and a run
-    that failed (a deadline, say) returns no tree. This is how the
-    server records full traces for sampled requests and slow-query
-    records at zero extra cost — the executor always builds the tree;
-    the server merely chooses whether to serialize it. *)
+val exec_traced : t -> Server.exec
+(** The engine as a {!Server} backend — what [toss serve] runs behind
+    {!Server.run}. It is {!exec} of the envelope's request, and also
+    returns the executed query's span tree when one was built: [Some]
+    exactly for a [Query] or a [Join] whose executor ran to
+    completion — rooted at [executor.select] or [executor.join]
+    respectively — and [None] otherwise: a cache hit runs nothing, a
+    [PROJECT] query bypasses the executor, and a run that failed (a
+    deadline, say) returns no tree. This is how the server records full
+    traces for sampled requests and slow-query records at zero extra
+    cost — the executor always builds the tree; the server merely
+    chooses whether to serialize it. The trace id is not read here:
+    the server installs it in the worker domain's {!Toss_obs.Trace}
+    slot around the call, so every span already carries it. *)

@@ -9,7 +9,8 @@ type t = {
   max_queue : int;
   mutable stopping : bool;
   mutable inflight : int;
-  mutable domains : unit Domain.t list;
+  joining : Mutex.t;  (** held by [stop] until every worker is joined *)
+  mutable domains : unit Domain.t list;  (** under [joining] *)
 }
 
 type outcome = Accepted | Overloaded | Stopped
@@ -61,6 +62,7 @@ let create ~domains ~max_queue =
       max_queue;
       stopping = false;
       inflight = 0;
+      joining = Mutex.create ();
       domains = [];
     }
   in
@@ -90,11 +92,15 @@ let queue_depth t =
   Mutex.unlock t.lock;
   n
 
+(* A second caller waits on [joining] until the first has joined every
+   worker, so [stop] returns only once the queue is drained, whoever
+   calls it. *)
 let stop t =
   Mutex.lock t.lock;
   t.stopping <- true;
   Condition.broadcast t.wake;
-  let domains = t.domains in
-  t.domains <- [];
   Mutex.unlock t.lock;
-  List.iter Domain.join domains
+  Mutex.lock t.joining;
+  List.iter Domain.join t.domains;
+  t.domains <- [];
+  Mutex.unlock t.joining

@@ -43,4 +43,5 @@ val queue_depth : t -> int
 
 val stop : t -> unit
 (** Stops accepting work, lets workers drain the queue, then joins
-    them. Idempotent. *)
+    them. Idempotent: a concurrent or later call also returns only once
+    every worker is joined. *)

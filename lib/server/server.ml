@@ -3,15 +3,17 @@ module Metrics = Toss_obs.Metrics
 module Trace = Toss_obs.Trace
 module Span = Toss_obs.Span
 
+type exec =
+  deadline:float option ->
+  trace_id:string ->
+  Protocol.envelope ->
+  (J.t, Protocol.error) result * Span.t option
+
 type config = {
   listen : Transport.addr;
-  db_dir : string option;
   domains : int;
   max_queue : int;
   default_deadline_ms : int option;
-  cache_capacity : int;
-  metric : Toss_similarity.Metric.t option;
-  eps : float;
   access_log : string option;
   trace_sample : int;
   slow_ms : int option;
@@ -20,13 +22,9 @@ type config = {
 let default_config ~listen =
   {
     listen;
-    db_dir = None;
     domains = 4;
     max_queue = 64;
     default_deadline_ms = None;
-    cache_capacity = 256;
-    metric = None;
-    eps = 2.0;
     access_log = None;
     trace_sample = 0;
     slow_ms = None;
@@ -37,7 +35,7 @@ let default_config ~listen =
 type access_log = { aoc : out_channel; alock : Mutex.t }
 
 type state = {
-  engine : Engine.t;
+  exec : exec;
   pool : Pool.t;
   config : config;
   access : access_log option;
@@ -51,7 +49,10 @@ type state = {
 let g_connections = Metrics.gauge "server.connections"
 
 let note_error code =
-  Metrics.incr_c ~labels:[ ("code", Protocol.code_name code) ] "server.errors.total"
+  Metrics.incr
+    (Metrics.counter
+       ~labels:[ ("code", Protocol.code_name code) ]
+       "server.errors.total")
 
 let stopped state =
   Mutex.lock state.lock;
@@ -164,12 +165,12 @@ let release_reader conn =
   Mutex.unlock conn.wlock;
   if close_now then try Unix.close conn.fd with Unix.Unix_error _ -> ()
 
-(* [Engine.exec_traced] can raise (persistence I/O failures, bugs); an
+(* The backend can raise (persistence I/O failures, bugs); an
    unanswered request would wedge a pipelining client forever, so every
    escape becomes a typed [internal] response. *)
-let exec_guarded state ~deadline request =
-  match Engine.exec_traced state.engine ~deadline request with
-  | body -> body
+let exec_guarded state ~deadline ~trace_id env =
+  match state.exec ~deadline ~trace_id env with
+  | answer -> answer
   | exception exn ->
       note_error Protocol.Internal;
       ( Error
@@ -270,23 +271,27 @@ let handle_request state conn (env : Protocol.envelope) =
     Protocol.response ?id:rid ~trace_id ?server_ms ?queue_ms body
   in
   match env.request with
-  | Protocol.Ping | Protocol.Stats | Protocol.Metrics ->
+  | Protocol.Ping | Protocol.Stats | Protocol.Metrics | Protocol.Shutdown ->
       (* Answered inline: observability must survive pool saturation.
          The reader systhread shares its domain's DLS with every other
          connection, so the trace id is NOT installed here — inline ops
-         open no spans; their records are stamped directly. *)
+         open no spans; their records are stamped directly. A shutdown
+         first drains the pool (later submits answer [shutting_down]),
+         then reaches the backend, then is answered: a router's
+         accepted requests still find their shards up, and the router
+         stops its shards before the front end stops. *)
+      let stopping = env.request = Protocol.Shutdown in
+      if stopping then Pool.stop state.pool;
       let t0 = Unix.gettimeofday () in
-      let body, _ = exec_guarded state ~deadline:None env.request in
+      let body, _ = exec_guarded state ~deadline:None ~trace_id env in
       let exec_s = Unix.gettimeofday () -. t0 in
+      let body =
+        if stopping then Ok (J.Obj [ ("stopping", J.Bool true) ]) else body
+      in
       log_access state ~trace_id ~request:env.request ~queue_s:0. ~exec_s
         ~body ~trace:None;
-      send conn (respond ~server_ms:(exec_s *. 1000.) ~queue_ms:0. body)
-  | Protocol.Shutdown ->
-      let body = Ok (J.Obj [ ("stopping", J.Bool true) ]) in
-      log_access state ~trace_id ~request:env.request ~queue_s:0. ~exec_s:0.
-        ~body ~trace:None;
-      send conn (respond ~server_ms:0. ~queue_ms:0. body);
-      request_stop state
+      send conn (respond ~server_ms:(exec_s *. 1000.) ~queue_ms:0. body);
+      if stopping then request_stop state
   | Protocol.Insert _ | Protocol.Query _ | Protocol.Join _ | Protocol.Explain _
     -> (
       let deadline_ms =
@@ -316,10 +321,10 @@ let handle_request state conn (env : Protocol.envelope) =
                     None )
               | _ ->
                   (* The trace id rides the worker domain's DLS for
-                     exactly this request: every span frame the engine
+                     exactly this request: every span frame the backend
                      opens below is stamped with it. *)
                   Trace.with_id trace_id (fun () ->
-                      exec_guarded state ~deadline env.request)
+                      exec_guarded state ~deadline ~trace_id env)
             in
             let exec_s = Unix.gettimeofday () -. t0 in
             log_slow state trace;
@@ -381,27 +386,21 @@ let handle_conn state conn =
     ~finally:(fun () -> if remove_conn state conn.fd then release_reader conn)
     loop
 
-let run ?(ready = fun (_ : string) -> ()) config =
-  match
-    Engine.create ?db_dir:config.db_dir ?metric:config.metric ~eps:config.eps
-      ~cache_capacity:config.cache_capacity ()
-  with
+let open_access_log = function
+  | None -> Ok None
+  | Some path -> (
+      try
+        let aoc =
+          open_out_gen [ Open_append; Open_creat; Open_wronly ] 0o644 path
+        in
+        Ok (Some { aoc; alock = Mutex.create () })
+      with Sys_error msg ->
+        Error (Printf.sprintf "cannot open access log: %s" msg))
+
+let run ?(ready = fun (_ : string) -> ()) config exec =
+  match open_access_log config.access_log with
   | Error msg -> Error msg
-  | Ok engine -> (
-      match
-        match config.access_log with
-        | None -> Ok None
-        | Some path -> (
-            try
-              let aoc =
-                open_out_gen [ Open_append; Open_creat; Open_wronly ] 0o644 path
-              in
-              Ok (Some { aoc; alock = Mutex.create () })
-            with Sys_error msg ->
-              Error (Printf.sprintf "cannot open access log: %s" msg))
-      with
-      | Error msg -> Error msg
-      | Ok access -> (
+  | Ok access -> (
       match Transport.listen config.listen with
       | Error msg ->
           Option.iter (fun al -> close_out_noerr al.aoc) access;
@@ -413,7 +412,7 @@ let run ?(ready = fun (_ : string) -> ()) config =
            with Invalid_argument _ -> ());
           let state =
             {
-              engine;
+              exec;
               pool = Pool.create ~domains:config.domains ~max_queue:config.max_queue;
               config;
               access;
@@ -465,4 +464,4 @@ let run ?(ready = fun (_ : string) -> ()) config =
             (fun fd -> try Unix.close fd with Unix.Unix_error (_, _, _) -> ())
             doomed;
           Option.iter (fun al -> close_out_noerr al.aoc) access;
-          Ok ()))
+          Ok ())

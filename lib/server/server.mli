@@ -1,5 +1,11 @@
-(** The [toss serve] daemon: an accept loop over a {!Transport} address
-    (Unix-domain socket or TCP) in front of {!Engine} and {!Pool}.
+(** The one serving front end: an accept loop over a {!Transport}
+    address (Unix-domain socket or TCP) in front of {!Pool} and a
+    backend {!exec} function. [toss serve] runs it over
+    {!Engine.exec_traced}; [toss router] over [Toss_shard.Router.dispatch],
+    which fans requests out to shard servers. Admission control,
+    deadlines in the queue, out-of-order completion, the drain on
+    shutdown, fd ownership and the [internal] guard below therefore
+    hold for both processes.
 
     Request flow (the admission-control state machine documented in
     ARCHITECTURE.md; the MVCC/domain model in docs/CONCURRENCY.md):
@@ -9,19 +15,23 @@
       its first byte ({!Wire}): {!Protocol.binary_magic} opens a binary
       framed stream, anything else newline-delimited JSON. Responses
       are written in the connection's codec;
-    + [ping], [stats] and [shutdown] are answered inline on the
-      connection thread — they must work even when the pool is saturated
-      (that is how an operator observes an overloaded server);
-    + [insert], [query] and [explain] are submitted to the domain pool
-      with an absolute deadline stamped at admission. [Pool.submit]
-      refusing the job produces the typed [overloaded] (queue full) or
-      [shutting_down] error immediately — load is shed at the door, not
-      buffered without bound;
+    + [ping], [stats], [metrics] and [shutdown] are passed to the
+      backend inline on the connection thread, with no deadline — they
+      must work even when the pool is saturated (that is how an
+      operator observes an overloaded server). [shutdown] first drains
+      the pool — every accepted request runs, later ones get
+      [shutting_down] — then reaches the backend (a router stops its
+      shards there, after its accepted requests have reached them), and
+      is answered [{"stopping":true}]; then the server stops;
+    + [insert], [query], [join] and [explain] are submitted to the
+      domain pool with an absolute deadline stamped at admission.
+      [Pool.submit] refusing the job produces the typed [overloaded]
+      (queue full) or [shutting_down] error immediately — load is shed
+      at the door, not buffered without bound;
     + a worker {e domain} re-checks the deadline when it dequeues the
-      job (a request can die of old age while queued) and then executes
-      it through {!Engine.exec}: queries pin a snapshot and run in
-      parallel across workers, inserts serialize on the engine's write
-      lock.
+      job (a request can die of old age while queued) and then calls
+      the backend with the deadline and the trace id. Any exception the
+      backend raises becomes a typed [internal] answer.
 
     Responses may therefore complete out of order on one connection;
     clients match them by [id]. One writer mutex per connection keeps
@@ -32,20 +42,20 @@
     Every request is assigned a trace id (the client's ["trace_id"]
     field if it sent one, a generated one otherwise) and the id is
     echoed in the response. For pooled ops the id is installed in the
-    worker domain's {!Toss_obs.Trace} slot around execution, so every
-    span frame the request opens carries it. The span stack is
+    worker domain's {!Toss_obs.Trace} slot around the backend call, so
+    every span frame the request opens carries it. The span stack is
     domain-local, so each executed query's tree holds exactly that
     request, however many run in parallel. Reader systhreads never
     install a trace id (they share one domain's DLS across
     connections); inline ops are stamped directly in their log records
     instead.
 
-    When [slow_ms] is set, every pooled request whose executor ran —
-    a query that missed the cache, or a join — and whose root span
-    took at least [slow_ms] writes one {!Toss_obs.Span.slow_record}
-    line to stderr, before its response is sent. Cache hits, inserts,
-    explains and requests that failed mid-query (a deadline, say)
-    build no tree and write no record.
+    When [slow_ms] is set, every pooled request whose backend returned
+    a span tree — for the engine, a query that missed the cache, or a
+    join — and whose root span took at least [slow_ms] writes one
+    {!Toss_obs.Span.slow_record} line to stderr, before its response is
+    sent. Cache hits, inserts, explains and requests that failed
+    mid-query (a deadline, say) build no tree and write no record.
 
     When [access_log] is set, the server appends one JSON line per
     request — before sending the response, so a client that has its
@@ -57,26 +67,29 @@
     carry [server_ms]/[queue_ms] so clients can split round-trip time
     (see {!Protocol}). *)
 
+type exec =
+  deadline:float option ->
+  trace_id:string ->
+  Protocol.envelope ->
+  (Toss_json.t, Protocol.error) result * Toss_obs.Span.t option
+(** A backend: answers one request envelope given its absolute
+    [Unix.gettimeofday] deadline ([None] = none) and its trace id, and
+    returns the answer's body plus the span tree of the work it ran, if
+    it built one. Called from reader systhreads (inline ops) and from
+    pool domains at once, so it must be domain-safe. *)
+
 type config = {
   listen : Transport.addr;
       (** where to accept connections — a Unix-domain socket path or a
           TCP host/port (port [0] picks a free port; the resolved
           address is passed to [run]'s [ready]) *)
-  db_dir : string option;  (** hydrate from / append to this directory *)
   domains : int;
-      (** query-worker domains; parallel query throughput scales with
-          this up to the core count *)
+      (** pool worker domains; parallel throughput scales with this up
+          to the core count *)
   max_queue : int;
   default_deadline_ms : int option;
       (** applied when a request carries no [deadline_ms]; [None] means
           no deadline *)
-  cache_capacity : int;  (** 0 disables the result cache *)
-  metric : Toss_similarity.Metric.t option;
-      (** similarity measure for the engine's session; [None] = the
-          session default (Levenshtein). The CLI passes the same
-          composite measure one-shot [toss query] uses, so both
-          surfaces return the same answers. *)
-  eps : float;
   access_log : string option;
       (** append one JSONL record per request to this file (see the
           schema above); [None] disables the log *)
@@ -91,13 +104,15 @@ type config = {
 }
 
 val default_config : listen:Transport.addr -> config
-(** 4 domains, queue of 64, no default deadline, cache of 256,
-    [eps = 2], no access log, no trace sampling, no slow-query log. *)
+(** 4 domains, queue of 64, no default deadline, no access log, no
+    trace sampling, no slow-query log. *)
 
-val run : ?ready:(string -> unit) -> config -> (unit, string) result
+val run :
+  ?ready:(string -> unit) -> config -> exec -> (unit, string) result
 (** Binds the listen address (reclaiming a stale Unix socket file
     first), calls [ready] with the resolved address ({!Transport.parse}
     syntax; TCP port [0] is replaced by the kernel-assigned port) once
-    listening, and serves until a [shutdown] request arrives. Drains
-    the pool, closes every connection and removes the socket file (Unix
-    transport) before returning. *)
+    listening, and serves requests through the backend until a
+    [shutdown] request arrives. Drains the pool, closes every
+    connection and removes the socket file (Unix transport) before
+    returning. *)

@@ -1,21 +1,10 @@
 module J = Toss_json
 module P = Toss_server.Protocol
 module Client = Toss_server.Client
-module Wire = Toss_server.Wire
-module Transport = Toss_server.Transport
 module Parser = Toss_xml.Parser
 module Printer = Toss_xml.Printer
 module Diff = Toss_check.Diff
 module Metrics = Toss_obs.Metrics
-module Trace = Toss_obs.Trace
-
-type config = {
-  listen : Transport.addr;
-  map : Shard_map.t;
-  connect_retry_ms : int;
-}
-
-let default_config ~listen ~map = { listen; map; connect_retry_ms = 1000 }
 
 let m_requests op = Metrics.counter ~labels:[ ("op", op) ] "router.requests.total"
 let m_errors code = Metrics.counter ~labels:[ ("code", code) ] "router.errors.total"
@@ -24,6 +13,7 @@ let m_shard_fail shard =
 let h_seconds op = Metrics.histogram ~labels:[ ("op", op) ] "router.request.seconds"
 
 let err code fmt = Printf.ksprintf (fun m -> Error (P.error code m)) fmt
+let ( let* ) = Result.bind
 
 (* ------------------------------------------------------------------ *)
 (* Shard connection pools                                              *)
@@ -34,18 +24,29 @@ type pool = {
   mutable p_idle : Client.t list;
 }
 
-type state = {
-  config : config;
+type t = {
+  map : Shard_map.t;
+  connect_retry_ms : int;
   pools : pool array;
   ins_lock : Mutex.t;
       (* serializes inserts: replicas must apply them in one order, and
          the sequence counters must agree with what was sent *)
   seqs : (string, int ref) Hashtbl.t;  (* partitioned collection -> next seq *)
-  lock : Mutex.t;  (* guards the accept-loop state below *)
-  mutable stopping : bool;
-  mutable conns : Unix.file_descr list;
-  mutable threads : Thread.t list;
 }
+
+let domains = 2
+let max_queue = 4096
+
+let create ?(connect_retry_ms = 1000) map =
+  {
+    map;
+    connect_retry_ms;
+    pools =
+      Array.init (Shard_map.n map) (fun i ->
+          { p_addr = Shard_map.addr map i; p_lock = Mutex.create (); p_idle = [] });
+    ins_lock = Mutex.create ();
+    seqs = Hashtbl.create 16;
+  }
 
 let take_conn state i =
   let p = state.pools.(i) in
@@ -61,7 +62,7 @@ let take_conn state i =
   match cached with
   | Some c -> Ok c
   | None ->
-      Client.connect ~codec:P.Binary ~retry_ms:state.config.connect_retry_ms
+      Client.connect ~codec:P.Binary ~retry_ms:state.connect_retry_ms
         p.p_addr
 
 let put_conn state i c =
@@ -70,7 +71,7 @@ let put_conn state i c =
   p.p_idle <- c :: p.p_idle;
   Mutex.unlock p.p_lock
 
-let drain_pools state =
+let close state =
   Array.iter
     (fun p ->
       Mutex.lock p.p_lock;
@@ -79,41 +80,51 @@ let drain_pools state =
       Mutex.unlock p.p_lock)
     state.pools
 
-(* One request to one shard. A transport failure on a pooled connection
-   may only mean the shard restarted since the connection was cached, so
-   the request is retried once on a fresh connection before the shard is
-   declared unreachable. *)
-let shard_call state i ?deadline_ms ?trace_id request =
+(* The budget a shard hop gets: the time left before [deadline] in
+   whole milliseconds, rounded up — [Some 0] once it is spent. *)
+let time_left =
+  Option.map (fun d ->
+      max 0 (int_of_float (Float.ceil ((d -. Unix.gettimeofday ()) *. 1000.))))
+
+(* What a shard hop answers when the request's budget is spent: the
+   router never forwards it, so no shard is contacted. *)
+let spent_body () = err P.Deadline_exceeded "deadline exceeded before a shard hop"
+let spent = P.response (spent_body ())
+
+(* One request to one shard, with the time left checked before the
+   connect and again before the send. A transport failure on a pooled
+   connection may only mean the shard restarted since the connection was
+   cached, so the request is retried once on a fresh connection before
+   the shard is declared unreachable. *)
+let shard_call state i ~deadline ~trace_id request =
   let once conn =
-    match Client.call_response conn ?deadline_ms ?trace_id request with
-    | Ok resp ->
+    match time_left deadline with
+    | Some 0 ->
         put_conn state i conn;
-        Ok resp
-    | Error (Client.Wire e) ->
-        put_conn state i conn;
-        Error (Client.Wire e)
-    | Error (Client.Transport msg) ->
-        Client.close conn;
-        Error (Client.Transport msg)
+        Ok spent
+    | deadline_ms -> (
+        match Client.call_response conn ?deadline_ms ~trace_id request with
+        | Ok resp ->
+            put_conn state i conn;
+            Ok resp
+        | Error f ->
+            Client.close conn;
+            Error (Client.failure_to_string f))
   in
-  match take_conn state i with
-  | Error msg -> Error msg
-  | Ok conn -> (
-      match once conn with
-      | Ok resp -> Ok resp
-      | Error (Client.Wire e) ->
-          (* impossible from call_response, but keep the type total *)
-          Error (P.code_name e.P.code ^ ": " ^ e.P.message)
-      | Error (Client.Transport _) -> (
-          match
-            Client.connect ~codec:P.Binary
-              ~retry_ms:state.config.connect_retry_ms state.pools.(i).p_addr
-          with
-          | Error msg -> Error msg
-          | Ok fresh -> (
-              match once fresh with
-              | Ok resp -> Ok resp
-              | Error f -> Error (Client.failure_to_string f))))
+  if time_left deadline = Some 0 then Ok spent
+  else
+    match take_conn state i with
+    | Error msg -> Error msg
+    | Ok conn -> (
+        match once conn with
+        | Ok resp -> Ok resp
+        | Error _ -> (
+            match
+              Client.connect ~codec:P.Binary ~retry_ms:state.connect_retry_ms
+                state.pools.(i).p_addr
+            with
+            | Error msg -> Error msg
+            | Ok fresh -> once fresh))
 
 (* Fan a request constructor out over shard indices, one thread per
    shard, and collect (index, result) pairs in index order. *)
@@ -127,7 +138,7 @@ let scatter targets f =
   List.iter Thread.join threads;
   Array.to_list slots |> List.filter_map Fun.id
 
-let all_shards state = List.init (Shard_map.n state.config.map) Fun.id
+let all_shards state = List.init (Shard_map.n state.map) Fun.id
 
 (* ------------------------------------------------------------------ *)
 (* Payload accessors                                                   *)
@@ -158,7 +169,7 @@ let shard_entry state i resp count =
   J.Obj
     [
       ("shard", J.Num (float_of_int i));
-      ("addr", J.Str (Shard_map.addr state.config.map i));
+      ("addr", J.Str (Shard_map.addr state.map i));
       ("server_ms", J.Num (Option.value resp.P.server_ms ~default:0.));
       ("queue_ms", J.Num (Option.value resp.P.queue_ms ~default:0.));
       ("count", J.Num count);
@@ -172,7 +183,7 @@ let partial_fields state failed =
       ( "failed",
         J.Arr
           (List.map
-             (fun i -> J.Str (Shard_map.addr state.config.map i))
+             (fun i -> J.Str (Shard_map.addr state.map i))
              failed) );
     ]
 
@@ -212,7 +223,7 @@ let gathered state ~allow_partial results k =
         "shard %d (%s) unreachable: %s (send \"allow_partial\":true to \
          accept a partial result)"
         i
-        (Shard_map.addr state.config.map i)
+        (Shard_map.addr state.map i)
         msg
   | failed, answered -> k ~failed answered
 
@@ -247,115 +258,71 @@ let split_bodies answered =
             match resp.P.body with Error e -> Error e | Ok _ -> assert false)
         | [] -> Error (P.error P.Shard_unavailable "no shard answered")
 
-let canonical_trees per_shard =
-  let merged = Diff.canonical (List.concat per_shard) in
-  ( List.length merged,
-    J.Arr (List.map (fun t -> J.Str (Printer.to_string ~decl:false t)) merged)
-  )
+(* Every fan-out read merges the same way: parse each answering shard's
+   trees and canonicalize their union, take the slowest shard's
+   [compute_ms], and list each shard's contribution. [own] gives the
+   op's own fields — those before the shared ones and those after —
+   from the answering shards' payloads. *)
+let merge state ~failed answered own =
+  let* oks = split_bodies answered in
+  let rec collect acc = function
+    | [] -> Ok (List.rev acc)
+    | (i, resp, payload) :: rest ->
+        let* trees = trees_of_payload payload in
+        collect ((i, resp, payload, trees) :: acc) rest
+  in
+  let* parts = collect [] oks in
+  let payloads = List.map (fun (_, _, p, _) -> p) parts in
+  let merged = Diff.canonical (List.concat_map (fun (_, _, _, ts) -> ts) parts) in
+  let compute_ms =
+    List.fold_left (fun acc p -> Float.max acc (num_field p "compute_ms")) 0. payloads
+  in
+  let shards =
+    List.map (fun (i, resp, p, _) -> shard_entry state i resp (num_field p "count")) parts
+  in
+  let before, after = own payloads in
+  Ok
+    (J.Obj
+       (before
+       @ [
+           ("count", J.Num (float_of_int (List.length merged)));
+           ("compute_ms", J.Num compute_ms);
+           ( "trees",
+             J.Arr
+               (List.map (fun t -> J.Str (Printer.to_string ~decl:false t)) merged) );
+           ("shards", J.Arr shards);
+         ]
+       @ after @ partial_fields state failed))
 
 let merge_query state ~collection ~failed answered =
-  match split_bodies answered with
-  | Error e -> Error e
-  | Ok oks -> (
-      let rec collect acc = function
-        | [] -> Ok (List.rev acc)
-        | (i, resp, payload) :: rest -> (
-            match trees_of_payload payload with
-            | Error e -> Error e
-            | Ok trees -> collect ((i, resp, payload, trees) :: acc) rest)
+  merge state ~failed answered (fun payloads ->
+      let version =
+        List.fold_left (fun acc p -> acc +. num_field p "version") 0. payloads
       in
-      match collect [] oks with
-      | Error e -> Error e
-      | Ok parts ->
-          let count, trees =
-            canonical_trees (List.map (fun (_, _, _, ts) -> ts) parts)
-          in
-          let version =
-            List.fold_left
-              (fun acc (_, _, p, _) -> acc +. num_field p "version")
-              0. parts
-          in
-          let compute_ms =
-            List.fold_left
-              (fun acc (_, _, p, _) -> Float.max acc (num_field p "compute_ms"))
-              0. parts
-          in
-          let all_hit =
-            List.for_all
-              (fun (_, _, p, _) -> jstr (J.member "cache" p) = Some "hit")
-              parts
-          in
-          let shards =
-            List.map
-              (fun (i, resp, p, _) -> shard_entry state i resp (num_field p "count"))
-              parts
-          in
-          Ok
-            (J.Obj
-               ([
-                  ("collection", J.Str collection);
-                  ("version", J.Num version);
-                  ("count", J.Num (float_of_int count));
-                  ("compute_ms", J.Num compute_ms);
-                  ("trees", trees);
-                  ("shards", J.Arr shards);
-                  ("cache", J.Str (if all_hit then "hit" else "miss"));
-                ]
-               @ partial_fields state failed)))
+      let all_hit =
+        List.for_all (fun p -> jstr (J.member "cache" p) = Some "hit") payloads
+      in
+      ( [ ("collection", J.Str collection); ("version", J.Num version) ],
+        [ ("cache", J.Str (if all_hit then "hit" else "miss")) ] ))
 
 let merge_join state ~left ~right ~failed answered =
-  match split_bodies answered with
-  | Error e -> Error e
-  | Ok oks -> (
-      let rec collect acc = function
-        | [] -> Ok (List.rev acc)
-        | (i, resp, payload) :: rest -> (
-            match trees_of_payload payload with
-            | Error e -> Error e
-            | Ok trees -> collect ((i, resp, payload, trees) :: acc) rest)
+  merge state ~failed answered (fun payloads ->
+      (* A partitioned side's total version is the sum of its
+         partitions; a replicated side's copies all report the same
+         version, so the max is the true value. *)
+      let version side field =
+        let combine =
+          if Shard_map.replicated state.map side then Float.max else ( +. )
+        in
+        List.fold_left (fun acc p -> combine acc (num_field p field)) 0. payloads
       in
-      match collect [] oks with
-      | Error e -> Error e
-      | Ok parts ->
-          let count, trees =
-            canonical_trees (List.map (fun (_, _, _, ts) -> ts) parts)
-          in
-          (* A partitioned side's total version is the sum of its
-             partitions; a replicated side's copies all report the same
-             version, so the max is the true value. *)
-          let version side field =
-            if Shard_map.replicated state.config.map side then
-              List.fold_left
-                (fun acc (_, _, p, _) -> Float.max acc (num_field p field))
-                0. parts
-            else
-              List.fold_left
-                (fun acc (_, _, p, _) -> acc +. num_field p field)
-                0. parts
-          in
-          let compute_ms =
-            List.fold_left
-              (fun acc (_, _, p, _) -> Float.max acc (num_field p "compute_ms"))
-              0. parts
-          in
-          let shards =
-            List.map
-              (fun (i, resp, p, _) -> shard_entry state i resp (num_field p "count"))
-              parts
-          in
-          Ok
-            (J.Obj
-               ([
-                  ("left", J.Str left);
-                  ("right", J.Str right);
-                  ("left_version", J.Num (version left "left_version"));
-                  ("right_version", J.Num (version right "right_version"));
-                  ("count", J.Num (float_of_int count));
-                  ("compute_ms", J.Num compute_ms);
-                  ("trees", trees);
-                  ("shards", J.Arr shards);
-                ]
-               @ partial_fields state failed)))
+      ( [
+          ("left", J.Str left);
+          ("right", J.Str right);
+          ("left_version", J.Num (version left "left_version"));
+          ("right_version", J.Num (version right "right_version"));
+        ],
+        [] ))
 
 (* ------------------------------------------------------------------ *)
 (* Operations                                                          *)
@@ -376,33 +343,40 @@ let reject_shadow collection k =
       collection
   else k ()
 
-let do_insert state ?deadline_ms ?trace_id ~collection ~xml () =
+let do_insert state ~deadline ~trace_id ~collection ~xml =
   reject_shadow collection @@ fun () ->
   Mutex.lock state.ins_lock;
   Fun.protect
     ~finally:(fun () -> Mutex.unlock state.ins_lock)
     (fun () ->
-      let map = state.config.map in
+      let map = state.map in
       if Shard_map.replicated map collection then begin
-        (* every replica must apply the insert; inserts are never
-           partial *)
-        let results =
-          scatter (all_shards state) (fun i ->
-              shard_call state i ?deadline_ms ?trace_id
-                (P.Insert { collection; xml }))
-        in
-        let rec first_answer = function
-          | [] -> err P.Shard_unavailable "no shard reachable"
-          | (i, Error msg) :: _ ->
-              Metrics.incr (m_shard_fail (string_of_int i));
-              err P.Shard_unavailable "shard %d (%s) unreachable: %s" i
-                (Shard_map.addr map i) msg
-          | (_, Ok resp) :: rest -> (
-              match resp.P.body with
-              | Error e -> Error e
-              | Ok payload -> if rest = [] then Ok payload else first_answer rest)
-        in
-        first_answer results
+        (* Every replica must apply the insert; inserts are never
+           partial. So the budget is checked once, before anything is
+           sent, and the replicas get no deadline: a replica whose own
+           hop found the budget spent would miss a document the others
+           stored. *)
+        match time_left deadline with
+        | Some 0 -> spent_body ()
+        | _ ->
+            let results =
+              scatter (all_shards state) (fun i ->
+                  shard_call state i ~deadline:None ~trace_id
+                    (P.Insert { collection; xml }))
+            in
+            let rec first_answer = function
+              | [] -> err P.Shard_unavailable "no shard reachable"
+              | (i, Error msg) :: _ ->
+                  Metrics.incr (m_shard_fail (string_of_int i));
+                  err P.Shard_unavailable "shard %d (%s) unreachable: %s" i
+                    (Shard_map.addr map i) msg
+              | (_, Ok resp) :: rest -> (
+                  match resp.P.body with
+                  | Error e -> Error e
+                  | Ok payload ->
+                      if rest = [] then Ok payload else first_answer rest)
+            in
+            first_answer results
       end
       else begin
         let seq = next_seq state collection in
@@ -410,7 +384,7 @@ let do_insert state ?deadline_ms ?trace_id ~collection ~xml () =
         (* owner first: it validates the XML, and a rejected insert must
            not leave shadows (or bump the sequence) anywhere *)
         match
-          shard_call state owner ?deadline_ms ?trace_id
+          shard_call state owner ~deadline ~trace_id
             (P.Insert { collection; xml })
         with
         | Error msg ->
@@ -425,9 +399,12 @@ let do_insert state ?deadline_ms ?trace_id ~collection ~xml () =
               List.filter (fun i -> i <> owner) (all_shards state)
             in
             let shadow = Shard_map.shadow collection in
+            (* The insert has committed on its owner, so its mirror is
+               sent without a deadline: a shadow cut short by the budget
+               would leave the shard ontologies diverged. *)
             let results =
               scatter others (fun i ->
-                  shard_call state i ?deadline_ms ?trace_id
+                  shard_call state i ~deadline:None ~trace_id
                     (P.Insert { collection = shadow; xml }))
             in
             let failure =
@@ -461,11 +438,11 @@ let do_insert state ?deadline_ms ?trace_id ~collection ~xml () =
 
 (* A replicated read needs any one healthy replica: walk the map in
    order, failing over on transport errors only. *)
-let replicated_call state ?deadline_ms ?trace_id request =
+let replicated_call state ~deadline ~trace_id request =
   let rec go = function
     | [] -> err P.Shard_unavailable "no shard reachable"
     | i :: rest -> (
-        match shard_call state i ?deadline_ms ?trace_id request with
+        match shard_call state i ~deadline ~trace_id request with
         | Ok resp -> resp.P.body
         | Error _ ->
             Metrics.incr (m_shard_fail (string_of_int i));
@@ -473,34 +450,34 @@ let replicated_call state ?deadline_ms ?trace_id request =
   in
   go (all_shards state)
 
-let do_query state ?deadline_ms ?trace_id ~allow_partial ~collection ~tql
-    ~mode ~cache () =
+let do_query state ~deadline ~trace_id ~allow_partial ~collection ~tql
+    ~mode ~cache =
   reject_shadow collection @@ fun () ->
   let request = P.Query { collection; tql; mode; cache } in
-  if Shard_map.replicated state.config.map collection then
-    replicated_call state ?deadline_ms ?trace_id request
+  if Shard_map.replicated state.map collection then
+    replicated_call state ~deadline ~trace_id request
   else
     let results =
       scatter (all_shards state) (fun i ->
-          shard_call state i ?deadline_ms ?trace_id request)
+          shard_call state i ~deadline ~trace_id request)
     in
     gathered state ~allow_partial results (fun ~failed answered ->
         merge_query state ~collection ~failed answered)
 
-let do_join state ?deadline_ms ?trace_id ~allow_partial ~left ~right ~tql
-    ~mode () =
+let do_join state ~deadline ~trace_id ~allow_partial ~left ~right ~tql
+    ~mode =
   reject_shadow left @@ fun () ->
   reject_shadow right @@ fun () ->
-  let map = state.config.map in
+  let map = state.map in
   let request = P.Join { left; right; tql; mode } in
   let lrep = Shard_map.replicated map left
   and rrep = Shard_map.replicated map right in
   if Shard_map.n map = 1 || (lrep && rrep) then
-    replicated_call state ?deadline_ms ?trace_id request
+    replicated_call state ~deadline ~trace_id request
   else if lrep || rrep then
     let results =
       scatter (all_shards state) (fun i ->
-          shard_call state i ?deadline_ms ?trace_id request)
+          shard_call state i ~deadline ~trace_id request)
     in
     gathered state ~allow_partial results (fun ~failed answered ->
         merge_join state ~left ~right ~failed answered)
@@ -511,7 +488,7 @@ let do_join state ?deadline_ms ?trace_id ~allow_partial ~left ~right ~tql
        broadcast join exact"
       left right
 
-let do_explain state ?deadline_ms ?trace_id ~collection ~tql ~mode () =
+let do_explain state ~deadline ~trace_id ~collection ~tql ~mode =
   reject_shadow collection @@ fun () ->
   let request = P.Explain { collection; tql; mode } in
   let rec go last = function
@@ -520,7 +497,7 @@ let do_explain state ?deadline_ms ?trace_id ~collection ~tql ~mode () =
         | Some e -> Error e
         | None -> err P.Shard_unavailable "no shard reachable")
     | i :: rest -> (
-        match shard_call state i ?deadline_ms ?trace_id request with
+        match shard_call state i ~deadline ~trace_id request with
         | Error _ ->
             Metrics.incr (m_shard_fail (string_of_int i));
             go last rest
@@ -588,10 +565,10 @@ let relabel ~shard ~seen text =
          end);
   Buffer.contents buf
 
-let do_metrics state ?deadline_ms ?trace_id ~allow_partial () =
+let do_metrics state ~deadline ~trace_id ~allow_partial =
   let results =
     scatter (all_shards state) (fun i ->
-        shard_call state i ?deadline_ms ?trace_id P.Metrics)
+        shard_call state i ~deadline ~trace_id P.Metrics)
   in
   gathered state ~allow_partial results (fun ~failed answered ->
       match split_bodies answered with
@@ -616,158 +593,37 @@ let do_metrics state ?deadline_ms ?trace_id ~allow_partial () =
                ([ ("prometheus", J.Str (String.concat "" (own :: per_shard))) ]
                @ partial_fields state failed)))
 
-let do_shutdown state ?deadline_ms ?trace_id () =
+let do_shutdown state ~deadline ~trace_id =
   ignore
     (scatter (all_shards state) (fun i ->
-         shard_call state i ?deadline_ms ?trace_id P.Shutdown));
-  Mutex.lock state.lock;
-  state.stopping <- true;
-  Mutex.unlock state.lock;
+         shard_call state i ~deadline ~trace_id P.Shutdown));
   Ok (J.Obj [ ("stopping", J.Bool true) ])
 
-let dispatch state (env : P.envelope) ~trace_id =
-  let deadline_ms = env.P.deadline_ms in
+let route state ~deadline ~trace_id (env : P.envelope) =
   let allow_partial = env.P.allow_partial in
   match env.P.request with
   | P.Ping -> Ok (J.Obj [ ("pong", J.Bool true) ])
   | P.Insert { collection; xml } ->
-      do_insert state ?deadline_ms ~trace_id ~collection ~xml ()
+      do_insert state ~deadline ~trace_id ~collection ~xml
   | P.Query { collection; tql; mode; cache } ->
-      do_query state ?deadline_ms ~trace_id ~allow_partial ~collection ~tql
-        ~mode ~cache ()
+      do_query state ~deadline ~trace_id ~allow_partial ~collection ~tql
+        ~mode ~cache
   | P.Join { left; right; tql; mode } ->
-      do_join state ?deadline_ms ~trace_id ~allow_partial ~left ~right ~tql
-        ~mode ()
+      do_join state ~deadline ~trace_id ~allow_partial ~left ~right ~tql
+        ~mode
   | P.Explain { collection; tql; mode } ->
-      do_explain state ?deadline_ms ~trace_id ~collection ~tql ~mode ()
+      do_explain state ~deadline ~trace_id ~collection ~tql ~mode
   | P.Stats -> do_stats ()
-  | P.Metrics -> do_metrics state ?deadline_ms ~trace_id ~allow_partial ()
-  | P.Shutdown -> do_shutdown state ?deadline_ms ~trace_id ()
+  | P.Metrics -> do_metrics state ~deadline ~trace_id ~allow_partial
+  | P.Shutdown -> do_shutdown state ~deadline ~trace_id
 
-(* ------------------------------------------------------------------ *)
-(* Accept loop                                                         *)
-
-let stopped state =
-  Mutex.lock state.lock;
-  let s = state.stopping in
-  Mutex.unlock state.lock;
-  s
-
-(* Requests are handled inline on the reader thread: the router is
-   I/O-bound (its work is fanning out and merging), and the per-shard
-   scatter already runs on its own threads. Responses therefore come
-   back in request order on each connection. *)
-let handle_conn state fd =
-  let ic = Unix.in_channel_of_descr fd in
-  let oc = Unix.out_channel_of_descr fd in
-  let r = Wire.reader ic in
-  let send resp =
-    match
-      Wire.write (Wire.codec r) oc (P.response_to_json resp);
-      flush oc
-    with
-    | () -> ()
-    | exception Sys_error _ -> ()
-  in
-  let handle v =
-    match P.request_of_json v with
-    | Error e ->
-        Metrics.incr (m_errors (P.code_name e.P.code));
-        send (P.response (Error e))
-    | Ok env ->
-        let trace_id =
-          match env.P.trace_id with Some t -> t | None -> Trace.generate ()
-        in
-        let op = P.op_name env.P.request in
-        Metrics.incr (m_requests op);
-        let t0 = Unix.gettimeofday () in
-        let body = dispatch state env ~trace_id in
-        let elapsed = Unix.gettimeofday () -. t0 in
-        Metrics.observe (h_seconds op) elapsed;
-        (match body with
-        | Error e -> Metrics.incr (m_errors (P.code_name e.P.code))
-        | Ok _ -> ());
-        send
-          (P.response ?id:env.P.id ~trace_id ~server_ms:(elapsed *. 1000.) body)
-  in
-  let rec loop () =
-    match Wire.read r with
-    | Wire.Eof -> ()
-    | Wire.Msg v ->
-        handle v;
-        if not (stopped state) then loop ()
-    | Wire.Corrupt e ->
-        Metrics.incr (m_errors (P.code_name e.P.code));
-        send (P.response (Error e));
-        loop ()
-    | Wire.Broken e ->
-        Metrics.incr (m_errors (P.code_name e.P.code));
-        send (P.response (Error e))
-  in
-  Fun.protect
-    ~finally:(fun () ->
-      Mutex.lock state.lock;
-      state.conns <- List.filter (fun c -> c <> fd) state.conns;
-      Mutex.unlock state.lock;
-      try Unix.close fd with Unix.Unix_error (_, _, _) -> ())
-    loop
-
-let run ?(ready = fun (_ : string) -> ()) config =
-  match Transport.listen config.listen with
-  | Error msg -> Error msg
-  | Ok (listen_fd, resolved) ->
-      (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
-       with Invalid_argument _ -> ());
-      let state =
-        {
-          config;
-          pools =
-            Array.init (Shard_map.n config.map) (fun i ->
-                {
-                  p_addr = Shard_map.addr config.map i;
-                  p_lock = Mutex.create ();
-                  p_idle = [];
-                });
-          ins_lock = Mutex.create ();
-          seqs = Hashtbl.create 16;
-          lock = Mutex.create ();
-          stopping = false;
-          conns = [];
-          threads = [];
-        }
-      in
-      ready resolved;
-      let rec accept_loop () =
-        if not (stopped state) then begin
-          (match Unix.select [ listen_fd ] [] [] 0.2 with
-          | [], _, _ -> ()
-          | _ :: _, _, _ -> (
-              match Unix.accept listen_fd with
-              | exception Unix.Unix_error (_, _, _) -> ()
-              | fd, _ ->
-                  Mutex.lock state.lock;
-                  state.conns <- fd :: state.conns;
-                  state.threads <-
-                    Thread.create (fun () -> handle_conn state fd) ()
-                    :: state.threads;
-                  Mutex.unlock state.lock));
-          accept_loop ()
-        end
-      in
-      accept_loop ();
-      Unix.close listen_fd;
-      Transport.unlisten config.listen;
-      Mutex.lock state.lock;
-      let doomed = state.conns in
-      state.conns <- [];
-      let threads = state.threads in
-      state.threads <- [];
-      Mutex.unlock state.lock;
-      List.iter
-        (fun fd ->
-          try Unix.shutdown fd Unix.SHUTDOWN_ALL
-          with Unix.Unix_error (_, _, _) -> ())
-        doomed;
-      List.iter Thread.join threads;
-      drain_pools state;
-      Ok ()
+let dispatch state ~deadline ~trace_id (env : P.envelope) =
+  let op = P.op_name env.P.request in
+  Metrics.incr (m_requests op);
+  let t0 = Unix.gettimeofday () in
+  let body = route state ~deadline ~trace_id env in
+  Metrics.observe (h_seconds op) (Unix.gettimeofday () -. t0);
+  (match body with
+  | Error e -> Metrics.incr (m_errors (P.code_name e.P.code))
+  | Ok _ -> ());
+  (body, None)

@@ -1,7 +1,14 @@
-(** [toss router]: a scatter-gather front-end speaking the same wire
-    protocol as [toss serve], fanning requests out over a static
-    {!Shard_map} and merging the answers so a client cannot tell a
-    sharded deployment from a single server.
+(** [toss router]: a scatter-gather backend that fans requests out
+    over a static {!Shard_map} and merges the answers, so a client
+    cannot tell a sharded deployment from a single server. It keeps only
+    routing, merging and the shard connection pools: the front end is
+    {!Toss_server.Server.run} with {!dispatch} as its backend, the same
+    front end [toss serve] runs over its engine. The router therefore
+    inherits the server's admission control ([overloaded] when its queue
+    is full), its deadline check in the queue, out-of-order completion
+    matched by [id], the drain on shutdown and the [internal] guard.
+    Pipelined writes on one connection may apply in either order, as on
+    [toss serve].
 
     {2 Routing}
 
@@ -46,23 +53,49 @@
     never partial (a half-applied insert would silently diverge the
     shards), and except when no shard at all is reachable.
 
-    Trace ids and deadlines propagate to every shard hop; the
-    router→shard hop always uses the binary codec. *)
+    {2 Trace ids and budgets}
 
-type config = {
-  listen : Toss_server.Transport.addr;
-  map : Shard_map.t;
-  connect_retry_ms : int;
-      (** backoff budget per shard connect (see
-          {!Toss_server.Transport.connect}) *)
-}
+    The trace id goes to every shard hop; the router→shard hop always
+    uses the binary codec. Each hop carries the time left before the
+    request's deadline (whole milliseconds, rounded up), not the
+    client's original [deadline_ms]. A spent budget is never forwarded:
+    the hop answers [deadline_exceeded] without contacting the shard —
+    not even to connect. Two kinds of insert hop carry no deadline,
+    because a hop cut short would leave the shards diverged: the
+    vocabulary shadows of an insert that has committed on its owner
+    shard, and the copies of a replicated insert. A replicated insert
+    checks the budget once, before anything is sent, so it reaches
+    every replica or none. *)
 
-val default_config :
-  listen:Toss_server.Transport.addr -> map:Shard_map.t -> config
-(** [connect_retry_ms = 1000]. *)
+type t
+(** The shard connection pools, the insert lock and the per-collection
+    sequence counters. Domain-safe: {!dispatch} runs on the server's
+    pool domains and reader threads at once. *)
 
-val run : ?ready:(string -> unit) -> config -> (unit, string) result
-(** Binds the listen address, calls [ready] with the resolved address,
-    and serves until a [shutdown] request arrives (which cascades to
-    the shards). Connections negotiate JSON/binary per the first byte,
-    exactly like the single server. *)
+val create : ?connect_retry_ms:int -> Shard_map.t -> t
+(** [connect_retry_ms] (default 1000) is the backoff budget per shard
+    connect (see {!Toss_server.Transport.connect}). Connects lazily. *)
+
+val domains : int
+(** The pool worker domains [toss router] runs with: 2. Each costs
+    about 3 MB of resident memory. *)
+
+val max_queue : int
+(** The queue bound [toss router] runs with: 4096 requests, the bound
+    the serving benchmark gives its shards so that a host stall does not
+    shed. A router worker mostly waits on its shards, so while they
+    stall (each insert makes them rebuild their ontologies) requests
+    pile up in the router's queue, and [toss serve]'s default of 64 shed
+    requests that a router with no bound had served. More workers in
+    place of a longer queue bought no latency and cost throughput at
+    saturation (SCALING.md, "Workers and queue"). *)
+
+val dispatch : t -> Toss_server.Server.exec
+(** The router as a {!Toss_server.Server} backend. It records the
+    [router.requests.total], [router.request.seconds] and
+    [router.errors.total] metrics per request and builds no span tree.
+    [shutdown] cascades to every shard before it returns. *)
+
+val close : t -> unit
+(** Closes the idle shard connections; call once {!Toss_server.Server.run}
+    has returned. *)

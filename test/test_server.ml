@@ -340,14 +340,34 @@ let start_server ?(domains = 3) ?(max_queue = 64) ?db_dir ?(cache_capacity = 256
       (Server.default_config ~listen) with
       Server.domains;
       max_queue;
-      db_dir;
-      cache_capacity;
       access_log;
       trace_sample;
       slow_ms;
     }
   in
-  await_ready (fun ready -> Server.run ~ready config)
+  let engine = Result.get_ok (Engine.create ?db_dir ~cache_capacity ()) in
+  await_ready (fun ready -> Server.run ~ready config (Engine.exec_traced engine))
+
+(* Start an in-process router over [shards] behind the same front end,
+   with the router's own worker count unless [domains] says otherwise. *)
+let start_router ?listen ?(connect_retry_ms = 300) ?(replicated = [])
+    ?(domains = Router.domains) ?(max_queue = Router.max_queue) shards =
+  let listen =
+    match listen with
+    | Some l -> l
+    | None -> Transport.Unix_sock (temp_name "toss_rtr")
+  in
+  let map =
+    match Shard_map.make ~shards ~replicated with
+    | Ok m -> m
+    | Error msg -> Alcotest.fail msg
+  in
+  let router = Router.create ~connect_retry_ms map in
+  let config = { (Server.default_config ~listen) with Server.domains; max_queue } in
+  await_ready (fun ready ->
+      Fun.protect
+        ~finally:(fun () -> Router.close router)
+        (fun () -> Server.run ~ready config (Router.dispatch router)))
 
 type answer_obs = {
   a_tql : string;
@@ -599,14 +619,10 @@ let test_overload_and_deadline_wire () =
   Client.close conn;
   stop ()
 
-let test_half_close_drains_responses () =
-  (* Regression for a use-after-close race: the reader thread used to
-     close the fd the moment input hit EOF, while responses for still-
-     queued pool jobs were pending — they were silently dropped, or,
-     with fd-number reuse, delivered to a different client. A client
-     that pipelines requests and then half-closes its sending side must
-     still receive every response. *)
-  let socket, stop = start_server ~domains:1 () in
+(* Pipelines [n] queries with ids on one connection to [socket], then
+   half-closes its sending side: every response must still arrive,
+   matched by id. *)
+let pipeline_then_half_close ~label socket =
   let conn = Result.get_ok (Client.connect socket) in
   ignore (Client.call conn (Protocol.Insert { collection = "bib"; xml = paper 1 }));
   Client.close conn;
@@ -628,8 +644,8 @@ let test_half_close_drains_responses () =
     output_char oc '\n'
   done;
   flush oc;
-  (* The server's reader sees EOF while most jobs are still queued
-     behind the single worker. *)
+  (* The reader sees EOF while most jobs are still queued behind the
+     workers. *)
   Unix.shutdown fd Unix.SHUTDOWN_SEND;
   let seen = Hashtbl.create n in
   (try
@@ -642,10 +658,29 @@ let test_half_close_drains_responses () =
        | Error msg -> Alcotest.fail msg
      done
    with End_of_file | Sys_error _ -> ());
-  checki "every pipelined response arrives after half-close" n
+  checki (label ^ ": every pipelined response arrives after half-close") n
     (Hashtbl.length seen);
-  (try Unix.close fd with Unix.Unix_error _ -> ());
-  stop ()
+  (try Unix.close fd with Unix.Unix_error _ -> ())
+
+let test_half_close_drains_responses () =
+  (* Regression for a use-after-close race: the reader thread used to
+     close the fd the moment input hit EOF, while responses for still-
+     queued pool jobs were pending — they were silently dropped, or,
+     with fd-number reuse, delivered to a different client. A client
+     that pipelines requests and then half-closes its sending side must
+     still receive every response. *)
+  let socket, stop = start_server ~domains:1 () in
+  pipeline_then_half_close ~label:"server" socket;
+  stop ();
+  (* The router runs behind the same front end, so its answers complete
+     out of order on its pool and drain the same way. *)
+  let s1, stop1 = start_server () in
+  let s2, stop2 = start_server () in
+  let router, stop_router = start_router [ s1; s2 ] in
+  pipeline_then_half_close ~label:"router" router;
+  stop1 ();
+  stop2 ();
+  stop_router ()
 
 let test_socket_claiming () =
   (* A stale socket file left by a dead server is reclaimed… *)
@@ -657,7 +692,11 @@ let test_socket_claiming () =
   let _, stop = start_server ~socket_path:path () in
   (* …but a second server must refuse a socket something is listening
      on, without unlinking it from under the live server. *)
-  (match Server.run (Server.default_config ~listen:(Toss_server.Transport.Unix_sock path)) with
+  (match
+     Server.run
+       (Server.default_config ~listen:(Toss_server.Transport.Unix_sock path))
+       (Engine.exec_traced (Result.get_ok (Engine.create ())))
+   with
   | Ok () -> Alcotest.fail "second server bound a live socket"
   | Error _ -> ());
   checkb "live socket not unlinked" true (Sys.file_exists path);
@@ -1284,20 +1323,6 @@ let test_connect_retry () =
 (* Sharded router                                                       *)
 (* ------------------------------------------------------------------ *)
 
-let start_router ?listen ?(connect_retry_ms = 300) ?(replicated = []) shards =
-  let listen =
-    match listen with
-    | Some l -> l
-    | None -> Transport.Unix_sock (temp_name "toss_rtr")
-  in
-  let map =
-    match Shard_map.make ~shards ~replicated with
-    | Ok m -> m
-    | Error msg -> Alcotest.fail msg
-  in
-  let config = { (Router.default_config ~listen ~map) with Router.connect_retry_ms } in
-  await_ready (fun ready -> Router.run ~ready config)
-
 (* The differential gate of ISSUE.md: a router over two shards must be
    indistinguishable — witness for witness, after Diff.canonical — from
    a single unsharded server over the same corpus, across both codecs
@@ -1475,6 +1500,218 @@ let test_router_shard_loss () =
   stop_router ();
   stop1 ()
 
+let test_router_admission () =
+  (* The router sheds at the door like [toss serve]: with no worker and
+     no queue every pooled request is [overloaded], while ping, stats
+     and metrics still answer inline. *)
+  let s1, stop1 = start_server () in
+  let s2, stop2 = start_server () in
+  let router, stop_router = start_router ~domains:0 ~max_queue:0 [ s1; s2 ] in
+  let conn = Result.get_ok (Client.connect router) in
+  (match Client.call conn (query_request tql) with
+  | Error (Client.Wire e) ->
+      checks "router sheds a query" "overloaded" (Protocol.code_name e.Protocol.code)
+  | Ok _ | Error (Client.Transport _) -> Alcotest.fail "expected overloaded");
+  List.iter
+    (fun request ->
+      match Client.call conn request with
+      | Ok _ -> ()
+      | Error f ->
+          Alcotest.fail
+            (Protocol.op_name request ^ " under overload: "
+            ^ Client.failure_to_string f))
+    [ Protocol.Ping; Protocol.Stats; Protocol.Metrics ];
+  Client.close conn;
+  stop1 ();
+  stop2 ();
+  stop_router ()
+
+let test_router_spent_budget () =
+  (* A spent budget is never fanned out. Behind the front end, a query
+     sent with deadline_ms = 0 dies in the router's queue, even with
+     both shards down. *)
+  let s1, stop1 = start_server () in
+  let s2, stop2 = start_server () in
+  let router, stop_router = start_router [ s1; s2 ] in
+  stop1 ();
+  stop2 ();
+  let conn = Result.get_ok (Client.connect router) in
+  (match Client.call conn ~deadline_ms:0 (query_request tql) with
+  | Error (Client.Wire e) ->
+      checks "spent budget with both shards down" "deadline_exceeded"
+        (Protocol.code_name e.Protocol.code)
+  | Ok _ | Error (Client.Transport _) -> Alcotest.fail "expected deadline_exceeded");
+  Client.close conn;
+  stop_router ();
+  (* The backend checks the budget itself before each hop: called with a
+     deadline already past, it contacts no shard, not even to connect,
+     which against these dead addresses would retry for seconds. *)
+  let dead = [ temp_name "toss_dead"; temp_name "toss_dead" ] in
+  let map = Result.get_ok (Shard_map.make ~shards:dead ~replicated:[]) in
+  let router = Router.create ~connect_retry_ms:5000 map in
+  let t0 = Unix.gettimeofday () in
+  let env request =
+    {
+      Protocol.id = None;
+      deadline_ms = None;
+      trace_id = None;
+      allow_partial = false;
+      request;
+    }
+  in
+  List.iter
+    (fun request ->
+      match
+        fst
+          (Router.dispatch router ~deadline:(Some (t0 -. 1.)) ~trace_id:"spent"
+             (env request))
+      with
+      | Error e ->
+          checks
+            (Protocol.op_name request ^ " with a spent budget")
+            "deadline_exceeded" (Protocol.code_name e.Protocol.code)
+      | Ok _ -> Alcotest.fail "expected deadline_exceeded")
+    [
+      query_request tql;
+      Protocol.Insert { collection = "bib"; xml = paper 1 };
+      Protocol.Explain { collection = "bib"; tql; mode = Executor.Toss };
+    ];
+  checkb "no shard contacted" true (Unix.gettimeofday () -. t0 < 1.);
+  Router.close router
+
+(* A shard's version of [collection], asked of the shard directly: the
+   number of documents it holds, 0 while it holds none. *)
+let shard_version addr collection =
+  let conn = Result.get_ok (Client.connect addr) in
+  let v =
+    match
+      Client.call conn
+        (Protocol.Query { collection; tql; mode = Executor.Toss; cache = false })
+    with
+    | Ok payload -> Option.get (member_int "version" payload)
+    | Error (Client.Wire e) when e.Protocol.code = Protocol.Unknown_collection -> 0
+    | Error f -> Alcotest.fail (Client.failure_to_string f)
+  in
+  Client.close conn;
+  v
+
+let test_router_replicated_insert () =
+  (* A replicated insert lands on every replica or on none. The budget
+     is checked once, before anything is sent: a spent one reaches no
+     replica, and a live one is not checked again per replica, so a
+     replica whose pooled connection went stale still gets the document
+     after its reconnect outlasted the budget. *)
+  let s1, stop1 = start_server () in
+  let db2 = temp_name "toss_replica_db" and path2 = temp_name "toss_replica" in
+  let s2, stop2 = start_server ~db_dir:db2 ~socket_path:path2 () in
+  let map =
+    Result.get_ok (Shard_map.make ~shards:[ s1; s2 ] ~replicated:[ "refs" ])
+  in
+  let router = Router.create ~connect_retry_ms:5000 map in
+  let insert ~deadline i =
+    fst
+      (Router.dispatch router ~deadline ~trace_id:"replicated"
+         {
+           Protocol.id = None;
+           deadline_ms = None;
+           trace_id = None;
+           allow_partial = false;
+           request = Protocol.Insert { collection = "refs"; xml = paper i };
+         })
+  in
+  let on_both label n =
+    checki (label ^ ": replica 0") n (shard_version s1 "refs");
+    checki (label ^ ": replica 1") n (shard_version s2 "refs")
+  in
+  (match insert ~deadline:(Some (Unix.gettimeofday () -. 1.)) 1 with
+  | Error e ->
+      checks "spent budget" "deadline_exceeded" (Protocol.code_name e.Protocol.code)
+  | Ok _ -> Alcotest.fail "expected deadline_exceeded");
+  on_both "spent budget sends nothing" 0;
+  (match insert ~deadline:None 1 with
+  | Ok _ -> ()
+  | Error e -> Alcotest.fail e.Protocol.message);
+  on_both "first insert" 1;
+  (* Replica 1 restarts 0.4 s from now at the same address, so the
+     router's pooled connection to it is stale and its reconnect takes
+     twice the insert's 0.2 s budget. *)
+  stop2 ();
+  let restarted = ref None in
+  let restarter =
+    Thread.create
+      (fun () ->
+        Thread.delay 0.4;
+        restarted := Some (start_server ~db_dir:db2 ~socket_path:path2 ()))
+      ()
+  in
+  (match insert ~deadline:(Some (Unix.gettimeofday () +. 0.2)) 2 with
+  | Ok _ -> ()
+  | Error e ->
+      Alcotest.fail ("insert across a replica restart: " ^ e.Protocol.message));
+  Thread.join restarter;
+  on_both "insert across a replica restart" 2;
+  Router.close router;
+  stop1 ();
+  snd (Option.get !restarted) ()
+
+let test_router_shutdown_drains () =
+  (* A shutdown drains the router's queue before the router stops its
+     shards: a request accepted before the shutdown is answered, not
+     refused by a stopping shard or failed against a stopped one after
+     a connect retry. The shutdown is pipelined behind the queries on one connection, so the
+     reader has queued every query when it reaches the shutdown, and
+     with one router worker most of them are still waiting. *)
+  let s1, stop1 = start_server () in
+  let s2, stop2 = start_server () in
+  let router, stop_router =
+    start_router ~domains:1 ~connect_retry_ms:1000 [ s1; s2 ]
+  in
+  let conn = Result.get_ok (Client.connect router) in
+  for i = 1 to 8 do
+    ignore (call_ok conn (Protocol.Insert { collection = "bib"; xml = paper i }))
+  done;
+  Client.close conn;
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.connect fd (Unix.ADDR_UNIX router);
+  let oc = Unix.out_channel_of_descr fd in
+  let ic = Unix.in_channel_of_descr fd in
+  let n = 48 in
+  let line id request =
+    output_string oc
+      (Protocol.request_to_line
+         {
+           Protocol.id = Some id;
+           deadline_ms = None;
+           trace_id = None;
+           allow_partial = false;
+           request;
+         });
+    output_char oc '\n'
+  in
+  for i = 1 to n do
+    line i (query_request ~cache:false tql)
+  done;
+  line 0 Protocol.Shutdown;
+  flush oc;
+  let answered = ref 0 and stopping = ref false in
+  for _ = 0 to n do
+    match Protocol.parse_response (input_line ic) with
+    | Ok { Protocol.rid = Some 0; body = Ok payload; _ } ->
+        stopping := J.member "stopping" payload = Some (J.Bool true)
+    | Ok { Protocol.body = Ok _; _ } -> incr answered
+    | Ok { Protocol.body = Error e; _ } ->
+        Alcotest.fail
+          (Protocol.code_name e.Protocol.code ^ " during shutdown: "
+         ^ e.Protocol.message)
+    | Error msg -> Alcotest.fail msg
+  done;
+  checki "every query accepted before the shutdown answered" n !answered;
+  checkb "shutdown answered" true !stopping;
+  Unix.close fd;
+  stop_router ();
+  stop1 ();
+  stop2 ()
+
 let test_loadgen_open_loop () =
   let addr, stop = start_server () in
   let cfg =
@@ -1565,6 +1802,14 @@ let () =
             test_router_differential_gate;
           Alcotest.test_case "shard loss and partial results" `Quick
             test_router_shard_loss;
+          Alcotest.test_case "router admission control" `Quick
+            test_router_admission;
+          Alcotest.test_case "router never forwards a spent budget" `Quick
+            test_router_spent_budget;
+          Alcotest.test_case "router replicated insert is all or none" `Quick
+            test_router_replicated_insert;
+          Alcotest.test_case "router shutdown drains accepted work" `Quick
+            test_router_shutdown_drains;
           Alcotest.test_case "open-loop load generator" `Quick
             test_loadgen_open_loop;
         ] );
