@@ -1279,6 +1279,37 @@ let perf_suite ~slowdown () =
      strongest available check. Running it once here also warms the memo
      tables for both kernels. *)
   assert (simk_sim () = simk_naive ());
+  (* SEO build kernels: servebench's write-mix corpus once its inserts
+     have landed -- 6 papers, each its own document, and 30 copies of
+     them under fresh keys -- with the measure and threshold `toss serve`
+     runs. [seo-build-reference] is the all-pairs reference build in
+     [Toss_check.Oracle]. *)
+  let seo_docs =
+    let rendered = Dblp_gen.render ~seed:7 (Corpus.generate ~seed:7 ~n_papers:6 ()) in
+    let papers =
+      match rendered.Dblp_gen.tree with
+      | Tree.Element { children; _ } -> Array.of_list children
+      | Tree.Text _ -> [||]
+    in
+    let rekey i = function
+      | Tree.Element e ->
+          let key (k, v) = if k = "key" then (k, Printf.sprintf "%s-r%d" v i) else (k, v) in
+          Tree.Element { e with attrs = List.map key e.attrs }
+      | t -> t
+    in
+    let n = Array.length papers in
+    List.init 36 (fun i -> Doc.of_tree (if i < n then papers.(i) else rekey i papers.(i mod n)))
+  in
+  let seo_build () = seo_of_docs ~eps:2.0 seo_docs in
+  let seo_build_reference () =
+    match Toss_check.Oracle.seo_of_documents ~metric ~eps:2.0 seo_docs with
+    | Ok seo -> seo
+    | Error msg -> failwith ("reference SEO precomputation failed: " ^ msg)
+  in
+  (* Same answers; running the reference once here is also its warm-up. *)
+  assert (
+    Hierarchy.equal (Seo.isa_hierarchy (seo_build ()))
+      (Seo.isa_hierarchy (seo_build_reference ())));
   (* 11 runs: the sub-millisecond kernels need the extra samples for the
      median to be stable across invocations. *)
   let runs = 11 in
@@ -1356,6 +1387,8 @@ let perf_suite ~slowdown () =
                     for _ = 1 to 2 do ignore (serve_query ~cache:false srv) done))
           in
           List.iter Domain.join domains);
+      ("seo-build", runs, fun () -> ignore (seo_build ()));
+      ("seo-build-reference", 1, fun () -> ignore (seo_build_reference ()));
     ]
   in
   let entries =

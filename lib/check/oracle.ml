@@ -131,3 +131,206 @@ let join ~eval ~pattern ~sl left_docs right_docs =
         rights)
     lefts
   |> dedup
+
+(* ------------------------------------------------------------------ *)
+(* The reference SEO build                                              *)
+(* ------------------------------------------------------------------ *)
+
+module Node = Toss_hierarchy.Node
+module Hierarchy = Toss_hierarchy.Hierarchy
+module Digraph = Toss_hierarchy.Digraph
+module Interop = Toss_ontology.Interop
+module Ontology = Toss_ontology.Ontology
+module Lexicon = Toss_ontology.Lexicon
+module Fusion = Toss_ontology.Fusion
+
+(* The SEO pipeline as first written, kept as the reference the engine's
+   build is checked against: one synonym constraint per pair of term
+   occurrences in different sources, and canonical fusion over a graph
+   with one vertex per (source, hierarchy node) pair. Quadratic in the
+   number of term occurrences. *)
+
+let auto_constraints ?(lexicon = Lexicon.seeded) ontologies =
+  let indexed = List.mapi (fun i o -> (i, o)) ontologies in
+  let relations =
+    List.sort_uniq String.compare (List.concat_map Ontology.relations ontologies)
+  in
+  List.map
+    (fun rel ->
+      let term_sources =
+        List.concat_map
+          (fun (i, o) ->
+            List.map (fun t -> (t, i)) (Hierarchy.terms (Ontology.get rel o)))
+          indexed
+      in
+      let constraints =
+        List.concat_map
+          (fun (t1, i) ->
+            let syns = Lexicon.synonyms lexicon t1 in
+            List.filter_map
+              (fun (t2, j) ->
+                if i < j && t1 <> t2 && List.mem t2 syns then
+                  Some (Interop.eq (t1, i) (t2, j))
+                else None)
+              term_sources)
+          term_sources
+      in
+      (rel, constraints))
+    relations
+
+(* Source-qualified hierarchy nodes: the vertices of the hierarchy graph. *)
+module Q = struct
+  type t = { source : int; node : Node.t }
+
+  let compare a b =
+    match Int.compare a.source b.source with
+    | 0 -> Node.compare a.node b.node
+    | c -> c
+
+  let pp ppf { source; node } = Format.fprintf ppf "%a:%d" Node.pp node source
+end
+
+module QG = Digraph.Make (Q)
+module Qmap = Map.Make (Q)
+
+type fusion = { fused : Hierarchy.t; psi : source:int -> Node.t -> Node.t option }
+
+let vertex_of hs i term =
+  match Hierarchy.nodes_of term (List.nth hs i) with
+  | node :: _ -> { Q.source = i; node }
+  | [] -> { Q.source = i; node = Node.singleton term }
+
+let fuse ?(auto_equate = true) hs constraints =
+  let n = List.length hs in
+  let constraints = Interop.expand constraints in
+  let bad_source =
+    List.find_opt
+      (fun c ->
+        let out { Interop.source; _ } = source < 0 || source >= n in
+        match c with
+        | Interop.Leq (a, b) | Interop.Eq (a, b) | Interop.Neq (a, b) -> out a || out b)
+      constraints
+  in
+  match bad_source with
+  | Some c -> Error (Fusion.Unknown_source c)
+  | None ->
+      (* 1. Hierarchy graph: per-source vertices and Hasse edges. *)
+      let g =
+        List.fold_left
+          (fun g (i, h) ->
+            let g =
+              List.fold_left
+                (fun g node -> QG.add_vertex { Q.source = i; node } g)
+                g (Hierarchy.nodes h)
+            in
+            List.fold_left
+              (fun g (u, v) ->
+                QG.add_edge { Q.source = i; node = u } { Q.source = i; node = v } g)
+              g (Hierarchy.edges h))
+          QG.empty
+          (List.mapi (fun i h -> (i, h)) hs)
+      in
+      (* 2. Constraint edges. *)
+      let g =
+        List.fold_left
+          (fun g c ->
+            match c with
+            | Interop.Leq (a, b) ->
+                QG.add_edge
+                  (vertex_of hs a.Interop.source a.Interop.term)
+                  (vertex_of hs b.Interop.source b.Interop.term)
+                  g
+            | Interop.Eq _ -> assert false (* removed by expand *)
+            | Interop.Neq _ -> g)
+          g constraints
+      in
+      (* 3. Implicit equalities between identically-spelled terms. *)
+      let g =
+        if not auto_equate then g
+        else begin
+          let by_term = Hashtbl.create 97 in
+          QG.fold_vertices
+            (fun v () ->
+              List.iter
+                (fun s ->
+                  Hashtbl.replace by_term s
+                    (v :: Option.value ~default:[] (Hashtbl.find_opt by_term s)))
+                (Node.strings v.Q.node))
+            g ();
+          Hashtbl.fold
+            (fun _term vs g ->
+              match vs with
+              | [] | [ _ ] -> g
+              | first :: rest ->
+                  List.fold_left
+                    (fun g v -> QG.add_edge first v (QG.add_edge v first g))
+                    g rest)
+            by_term g
+        end
+      in
+      (* 4. Condense: each SCC becomes one fused node. *)
+      let components, inter_edges = QG.condensation g in
+      let fused_node_of_component comp =
+        Node.of_list (List.concat_map (fun v -> Node.strings v.Q.node) comp)
+      in
+      let witness =
+        List.fold_left
+          (fun w comp ->
+            let fused = fused_node_of_component comp in
+            List.fold_left (fun w v -> Qmap.add v fused w) w comp)
+          Qmap.empty components
+      in
+      let fg =
+        List.fold_left
+          (fun fg comp -> Hierarchy.G.add_vertex (fused_node_of_component comp) fg)
+          Hierarchy.G.empty components
+      in
+      let fg =
+        List.fold_left
+          (fun fg (u, v) ->
+            Hierarchy.G.add_edge (Qmap.find u witness) (Qmap.find v witness) fg)
+          fg inter_edges
+      in
+      let fused = Hierarchy.normalize (Hierarchy.of_graph fg) in
+      (* 5. Neq constraints. *)
+      let violated =
+        List.find_opt
+          (fun c ->
+            match c with
+            | Interop.Neq (a, b) ->
+                let na = Qmap.find_opt (vertex_of hs a.Interop.source a.Interop.term) witness in
+                let nb = Qmap.find_opt (vertex_of hs b.Interop.source b.Interop.term) witness in
+                (match (na, nb) with
+                | Some na, Some nb -> Node.equal na nb
+                | _ -> false)
+            | Interop.Leq _ | Interop.Eq _ -> false)
+          constraints
+      in
+      (match violated with
+      | Some c -> Error (Fusion.Neq_violated c)
+      | None ->
+          let psi ~source node = Qmap.find_opt { Q.source; node } witness in
+          Ok { fused; psi })
+
+let fuse_ontologies ontologies constraints_by_relation =
+  let relations =
+    List.sort_uniq String.compare (List.concat_map Ontology.relations ontologies)
+  in
+  List.fold_left
+    (fun acc rel ->
+      match acc with
+      | Error _ -> acc
+      | Ok fused_ontology -> (
+          let hs = List.map (Ontology.get rel) ontologies in
+          let cs = Option.value ~default:[] (List.assoc_opt rel constraints_by_relation) in
+          match fuse hs cs with
+          | Ok { fused; _ } -> Ok (Ontology.add rel fused fused_ontology)
+          | Error e -> Error (rel, e)))
+    (Ok Ontology.empty) relations
+
+let seo_of_documents ?metric ?eps ?lexicon docs =
+  let ontologies = Toss_ontology.Maker.make_all ?lexicon docs in
+  match fuse_ontologies ontologies (auto_constraints ?lexicon ontologies) with
+  | Error (rel, e) ->
+      Error (Format.asprintf "fusion failed on relation %s: %a" rel Fusion.pp_error e)
+  | Ok fused -> Toss_core.Seo.create ?metric ?eps fused

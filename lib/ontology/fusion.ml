@@ -1,23 +1,18 @@
 module Node = Toss_hierarchy.Node
 module Hierarchy = Toss_hierarchy.Hierarchy
 module Digraph = Toss_hierarchy.Digraph
+module Nmap = Map.Make (Node)
 
-(* Source-qualified hierarchy nodes: the vertices of the hierarchy graph. *)
-module Q = struct
-  type t = { source : int; node : Node.t }
+(* The condensation runs over integer class ids. *)
+module IG = Digraph.Make (struct
+  type t = int
 
-  let compare a b =
-    match Int.compare a.source b.source with
-    | 0 -> Node.compare a.node b.node
-    | c -> c
+  let compare = Int.compare
+  let pp = Format.pp_print_int
+end)
 
-  let pp ppf { source; node } = Format.fprintf ppf "%a:%d" Node.pp node source
-end
-
-module QG = Digraph.Make (Q)
-module Qmap = Map.Make (Q)
-
-type witness = Node.t Qmap.t
+(* ψ: per source, each input node to the fused node absorbing it. *)
+type witness = Node.t Nmap.t array
 
 type error = Neq_violated of Interop.t | Unknown_source of Interop.t
 
@@ -27,15 +22,27 @@ let pp_error ppf = function
   | Neq_violated c -> Format.fprintf ppf "constraint violated by fusion: %a" Interop.pp c
   | Unknown_source c -> Format.fprintf ppf "constraint references unknown source: %a" Interop.pp c
 
-(* The vertex of source [i] whose node contains [term]; a fresh singleton
-   vertex if the term is unknown to that hierarchy. *)
-let vertex_of hs i term =
-  match Hierarchy.nodes_of term (List.nth hs i) with
-  | node :: _ -> { Q.source = i; node }
-  | [] -> { Q.source = i; node = Node.singleton term }
+(* The node of source [i] containing [term]; a fresh singleton if the term
+   is unknown to that hierarchy. *)
+let node_of hs i term =
+  match Hierarchy.nodes_of term hs.(i) with node :: _ -> node | [] -> Node.singleton term
+
+(* Union-find with path halving; the smaller id becomes the root. *)
+let rec find parent x =
+  let p = parent.(x) in
+  if p = x then x
+  else begin
+    parent.(x) <- parent.(p);
+    find parent parent.(x)
+  end
+
+let union parent x y =
+  let x = find parent x and y = find parent y in
+  if x < y then parent.(y) <- x else if y < x then parent.(x) <- y
 
 let fuse ?(auto_equate = true) hs constraints =
-  let n = List.length hs in
+  let hs = Array.of_list hs in
+  let n = Array.length hs in
   let constraints = Interop.expand constraints in
   let bad_source =
     List.find_opt
@@ -48,93 +55,97 @@ let fuse ?(auto_equate = true) hs constraints =
   match bad_source with
   | Some c -> Error (Unknown_source c)
   | None ->
-      (* 1. Hierarchy graph: per-source vertices and Hasse edges. *)
-      let g =
-        List.fold_left
-          (fun g (i, h) ->
-            let g =
-              List.fold_left
-                (fun g node -> QG.add_vertex { Q.source = i; node } g)
-                g (Hierarchy.nodes h)
-            in
-            List.fold_left
-              (fun g (u, v) ->
-                QG.add_edge { Q.source = i; node = u } { Q.source = i; node = v } g)
-              g (Hierarchy.edges h))
-          QG.empty
-          (List.mapi (fun i h -> (i, h)) hs)
+      (* 1. Vertices: one id per (source, node) pair, plus a fresh
+         singleton for each [Leq] endpoint its source does not know.
+         Edges: the sources' Hasse edges and the [Leq] constraints. *)
+      let ids = Array.make n Nmap.empty in
+      let nodes = ref [] and count = ref 0 in
+      let vertex i node =
+        match Nmap.find_opt node ids.(i) with
+        | Some v -> v
+        | None ->
+            let v = !count in
+            incr count;
+            ids.(i) <- Nmap.add node v ids.(i);
+            nodes := node :: !nodes;
+            v
       in
-      (* 2. Constraint edges. *)
-      let g =
+      let term_vertex { Interop.source; term } = vertex source (node_of hs source term) in
+      Array.iteri
+        (fun i h -> List.iter (fun node -> ignore (vertex i node)) (Hierarchy.nodes h))
+        hs;
+      let edges =
+        List.concat
+          (List.mapi
+             (fun i h ->
+               List.map (fun (u, v) -> (vertex i u, vertex i v)) (Hierarchy.edges h))
+             (Array.to_list hs))
+      in
+      let edges =
         List.fold_left
-          (fun g c ->
+          (fun edges c ->
             match c with
-            | Interop.Leq (a, b) ->
-                QG.add_edge
-                  (vertex_of hs a.Interop.source a.Interop.term)
-                  (vertex_of hs b.Interop.source b.Interop.term)
-                  g
+            | Interop.Leq (a, b) -> (term_vertex a, term_vertex b) :: edges
             | Interop.Eq _ -> assert false (* removed by expand *)
-            | Interop.Neq _ -> g)
-          g constraints
+            | Interop.Neq _ -> edges)
+          edges constraints
       in
-      (* 3. Implicit equalities between identically-spelled terms. *)
-      let g =
-        if not auto_equate then g
-        else begin
-          let by_term = Hashtbl.create 97 in
-          QG.fold_vertices
-            (fun v () ->
-              List.iter
-                (fun s ->
-                  Hashtbl.replace by_term s
-                    (v :: Option.value ~default:[] (Hashtbl.find_opt by_term s)))
-                (Node.strings v.Q.node))
-            g ();
-          Hashtbl.fold
-            (fun _term vs g ->
-              match vs with
-              | [] | [ _ ] -> g
-              | first :: rest ->
-                  List.fold_left
-                    (fun g v -> QG.add_edge first v (QG.add_edge v first g))
-                    g rest)
-            by_term g
-        end
-      in
-      (* 4. Condense: each SCC becomes one fused node. *)
-      let components, inter_edges = QG.condensation g in
-      let fused_node_of_component comp =
-        Node.of_list (List.concat_map (fun v -> Node.strings v.Q.node) comp)
-      in
-      let witness =
-        List.fold_left
-          (fun w comp ->
-            let fused = fused_node_of_component comp in
-            List.fold_left (fun w v -> Qmap.add v fused w) w comp)
-          Qmap.empty components
-      in
+      let nodes = Array.of_list (List.rev !nodes) in
+      (* 2. Contract the spelling classes. Under [auto_equate] every vertex
+         holding a spelling is equated with every other one holding it, so
+         each class lies inside one strongly connected component; a node's
+         several terms tie their spellings' classes together. *)
+      let parent = Array.init (Array.length nodes) Fun.id in
+      if auto_equate then begin
+        let holder = Hashtbl.create 256 in
+        Array.iteri
+          (fun v node ->
+            List.iter
+              (fun s ->
+                match Hashtbl.find_opt holder s with
+                | Some u -> union parent u v
+                | None -> Hashtbl.add holder s v)
+              (Node.strings node))
+          nodes
+      end;
+      let cls v = find parent v in
+      (* 3. Condense the class graph: each SCC becomes one fused node. *)
+      let g = ref IG.empty in
+      Array.iteri (fun v _ -> if cls v = v then g := IG.add_vertex v !g) nodes;
+      List.iter (fun (u, v) -> g := IG.add_edge (cls u) (cls v) !g) edges;
+      let components, inter_edges = IG.condensation !g in
+      let component = Array.make (Array.length nodes) 0 in
+      List.iteri (fun k comp -> List.iter (fun c -> component.(c) <- k) comp) components;
+      let strings = Array.make (List.length components) [] in
+      Array.iteri
+        (fun v node ->
+          let k = component.(cls v) in
+          strings.(k) <- Node.strings node @ strings.(k))
+        nodes;
+      let fused_of = Array.map Node.of_list strings in
+      let witness = Array.map (Nmap.map (fun v -> fused_of.(component.(cls v)))) ids in
       let fg =
-        List.fold_left
-          (fun fg comp -> Hierarchy.G.add_vertex (fused_node_of_component comp) fg)
-          Hierarchy.G.empty components
+        Array.fold_left
+          (fun fg node -> Hierarchy.G.add_vertex node fg)
+          Hierarchy.G.empty fused_of
       in
       let fg =
         List.fold_left
           (fun fg (u, v) ->
-            Hierarchy.G.add_edge (Qmap.find u witness) (Qmap.find v witness) fg)
+            Hierarchy.G.add_edge fused_of.(component.(u)) fused_of.(component.(v)) fg)
           fg inter_edges
       in
       let fused = Hierarchy.normalize (Hierarchy.of_graph fg) in
-      (* 5. Neq constraints. *)
+      (* 4. Neq constraints. *)
+      let psi_of { Interop.source; term } =
+        Nmap.find_opt (node_of hs source term) witness.(source)
+      in
       let violated =
         List.find_opt
           (fun c ->
             match c with
-            | Interop.Neq (a, b) ->
-                let na = Qmap.find_opt (vertex_of hs a.Interop.source a.Interop.term) witness in
-                let nb = Qmap.find_opt (vertex_of hs b.Interop.source b.Interop.term) witness in
-                (match (na, nb) with
+            | Interop.Neq (a, b) -> (
+                match (psi_of a, psi_of b) with
                 | Some na, Some nb -> Node.equal na nb
                 | _ -> false)
             | Interop.Leq _ | Interop.Eq _ -> false)
@@ -149,17 +160,19 @@ let fuse_exn ?auto_equate hs constraints =
   | Ok r -> r
   | Error e -> failwith (Format.asprintf "Fusion.fuse_exn: %a" pp_error e)
 
-let psi witness ~source node = Qmap.find_opt { Q.source = source; node } witness
+let psi witness ~source node =
+  if source < 0 || source >= Array.length witness then None
+  else Nmap.find_opt node witness.(source)
 
 let psi_term witness ~source term =
-  (* The witness is keyed by original nodes; scan for one containing the
-     term within the given source. *)
-  Qmap.fold
-    (fun q fused acc ->
-      match acc with
-      | Some _ -> acc
-      | None -> if q.Q.source = source && Node.mem term q.Q.node then Some fused else None)
-    witness None
+  if source < 0 || source >= Array.length witness then None
+  else
+    Nmap.fold
+      (fun node fused acc ->
+        match acc with
+        | Some _ -> acc
+        | None -> if Node.mem term node then Some fused else None)
+      witness.(source) None
 
 let fuse_ontologies ?auto_equate ontologies constraints_by_relation =
   let relations =

@@ -13,7 +13,15 @@
     When [auto_equate] is set (the default), terms spelled identically in
     different sources are equated implicitly — the paper's example relies
     on this for [title], [author] and [year]; explicit [Neq] constraints
-    override it. *)
+    are checked against the result and fail the fusion when violated.
+
+    Implementation: vertices equated by [auto_equate] always share a
+    strongly-connected component, so before the SCC pass a union-find
+    contracts each spelling class — the vertices holding a spelling,
+    joined through nodes that hold several terms — into one vertex. The
+    pass then runs over one vertex per class rather than one per
+    (source, node) pair; the fused hierarchy and ψ are those of the
+    uncontracted graph. *)
 
 module Node = Toss_hierarchy.Node
 module Hierarchy = Toss_hierarchy.Hierarchy

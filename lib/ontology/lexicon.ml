@@ -51,12 +51,13 @@ let merge_synsets dst src t =
         (List.sort_uniq String.compare (members_of dst t @ moved))
         (Imap.remove src t.members)
     in
+    let rename = Iset.map (fun id -> if id = src then dst else id) in
     let rewrite edges =
       let out_dst = Option.value ~default:Iset.empty (Imap.find_opt dst edges) in
       let out_src = Option.value ~default:Iset.empty (Imap.find_opt src edges) in
-      let edges = Imap.remove src edges in
-      let edges = Imap.map (fun s -> Iset.map (fun id -> if id = src then dst else id) s) edges in
-      let merged = Iset.remove dst (Iset.union out_dst out_src) in
+      let edges = Imap.map rename (Imap.remove src edges) in
+      (* An edge between the two synsets would become a self-loop. *)
+      let merged = Iset.remove dst (rename (Iset.union out_dst out_src)) in
       if Iset.is_empty merged then Imap.remove dst edges else Imap.add dst merged edges
     in
     {
@@ -138,9 +139,9 @@ let n_terms t = Smap.cardinal t.synset_of
 let terms t = List.map fst (Smap.bindings t.synset_of)
 
 let hierarchy_of field ?restrict_to t =
-  let keep =
+  let kept =
     match restrict_to with
-    | None -> None
+    | None -> Imap.fold (fun id _ s -> Iset.add id s) t.members Iset.empty
     | Some terms ->
         (* Synsets of the terms plus all ancestors through this field. *)
         let seeds =
@@ -158,27 +159,22 @@ let hierarchy_of field ?restrict_to t =
                 in
                 walk (Iset.add s seen) (ups @ rest)
         in
-        Some (walk Iset.empty seeds)
+        walk Iset.empty seeds
   in
-  let kept id = match keep with None -> true | Some s -> Iset.mem id s in
   let node_of id = Node.of_list (members_of id t) in
   let g =
-    Imap.fold
-      (fun id _members g ->
-        if kept id then Hierarchy.G.add_vertex (node_of id) g else g)
-      t.members Hierarchy.G.empty
-  in
-  let g =
-    Imap.fold
-      (fun sub supers g ->
-        if not (kept sub) then g
-        else
-          Iset.fold
-            (fun super g ->
-              if kept super then Hierarchy.G.add_edge (node_of sub) (node_of super) g
-              else g)
-            supers g)
-      (field t) g
+    Iset.fold
+      (fun id g ->
+        let g = Hierarchy.G.add_vertex (node_of id) g in
+        match Imap.find_opt id (field t) with
+        | None -> g
+        | Some supers ->
+            Iset.fold
+              (fun super g ->
+                if Iset.mem super kept then Hierarchy.G.add_edge (node_of id) (node_of super) g
+                else g)
+              supers g)
+      kept Hierarchy.G.empty
   in
   Hierarchy.normalize (Hierarchy.of_graph g)
 

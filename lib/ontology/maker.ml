@@ -1,6 +1,7 @@
 module Hierarchy = Toss_hierarchy.Hierarchy
 module Doc = Toss_xml.Tree.Doc
 module Sset = Set.Make (String)
+module Smap = Map.Make (String)
 
 (* Adds [lower <= upper] unless it is a self-loop or would create a cycle
    (recursive element nesting, or a content value spelled like a tag). *)
@@ -69,33 +70,46 @@ let make ?(lexicon = Lexicon.seeded) ?content_tags ?max_content_terms doc =
 let make_all ?lexicon ?content_tags ?max_content_terms docs =
   List.map (make ?lexicon ?content_tags ?max_content_terms) docs
 
+(* Some source in [s1] and a different one in [s2], if there are two. *)
+let cross s1 s2 =
+  match s1 with
+  | [] -> None
+  | i :: _ -> (
+      match List.find_opt (( <> ) i) s2 with
+      | Some j -> Some (i, j)
+      | None -> Option.map (fun i' -> (i', i)) (List.find_opt (( <> ) i) s1))
+
 let auto_constraints ?(lexicon = Lexicon.seeded) ontologies =
-  let indexed = List.mapi (fun i o -> (i, o)) ontologies in
   let relations =
     List.sort_uniq String.compare (List.concat_map Ontology.relations ontologies)
   in
   List.map
     (fun rel ->
-      let term_sources =
-        List.concat_map
-          (fun (i, o) ->
-            List.map (fun t -> (t, i)) (Hierarchy.terms (Ontology.get rel o)))
-          indexed
+      (* Each spelling's sources, in ascending order. *)
+      let sources =
+        List.concat
+          (List.mapi
+             (fun i o -> List.map (fun t -> (t, i)) (Hierarchy.terms (Ontology.get rel o)))
+             ontologies)
+        |> List.fold_left (fun m (t, i) -> Smap.add_to_list t i m) Smap.empty
+        |> Smap.map List.rev
       in
-      (* Equate cross-source terms that share a lexicon synset but are
-         spelled differently (identical spellings are auto-equated by the
-         fusion itself). *)
+      (* One equality per pair of distinct synonymous spellings held by two
+         different sources. The fusion's [auto_equate] ties every
+         occurrence of a spelling together, so one edge per pair merges
+         the same components as one per pair of occurrences. *)
       let constraints =
-        List.concat_map
-          (fun (t1, i) ->
-            let syns = Lexicon.synonyms lexicon t1 in
-            List.filter_map
-              (fun (t2, j) ->
-                if i < j && t1 <> t2 && List.mem t2 syns then
-                  Some (Interop.eq (t1, i) (t2, j))
-                else None)
-              term_sources)
-          term_sources
+        Smap.fold
+          (fun t1 s1 acc ->
+            List.fold_left
+              (fun acc t2 ->
+                if String.compare t1 t2 >= 0 then acc
+                else
+                  match Option.bind (Smap.find_opt t2 sources) (cross s1) with
+                  | Some (i, j) -> Interop.eq (t1, i) (t2, j) :: acc
+                  | None -> acc)
+              acc (Lexicon.synonyms lexicon t1))
+          sources []
       in
-      (rel, constraints))
+      (rel, List.rev constraints))
     relations

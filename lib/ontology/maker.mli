@@ -40,5 +40,14 @@ val auto_constraints :
 (** Interoperation constraints between the ontologies of different
     sources, derived from the lexicon: terms that are synonyms (same
     synset) are equated across sources, e.g. [booktitle:0 = conference:1]
-    when the lexicon declares them synonymous. Identically-spelled terms
-    are left to the fusion's [auto_equate]. *)
+    when the lexicon declares them synonymous.
+
+    Per relation, one [Eq] is emitted per pair of distinct synonymous
+    spellings that occur in two different sources, not one per pair of
+    occurrences: the output grows with the vocabulary, not with the
+    number of sources. This relies on the fusion's [auto_equate] (the
+    default of {!Fusion.fuse}), which ties every occurrence of a spelling
+    together, so the fused components are those of the all-pairs
+    constraint set. Identically-spelled terms are left to [auto_equate]
+    too. A synset whose spellings all occur in one source yields no
+    constraint and stays unmerged. *)

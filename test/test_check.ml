@@ -140,6 +140,259 @@ let test_shrinker_requires_failure () =
            false
          with Invalid_argument _ -> true)
 
+(* ------------------------ SEO build ------------------------------- *)
+
+(* The SEO build against the all-pairs reference it replaced
+   ([Oracle.seo_of_documents]). Documents are drawn over a small lexicon
+   whose synsets each sit in one document, in two, or in every one.
+
+   Run with the lexicon it was built from, the Maker puts a known term's
+   whole synset into one node, so the fusion's spelling equality merges
+   synonyms before any constraint does. Each case is therefore also built
+   from ontologies the Maker made without the synsets, and fused under the
+   synsets' constraints: there the constraints alone merge synonyms held
+   by different documents. *)
+
+module Hierarchy = Toss_hierarchy.Hierarchy
+module Node = Toss_hierarchy.Node
+module Lexicon = Toss_ontology.Lexicon
+module Maker = Toss_ontology.Maker
+module Fusion = Toss_ontology.Fusion
+module Interop = Toss_ontology.Interop
+module Ontology = Toss_ontology.Ontology
+module Seo = Toss_core.Seo
+module Sea = Toss_similarity.Sea
+
+(* Near-duplicate pairs: at ε = 1 SEA clusters each pair, and opposite
+   orderings of two pairs make the existential lift cyclic, the case
+   [Seo.create] answers with the universal lift. *)
+let spellings = [| "ab"; "ac"; "xy"; "xz"; "pq"; "pr" |]
+let leaf_tags = Array.append [| "r"; "s" |] spellings
+let seo_metric = Toss_similarity.Levenshtein.metric
+let seo_eps = 1.0
+
+type spread = One | Two | Every
+
+type seo_case = {
+  synsets : string list list;  (** disjoint *)
+  isa : (string * string) list;  (** (sub, super) between spellings *)
+  docs : (string * string) list list;  (** each document's (tag, content) leaves *)
+}
+
+let seo_case_gen =
+  QCheck2.Gen.(
+    let* n_docs = int_range 1 4 in
+    let* perm = shuffle_a spellings in
+    let* sizes = list_size (int_range 1 3) (int_range 2 3) in
+    let synsets =
+      (* Consecutive runs of the shuffled spellings. *)
+      List.fold_left
+        (fun (at, acc) k ->
+          if at + k > Array.length perm then (at, acc)
+          else (at + k, Array.to_list (Array.sub perm at k) :: acc))
+        (0, []) sizes
+      |> snd |> List.rev
+    in
+    (* Hypernymy runs forward in the shuffled order, so it stays acyclic
+       once synonyms are merged. *)
+    let* isa =
+      list_size (int_range 0 3)
+        (let* i = int_bound (Array.length perm - 1) in
+         let* j = int_bound (Array.length perm - 1) in
+         return (perm.(min i j), perm.(max i j)))
+    in
+    let* placed =
+      flatten_l
+        (List.map
+           (fun synset ->
+             let* spread = oneofl [ One; Two; Every ] in
+             let* d1 = int_bound (n_docs - 1) in
+             let* d2 = int_bound (n_docs - 1) in
+             let* tags = flatten_l (List.map (fun _ -> oneofa leaf_tags) synset) in
+             let d2 = if d2 = d1 then (d1 + 1) mod n_docs else d2 in
+             let docs_of k =
+               match spread with
+               | One -> [ d1 ]
+               | Two -> [ (if k mod 2 = 0 then d1 else d2) ]
+               | Every -> List.init n_docs Fun.id
+             in
+             return
+               (List.concat
+                  (List.mapi
+                     (fun k (s, tag) -> List.map (fun d -> (d, (tag, s))) (docs_of k))
+                     (List.combine synset tags))))
+           synsets)
+    in
+    let* noise =
+      list_size (int_range 0 4)
+        (triple (int_bound (n_docs - 1)) (oneofa leaf_tags) (oneofa spellings))
+    in
+    let leaves = List.concat placed @ List.map (fun (d, t, c) -> (d, (t, c))) noise in
+    let docs =
+      List.init n_docs (fun d ->
+          List.filter_map (fun (d', leaf) -> if d' = d then Some leaf else None) leaves)
+    in
+    return { synsets; isa; docs })
+
+let case_lexicon ~synonyms c =
+  let lex =
+    List.fold_left (fun l (sub, super) -> Lexicon.add_isa ~sub ~super l) Lexicon.empty c.isa
+  in
+  if synonyms then List.fold_left (fun l s -> Lexicon.add_synset s l) lex c.synsets else lex
+
+let case_trees c =
+  List.map
+    (fun leaves -> Tree.element "doc" (List.map (fun (tag, s) -> Tree.leaf tag s) leaves))
+    c.docs
+
+let print_seo_case c =
+  Printf.sprintf "synsets: %s\nisa: %s\n%s"
+    (String.concat " " (List.map (fun s -> "{" ^ String.concat "," s ^ "}") c.synsets))
+    (String.concat " " (List.map (fun (a, b) -> a ^ " < " ^ b) c.isa))
+    (String.concat "\n"
+       (List.mapi
+          (fun i t -> Printf.sprintf "doc %d: %s" i (Toss_xml.Printer.to_string ~decl:false t))
+          (case_trees c)))
+
+let fallbacks = ref 0
+
+(* Equal fused isa and part-of hierarchies and equal SEO isa hierarchies.
+   Counts the fused isa hierarchies SEA's existential lift rejects. *)
+let same_seo (fused, seo) (ref_fused, ref_seo) =
+  let get = Ontology.get in
+  let isa = get Ontology.isa fused in
+  if Sea.enhance ~metric:seo_metric ~eps:seo_eps isa = None then incr fallbacks;
+  Hierarchy.equal isa (get Ontology.isa ref_fused)
+  && Hierarchy.equal (get Ontology.part_of fused) (get Ontology.part_of ref_fused)
+  && Hierarchy.equal (Seo.isa_hierarchy seo) (Seo.isa_hierarchy ref_seo)
+
+let prop_seo_matches_reference =
+  QCheck2.Test.make ~name:"SEO build equals the all-pairs reference" ~count:300
+    ~print:print_seo_case seo_case_gen (fun c ->
+      let docs = List.map Doc.of_tree (case_trees c) in
+      let lexicon = case_lexicon ~synonyms:true c in
+      let enhanced fused = (fused, Seo.create_exn ~metric:seo_metric ~eps:seo_eps fused) in
+      let built = Seo.of_documents ~metric:seo_metric ~eps:seo_eps ~lexicon docs in
+      let reference = Oracle.seo_of_documents ~metric:seo_metric ~eps:seo_eps ~lexicon docs in
+      let bare = Maker.make_all ~lexicon:(case_lexicon ~synonyms:false c) docs in
+      let split = Fusion.fuse_ontologies bare (Maker.auto_constraints ~lexicon bare) in
+      let split_reference =
+        Oracle.fuse_ontologies bare (Oracle.auto_constraints ~lexicon bare)
+      in
+      let with_fused r =
+        let seo = Result.get_ok r in
+        (Seo.ontology seo, seo)
+      in
+      same_seo (with_fused built) (with_fused reference)
+      && same_seo
+           (enhanced (Result.get_ok split))
+           (enhanced (Result.get_ok split_reference)))
+
+let test_seo_matches_reference () =
+  fallbacks := 0;
+  QCheck2.Test.check_exn ~rand:(Random.State.make [| 18 |]) prop_seo_matches_reference;
+  checkb "some cases take the universal-lift fallback" true (!fallbacks > 0)
+
+(* Canonical fusion against the reference on random hierarchies over
+   overlapping per-source pools, some nodes holding two terms, under
+   random [Leq]/[Eq]/[Neq] constraints that may name unknown terms and,
+   rarely, an unknown source. *)
+let fusion_hierarchy_gen source =
+  QCheck2.Gen.(
+    let pool = Array.init 6 (fun i -> Printf.sprintf "t%d" (i + (source * 3))) in
+    let term = int_bound (Array.length pool - 1) in
+    let* edges = list_size (int_range 0 6) (pair term term) in
+    let* merges = list_size (int_range 0 2) (pair term term) in
+    let* isolated = list_size (int_range 0 2) term in
+    let h =
+      Hierarchy.of_pairs
+        (List.filter_map
+           (fun (i, j) ->
+             if i = j then None else Some (pool.(min i j), pool.(max i j)))
+           edges)
+    in
+    let h = List.fold_left (fun h i -> Hierarchy.add_term pool.(i) h) h isolated in
+    return
+      (List.fold_left
+         (fun h (i, j) ->
+           let merged = Hierarchy.merge_terms pool.(i) pool.(j) h in
+           if Hierarchy.is_consistent merged then merged else h)
+         h merges))
+
+let fusion_case_gen =
+  QCheck2.Gen.(
+    let* k = int_range 1 3 in
+    let* hs = flatten_l (List.init k fusion_hierarchy_gen) in
+    let q =
+      pair
+        (oneofa (Array.append [| "u" |] (Array.init 12 (Printf.sprintf "t%d"))))
+        (frequency [ (12, int_bound (k - 1)); (1, return k) ])
+    in
+    let* cs =
+      list_size (int_range 0 4)
+        (let* a = q and* b = q in
+         oneofl [ Interop.leq a b; Interop.eq a b; Interop.neq a b ])
+    in
+    return (hs, cs))
+
+let print_fusion_case (hs, cs) =
+  Format.asprintf "@[<v>%a@,constraints: %a@]"
+    (Format.pp_print_list (fun ppf (i, h) ->
+         Format.fprintf ppf "source %d: %a" i Hierarchy.pp h))
+    (List.mapi (fun i h -> (i, h)) hs)
+    (Format.pp_print_list
+       ~pp_sep:(fun ppf () -> Format.pp_print_string ppf "; ")
+       Interop.pp)
+    cs
+
+type fusion_outcome =
+  | Fused of Hierarchy.t * Node.t option list  (** ψ of every input node *)
+  | Refused of Fusion.error
+  | Raised of string
+
+let fusion_outcome hs fuse =
+  let inputs =
+    List.concat (List.mapi (fun i h -> List.map (fun n -> (i, n)) (Hierarchy.nodes h)) hs)
+  in
+  match fuse () with
+  | Ok (fused, psi) -> Fused (fused, List.map (fun (source, n) -> psi ~source n) inputs)
+  | Error e -> Refused e
+  | exception Invalid_argument msg -> Raised msg
+
+let neq_refusals = ref 0
+
+let prop_fusion_matches_reference =
+  QCheck2.Test.make ~name:"fusion equals the per-(source, node) reference" ~count:500
+    ~print:print_fusion_case fusion_case_gen (fun (hs, cs) ->
+      List.for_all
+        (fun auto_equate ->
+          let got =
+            fusion_outcome hs (fun () ->
+                Result.map
+                  (fun { Fusion.fused; witness } -> (fused, Fusion.psi witness))
+                  (Fusion.fuse ~auto_equate hs cs))
+          in
+          let expected =
+            fusion_outcome hs (fun () ->
+                Result.map
+                  (fun { Oracle.fused; psi } -> (fused, psi))
+                  (Oracle.fuse ~auto_equate hs cs))
+          in
+          match (got, expected) with
+          | Fused (h, psi), Fused (h', psi') ->
+              Hierarchy.equal h h' && List.equal (Option.equal Node.equal) psi psi'
+          | Refused e, Refused e' ->
+              (match e with Fusion.Neq_violated _ -> incr neq_refusals | _ -> ());
+              e = e'
+          | Raised m, Raised m' -> m = m'
+          | _ -> false)
+        [ true; false ])
+
+let test_fusion_matches_reference () =
+  neq_refusals := 0;
+  QCheck2.Test.check_exn ~rand:(Random.State.make [| 18 |]) prop_fusion_matches_reference;
+  checkb "some cases violate a Neq constraint" true (!neq_refusals > 0)
+
 let () =
   Alcotest.run "toss_check"
     [
@@ -168,5 +421,12 @@ let () =
             test_fault_simjoin_no_recheck;
           Alcotest.test_case "shrinker rejects passing cases" `Quick
             test_shrinker_requires_failure;
+        ] );
+      ( "seo build",
+        [
+          Alcotest.test_case "equals the all-pairs reference" `Quick
+            test_seo_matches_reference;
+          Alcotest.test_case "fusion equals the reference" `Quick
+            test_fusion_matches_reference;
         ] );
     ]

@@ -206,7 +206,19 @@ let test_lexicon_synset_merge () =
     |> Lexicon.add_synset [ "b"; "c" ]
   in
   check_sl "merged synset" [ "a"; "b"; "c"; "d" ]
-    (List.sort String.compare (Lexicon.synonyms lex "a"))
+    (List.sort String.compare (Lexicon.synonyms lex "a"));
+  (* Merging the two ends of an isa edge leaves no edge behind, neither a
+     self-loop nor one to the synset that was merged away. *)
+  let lex =
+    Lexicon.empty
+    |> Lexicon.add_isa ~sub:"x" ~super:"y"
+    |> Lexicon.add_isa ~sub:"y" ~super:"z"
+    |> Lexicon.add_synset [ "x"; "y" ]
+  in
+  let isa = Lexicon.isa_hierarchy lex in
+  checki "merged ends form one node" 2 (Hierarchy.n_nodes isa);
+  checkb "merged node below z" true (Hierarchy.leq isa "x" "z");
+  check_sl "merged synset's hypernyms" [ "z" ] (Lexicon.hypernyms lex "x")
 
 let test_lexicon_hypernyms () =
   let lex =
