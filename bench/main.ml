@@ -3,10 +3,13 @@
 
      dune exec bench/main.exe                 -- run everything
      dune exec bench/main.exe -- fig15a fig16c  -- run a subset
+     dune exec bench/main.exe -- --quick      -- record one perf-suite run
+     dune exec bench/main.exe -- --check P1 C1 P2 C2 ...
+                                              -- gate parent/change rounds
 
    Experiments: fig15a fig15b fig15c fig16a fig16b fig16c
                 abl-sea abl-fuse abl-idx abl-plan abl-compile abl-simjoin
-                serve-cache serve-parallel micro
+                serve-cache serve-parallel serve-sharded
 
    Absolute times differ from the paper (their substrate was Xindice on a
    1.4 GHz Windows 2000 PC); the shapes -- who wins, by what factor, and
@@ -1026,102 +1029,19 @@ let serve_sharded () =
   Printf.printf "serve-sharded gate: PASS\n"
 
 (* ------------------------------------------------------------------ *)
-(* Bechamel micro-benchmarks: one Test.make per figure kernel            *)
-(* ------------------------------------------------------------------ *)
-
-let micro () =
-  B.print_header "Bechamel micro-benchmarks (one kernel per figure)";
-  let open Bechamel in
-  let corpus = Corpus.generate ~seed:77 ~n_papers:100 () in
-  let rendered = Dblp_gen.render ~seed:77 corpus in
-  let doc = Doc.of_tree rendered.Dblp_gen.tree in
-  let coll = collection_of_tree "dblp" rendered.Dblp_gen.tree in
-  let seo = seo_of_docs ~eps:2.0 [ doc ] in
-  let queries = Workload.selection_queries ~n:1 corpus in
-  let q = List.hd queries in
-  let sel_pattern, sel_sl = Workload.scalability_selection () in
-  let small = Corpus.generate ~seed:78 ~n_papers:30 () in
-  let sd = Dblp_gen.render ~seed:78 small in
-  let ss = Sigmod_gen.render ~seed:78 small in
-  let left = collection_of_tree "dblp" sd.Dblp_gen.tree in
-  let right = collection_of_trees "sigmod" ss.Sigmod_gen.trees in
-  let join_docs =
-    Doc.of_tree sd.Dblp_gen.tree :: List.map Doc.of_tree ss.Sigmod_gen.trees
-  in
-  let join_seo = seo_of_docs ~content_tags:[ "booktitle"; "conference" ] ~eps:2.0 join_docs in
-  let join_pattern, join_sl = Workload.join_query () in
-  let sea_h = Lexicon.isa_hierarchy (Lexicon.synthetic ~seed:9 ~n_terms:200) in
-  let tests =
-    [
-      Test.make ~name:"fig15-query-toss" (Staged.stage (fun () ->
-           ignore
-             (Executor.select ~mode:Executor.Toss seo coll ~pattern:q.Workload.pattern
-                ~sl:q.Workload.sl)));
-      Test.make ~name:"fig15-query-tax" (Staged.stage (fun () ->
-           ignore
-             (Executor.select ~mode:Executor.Tax seo coll ~pattern:q.Workload.pattern
-                ~sl:q.Workload.sl)));
-      Test.make ~name:"fig16a-selection" (Staged.stage (fun () ->
-           ignore (Executor.select ~mode:Executor.Toss seo coll ~pattern:sel_pattern ~sl:sel_sl)));
-      Test.make ~name:"fig16b-join" (Staged.stage (fun () ->
-           ignore
-             (Executor.join ~mode:Executor.Toss join_seo left right ~pattern:join_pattern
-                ~sl:join_sl)));
-      Test.make ~name:"fig16c-sea-enhance" (Staged.stage (fun () ->
-           ignore (Sea.enhance ~metric:Levenshtein.metric ~eps:2.0 sea_h)));
-      Test.make ~name:"kernel-levenshtein" (Staged.stage (fun () ->
-           ignore (Levenshtein.distance "Jeffrey David Ullman" "J. D. Ullmann")));
-      Test.make ~name:"kernel-name-rules" (Staged.stage (fun () ->
-           ignore
-             (Toss_similarity.Name_rules.distance "Jeffrey David Ullman" "J. D. Ullman")));
-      Test.make ~name:"kernel-xpath-eval" (Staged.stage (fun () ->
-           ignore (Collection.Snapshot.eval_string coll "//inproceedings[booktitle='VLDB']/author")));
-    ]
-  in
-  let benchmark test =
-    let instances = [ Toolkit.Instance.monotonic_clock ] in
-    let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 0.25) ~kde:(Some 100) () in
-    Benchmark.all cfg instances test
-  in
-  let analyze results =
-    let ols =
-      Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
-    in
-    Analyze.all ols Toolkit.Instance.monotonic_clock results
-  in
-  List.iter
-    (fun test ->
-      let results = benchmark (Test.make_grouped ~name:"g" [ test ]) in
-      let analysis = analyze results in
-      Hashtbl.iter
-        (fun name result ->
-          match Analyze.OLS.estimates result with
-          | Some [ est ] -> Printf.printf "%-28s %12.1f ns/run\n" name est
-          | _ -> Printf.printf "%-28s (no estimate)\n" name)
-        analysis)
-    tests
-
-(* ------------------------------------------------------------------ *)
 (* The perf suite and its regression gate                                *)
 (* ------------------------------------------------------------------ *)
 
-(* A small, fast, deterministic suite over the same kernels as [micro],
-   measured as wall-clock medians so runs are comparable across commits.
-   [--quick] records its medians as the baseline artifact (BENCH_8.json
-   at the repo root); [--check] re-measures and fails the process when
-   any median regressed beyond the tolerance. Older baselines are kept
-   so earlier refactors can still be gated against: BENCH_2.json is
-   pre-planner, BENCH_3.json pre-server, BENCH_4.json pre-MVCC,
-   BENCH_5.json pre-compilation, BENCH_6.json pre-simjoin,
-   BENCH_7.json pre-sharding (the gate only iterates baseline entries,
-   so kernels newer than a baseline are ignored when checking against
-   it). *)
+(* A small, fast, deterministic suite over the figures' kernels, measured
+   as wall-clock medians. [--quick] records one run; [--check] judges
+   parent/change rounds recorded on the same runner, so the gate compares
+   two commits, never a commit against numbers from another machine. *)
 module Baseline = Toss_eval.Baseline
 
-let baseline_label = "toss-perf-suite"
-let default_baseline_path = "BENCH_8.json"
+let suite_label = "toss-perf-suite"
+let default_out = Filename.concat results_dir "bench_current.json"
 
-let perf_suite ~slowdown () =
+let perf_suite () =
   B.print_header "Perf suite (wall-clock medians for the regression gate)";
   let corpus = Corpus.generate ~seed:77 ~n_papers:100 () in
   let rendered = Dblp_gen.render ~seed:77 corpus in
@@ -1165,27 +1085,6 @@ let perf_suite ~slowdown () =
   in
   let sea_h = Lexicon.isa_hierarchy (Lexicon.synthetic ~seed:9 ~n_terms:200) in
   let srv = serve_engine ~seed:91 ~n_papers:100 in
-  (* Scale-out kernel deployment: the serve-uncached corpus and query,
-     but end to end through the scatter-gather router over two shard
-     servers -- so the measured delta over [serve-uncached] is the wire
-     framing, the fan-out, and the canonical merge. *)
-  let shk_s1, shk_stop1 = spawn_server () in
-  let shk_s2, shk_stop2 = spawn_server () in
-  let shk_router, shk_stop_router = spawn_router [ shk_s1; shk_s2 ] in
-  let shk_conn =
-    match Client.connect shk_router with
-    | Ok c -> c
-    | Error msg -> failwith ("serve-sharded kernel connect: " ^ msg)
-  in
-  let shk_query =
-    Protocol.Query
-      { collection = "dblp"; tql = serve_tql; mode = Executor.Toss; cache = false }
-  in
-  (let rendered = Dblp_gen.render ~seed:91 (Corpus.generate ~seed:91 ~n_papers:100 ()) in
-   let xml = Printer.to_string rendered.Dblp_gen.tree in
-   match Client.call shk_conn (Protocol.Insert { collection = "dblp"; xml }) with
-   | Ok _ -> ()
-   | Error f -> failwith ("serve-sharded kernel insert: " ^ Client.failure_to_string f));
   (* Similarity-pairing kernels at the 10k x 10k scale the regression
      gate demands. A full executor join at that scale spends minutes in
      the nested loop's per-pair environment plumbing, so the kernels
@@ -1313,147 +1212,198 @@ let perf_suite ~slowdown () =
   (* 11 runs: the sub-millisecond kernels need the extra samples for the
      median to be stable across invocations. *)
   let runs = 11 in
+  let kernel name runs f () =
+    (* Start every kernel from a compacted heap: the pairing sweeps
+       above leave tens of MB of floating garbage whose collection
+       would otherwise be billed to whichever kernel runs next. *)
+    Gc.compact ();
+    (* Warm caches and indexes out of the measurement; single-run
+       kernels are whole-second sweeps already warmed above. *)
+    if runs > 1 then f ();
+    let (), median_s = B.time_median ~runs f in
+    Printf.printf "  %-19s median %10.3f ms over %d runs\n" name (1000. *. median_s) runs;
+    (name, { Baseline.median_s; runs })
+  in
+  (* One uncached round trip through the router: JSON framing both hops,
+     scatter to both shards, canonical-merge of the answers. Compare
+     with serve-uncached (same corpus and query, engine only) to read
+     off the serving tier's overhead. The two shards and the router
+     (6 pool domains) live only while this kernel runs: idle domains
+     still join every stop-the-world minor collection, which would slow
+     the kernels that allocate most. *)
+  let serve_sharded () =
+    let s1, stop1 = spawn_server () in
+    let s2, stop2 = spawn_server () in
+    let router, stop_router = spawn_router [ s1; s2 ] in
+    let conn =
+      match Client.connect router with
+      | Ok c -> c
+      | Error msg -> failwith ("serve-sharded kernel connect: " ^ msg)
+    in
+    Fun.protect
+      ~finally:(fun () ->
+        Client.close conn;
+        stop_router ();
+        stop1 ();
+        stop2 ())
+      (fun () ->
+        (let rendered =
+           Dblp_gen.render ~seed:91 (Corpus.generate ~seed:91 ~n_papers:100 ())
+         in
+         let xml = Printer.to_string rendered.Dblp_gen.tree in
+         match Client.call conn (Protocol.Insert { collection = "dblp"; xml }) with
+         | Ok _ -> ()
+         | Error f ->
+             failwith ("serve-sharded kernel insert: " ^ Client.failure_to_string f));
+        let query =
+          Protocol.Query
+            { collection = "dblp"; tql = serve_tql; mode = Executor.Toss; cache = false }
+        in
+        kernel "serve-sharded" runs
+          (fun () ->
+            match Client.call conn query with
+            | Ok _ -> ()
+            | Error f ->
+                failwith ("serve-sharded kernel: " ^ Client.failure_to_string f))
+          ())
+  in
   let kernels =
     [
-      ("select-toss", runs, fun () ->
+      kernel "select-toss" runs (fun () ->
           ignore
             (Executor.select ~mode:Executor.Toss seo coll ~pattern:q.Workload.pattern
                ~sl:q.Workload.sl));
-      ("select-tax", runs, fun () ->
+      kernel "select-tax" runs (fun () ->
           ignore
             (Executor.select ~mode:Executor.Tax seo coll ~pattern:q.Workload.pattern
                ~sl:q.Workload.sl));
-      ("select-scal", runs, fun () ->
+      kernel "select-scal" runs (fun () ->
           ignore
             (Executor.select ~mode:Executor.Toss seo coll ~pattern:sel_pattern
                ~sl:sel_sl));
-      ("join", runs, fun () ->
+      kernel "join" runs (fun () ->
           ignore
             (Executor.join ~mode:Executor.Toss join_seo left right
                ~pattern:join_pattern ~sl:join_sl));
-      ("join-eq-planned", runs, fun () ->
+      kernel "join-eq-planned" runs (fun () ->
           ignore
             (Executor.join ~mode:Executor.Tax eq_seo eq_coll eq_coll
                ~pattern:eq_pattern ~sl:eq_sl));
-      ("join-eq-naive", runs, fun () ->
+      kernel "join-eq-naive" runs (fun () ->
           ignore
             (self_join_plan ~mode:Rewrite.Tax ~optimize:false eq_seo eq_coll
                ~pattern:eq_pattern ~sl:eq_sl));
-      ("join-sim", runs, fun () -> ignore (simk_sim ()));
+      kernel "join-sim" runs (fun () -> ignore (simk_sim ()));
       (* One measured sweep: 10^8 predicate evaluations make this a
          multi-second kernel whose variance is negligible at that scale;
          a median over repeats would only slow the suite. The
          witness-equality check above already served as its warm-up. *)
-      ("join-sim-naive", 1, fun () -> ignore (simk_naive ()));
-      ("match-compiled", runs, fun () ->
+      kernel "join-sim-naive" 1 (fun () -> ignore (simk_naive ()));
+      kernel "match-compiled" runs (fun () ->
           ignore
             (Executor.select ~mode:Executor.Toss m_seo m_coll ~pattern:sel_pattern
                ~sl:sel_sl));
-      ("match-interpreted", runs, fun () ->
+      kernel "match-interpreted" runs (fun () ->
           ignore
             (Executor.select ~mode:Executor.Toss ~compile:false m_seo m_coll
                ~pattern:sel_pattern ~sl:sel_sl));
-      ("xpath-eval", runs, fun () ->
+      kernel "xpath-eval" runs (fun () ->
           ignore (Collection.Snapshot.eval_string coll "//inproceedings[booktitle='VLDB']/author"));
-      ("sea-enhance", runs, fun () ->
+      kernel "sea-enhance" runs (fun () ->
           ignore (Sea.enhance ~metric:Levenshtein.metric ~eps:2.0 sea_h));
+      (* The two string measures behind author similarity. One call is
+         about a microsecond, so each kernel times a batch of 1000. *)
+      kernel "kernel-levenshtein" runs (fun () ->
+          for _ = 1 to 1000 do
+            ignore (Levenshtein.distance "Jeffrey David Ullman" "J. D. Ullmann")
+          done);
+      kernel "kernel-name-rules" runs (fun () ->
+          for _ = 1 to 1000 do
+            ignore
+              (Toss_similarity.Name_rules.distance "Jeffrey David Ullman" "J. D. Ullman")
+          done);
       (* Server kernels: the same query through the engine, uncached vs a
-         cache hit. The per-kernel warm-up call below pays the SEO
-         precompute (uncached) and populates the cache (cached), so the
-         measured runs are a pure miss-path / hit-path comparison. *)
-      ("serve-uncached", runs, fun () -> ignore (serve_query ~cache:false srv));
+         cache hit. The per-kernel warm-up call pays the SEO precompute
+         (uncached) and populates the cache (cached), so the measured
+         runs are a pure miss-path / hit-path comparison. *)
+      kernel "serve-uncached" runs (fun () -> ignore (serve_query ~cache:false srv));
       (* A single hit is ~1us -- far too small for a stable median under
          a 20% gate -- so the kernel measures a batch of 500. *)
-      ("serve-cached", runs, fun () ->
+      kernel "serve-cached" runs (fun () ->
           for _ = 1 to 500 do ignore (serve_query srv) done);
+      serve_sharded;
       (* The parallel read path: 8 uncached queries spread over 4 worker
          domains, all pinning snapshots of the same collection. On one
          core this is the serial cost of 8 queries; on many it shrinks
          toward 2x one query -- either way a regression here means the
          read path started contending. *)
-      (* One uncached round trip through the router: JSON framing both
-         hops, scatter to both shards, canonical-merge of the answers.
-         Compare with serve-uncached (same corpus and query, engine
-         only) to read off the serving tier's overhead. *)
-      ("serve-sharded", runs, fun () ->
-          match Client.call shk_conn shk_query with
-          | Ok _ -> ()
-          | Error f ->
-              failwith ("serve-sharded kernel: " ^ Client.failure_to_string f));
-      ("serve-par4", runs, fun () ->
+      kernel "serve-par4" runs (fun () ->
           let domains =
             List.init 4 (fun _ ->
                 Domain.spawn (fun () ->
                     for _ = 1 to 2 do ignore (serve_query ~cache:false srv) done))
           in
           List.iter Domain.join domains);
-      ("seo-build", runs, fun () -> ignore (seo_build ()));
-      ("seo-build-reference", 1, fun () -> ignore (seo_build_reference ()));
+      kernel "seo-build" runs (fun () -> ignore (seo_build ()));
+      kernel "seo-build-reference" 1 (fun () -> ignore (seo_build_reference ()));
     ]
   in
-  let entries =
-    List.map
-      (fun (name, runs, kernel) ->
-        (* Start every kernel from a compacted heap: the pairing sweeps
-           above leave tens of MB of floating garbage whose collection
-           would otherwise be billed to whichever kernel runs next. *)
-        Gc.compact ();
-        (* Warm caches and indexes out of the measurement; single-run
-           kernels are whole-second sweeps already warmed above. *)
-        if runs > 1 then kernel ();
-        let (), median_s = B.time_median ~runs kernel in
-        let median_s = median_s *. slowdown in
-        Printf.printf "  %-16s median %10.3f ms over %d runs\n" name
-          (1000. *. median_s) runs;
-        (name, { Baseline.median_s; runs }))
-      kernels
-  in
-  Client.close shk_conn;
-  shk_stop_router ();
-  shk_stop1 ();
-  shk_stop2 ();
-  Baseline.v ~label:baseline_label entries
+  Baseline.v ~label:suite_label (List.map (fun k -> k ()) kernels)
 
-(* [--quick]: run the suite and record BENCH_8.json (or --out FILE).
-   [--quick --check]: run the suite, save the current measurements to
-   bench_results/ (never clobbering the committed baseline), and exit
-   non-zero when the gate fails. [--slowdown F] multiplies the measured
-   medians -- a self-test hook so the gate's failure path can be
-   exercised deterministically ([--check --slowdown 2] must fail). *)
-let gate ~check ~baseline_path ~out ~tolerance ~slowdown () =
-  let current = perf_suite ~slowdown () in
-  if not check then begin
-    let path = Option.value out ~default:default_baseline_path in
-    Baseline.save ~path current;
-    Printf.printf "baseline recorded: %s\n" path;
+(* Writes [run] to [out], creating its directory (one level) if needed. *)
+let save ~out run =
+  let dir = Filename.dirname out in
+  if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
+  Baseline.save ~path:out run
+
+(* [--quick]: run the suite once and record it. *)
+let record ~out =
+  save ~out (perf_suite ());
+  Printf.printf "run recorded: %s\n" out;
+  0
+
+(* [--check P1 C1 P2 C2 ...]: judge recorded (parent, change) rounds;
+   nothing is measured. The change rounds' per-kernel median is saved to
+   [out] for the ratio gates that read it. Exit 0 on a pass, 1 when a
+   kernel is slower or missing, 2 when the rounds cannot be read. *)
+let check ~out paths =
+  let load path =
+    match Baseline.load ~path with
+    | Ok run -> run
+    | Error msg ->
+        Printf.eprintf "bench --check: cannot read %s: %s\n" path msg;
+        exit 2
+  in
+  let rec pairs = function
+    | parent :: change :: rest -> (parent, change) :: pairs rest
+    | _ -> []
+  in
+  let n = List.length paths in
+  if n = 0 || n mod 2 = 1 then begin
+    Printf.eprintf
+      "bench --check: expected parent/change pairs of run files, got %d file(s)\n" n;
+    exit 2
+  end;
+  let rounds = pairs (List.map load paths) in
+  save ~out (Baseline.median (List.map snd rounds));
+  let verdicts, ok = Baseline.compare_runs rounds in
+  Printf.printf "gate over %d round(s), median change/parent ratio at most %.2f:\n"
+    (List.length rounds) (1. +. Baseline.tolerance);
+  Format.printf "%a@." Baseline.pp_verdicts verdicts;
+  Printf.printf "change medians saved: %s\n" out;
+  if ok then begin
+    Printf.printf "gate: PASS\n";
     0
   end
-  else
-    match Baseline.load ~path:baseline_path with
-    | Error msg ->
-        Printf.eprintf "cannot load baseline %s: %s\n" baseline_path msg;
-        1
-    | Ok baseline ->
-        let out_path =
-          Option.value out ~default:(Filename.concat results_dir "bench_current.json")
-        in
-        (match Sys.is_directory results_dir with
-        | true -> ()
-        | false | (exception Sys_error _) -> Sys.mkdir results_dir 0o755);
-        Baseline.save ~path:out_path current;
-        let verdicts, ok = Baseline.compare_runs ~tolerance ~baseline ~current () in
-        Printf.printf "\ngate (tolerance %+.0f%%) against %s:\n"
-          (100. *. tolerance) baseline_path;
-        Format.printf "%a@." Baseline.pp_verdicts verdicts;
-        Printf.printf "current run saved: %s\n" out_path;
-        if ok then begin
-          Printf.printf "gate: PASS\n";
-          0
-        end
-        else begin
-          Printf.printf "gate: FAIL (median latency regressed beyond tolerance)\n";
-          1
-        end
+  else begin
+    let failed =
+      List.filter_map
+        (fun (v : Baseline.verdict) -> if v.ok then None else Some v.name)
+        verdicts
+    in
+    Printf.printf "gate: FAIL (%s)\n" (String.concat ", " failed);
+    1
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Driver                                                                *)
@@ -1476,49 +1426,47 @@ let experiments =
     ("serve-cache", serve_cache);
     ("serve-parallel", serve_parallel);
     ("serve-sharded", serve_sharded);
-    ("micro", micro);
   ]
 
 let usage () =
   Printf.eprintf
     "usage: bench [EXPERIMENT...]\n\
-    \       bench --quick [--out FILE]                 record BENCH_8.json\n\
-    \       bench --quick --check [--baseline FILE]    gate against a baseline\n\
-    \            [--tolerance X] [--slowdown F] [--out FILE]\n\
+    \       bench --quick [--out FILE]              record one perf-suite run\n\
+    \       bench --check P1 C1 [P2 C2 ...] [--out FILE]\n\
+    \                                              gate parent/change rounds\n\
+     --out defaults to %s\n\
      experiments: %s\n"
+    default_out
     (String.concat ", " (List.map fst experiments))
 
 let () =
   let quick = ref false in
-  let check = ref false in
-  let baseline_path = ref default_baseline_path in
-  let out = ref None in
-  let tolerance = ref 0.2 in
-  let slowdown = ref 1.0 in
-  let names = ref [] in
+  let check_rounds = ref false in
+  let out = ref default_out in
+  let args = ref [] in
   let rec parse = function
     | [] -> ()
     | "--quick" :: rest -> quick := true; parse rest
-    | "--check" :: rest -> quick := true; check := true; parse rest
-    | "--baseline" :: path :: rest -> baseline_path := path; parse rest
-    | "--out" :: path :: rest -> out := Some path; parse rest
-    | "--tolerance" :: x :: rest -> tolerance := float_of_string x; parse rest
-    | "--slowdown" :: f :: rest -> slowdown := float_of_string f; parse rest
+    | "--check" :: rest -> check_rounds := true; parse rest
+    | "--out" :: path :: rest -> out := path; parse rest
     | ("--help" | "-h") :: _ -> usage (); exit 0
     | arg :: _ when String.length arg > 0 && arg.[0] = '-' ->
         Printf.eprintf "unknown option %S\n" arg;
         usage ();
         exit 1
-    | name :: rest -> names := name :: !names; parse rest
+    | arg :: rest -> args := arg :: !args; parse rest
   in
   parse (List.tl (Array.to_list Sys.argv));
-  if !quick then
-    exit
-      (gate ~check:!check ~baseline_path:!baseline_path ~out:!out
-         ~tolerance:!tolerance ~slowdown:!slowdown ())
+  let args = List.rev !args in
+  if !quick && (!check_rounds || args <> []) then begin
+    usage ();
+    exit 1
+  end;
+  if !quick then exit (record ~out:!out)
+  else if !check_rounds then exit (check ~out:!out args)
   else begin
     let requested =
-      match List.rev !names with [] -> List.map fst experiments | names -> names
+      match args with [] -> List.map fst experiments | names -> names
     in
     List.iter
       (fun name ->

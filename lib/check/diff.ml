@@ -22,10 +22,7 @@ type failure = {
 
 let mode_name = function Executor.Tax -> "tax" | Executor.Toss -> "toss"
 
-(* Results compare as canonicalized multisets: [Tree.compare] is a total
-   order, so sorting both sides makes the comparison order-insensitive
-   while still counting duplicates. *)
-let canonical trees = List.sort Tree.compare trees
+let canonical = Toss_tax.Witness.canonical
 
 let equal_multiset a b =
   List.length a = List.length b && List.for_all2 Tree.equal a b

@@ -14,9 +14,6 @@
 
 type config = Compiled | Interpreted
 
-val configs : config list
-(** [[Compiled; Interpreted]]: the default engine first. *)
-
 val config_name : config -> string
 (** ["compiled"] or ["interpreted"]. *)
 
@@ -32,8 +29,8 @@ type failure = {
 val mode_name : Toss_core.Executor.mode -> string
 
 val canonical : Toss_xml.Tree.t list -> Toss_xml.Tree.t list
-(** Sorted by {!Toss_xml.Tree.compare} — the multiset normal form
-    results are compared in. *)
+(** {!Toss_tax.Witness.canonical}: sorted by {!Toss_xml.Tree.compare} —
+    the multiset normal form results are compared in. *)
 
 val check_case : Gen.case -> failure option
 (** [None] when every mode × configuration agrees with the oracle; the

@@ -13,14 +13,6 @@ type t
 
 val v : Doc.t -> Ontology.t -> t
 
-val of_doc :
-  ?lexicon:Toss_ontology.Lexicon.t ->
-  ?content_tags:string list ->
-  ?max_content_terms:int ->
-  Doc.t ->
-  t
-(** Runs the Ontology Maker. *)
-
 val of_tree :
   ?lexicon:Toss_ontology.Lexicon.t ->
   ?content_tags:string list ->

@@ -50,7 +50,6 @@ val isa_hierarchy : t -> Hierarchy.t
 (** The enhanced isa hierarchy when an enhancement exists, the fused one
     otherwise. *)
 
-val part_of_hierarchy : t -> Hierarchy.t
 val enhancement : t -> Sea.t option
 val ontology : t -> Ontology.t
 (** The fused (pre-enhancement) ontology. *)

@@ -42,8 +42,6 @@ let add_collection_unlocked t name =
   | Some c -> c
   | None -> Database.create_collection t.database name
 
-let add_collection t name = locked t (fun () -> add_collection_unlocked t name)
-
 let insert t ~collection tree =
   locked t (fun () ->
       let id = Collection.add_document (add_collection_unlocked t collection) tree in

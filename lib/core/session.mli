@@ -9,7 +9,7 @@
     {2 Concurrency}
 
     A session is safe to share across domains. Writes
-    ({!insert}/{!add_xml}/{!add_collection}/{!invalidate}) and the
+    ({!insert}/{!add_xml}/{!invalidate}) and the
     (SEO, snapshot) capture done by {!pin} are serialized by an internal
     mutex; query {e execution} ({!query_at}) holds no lock at all — it
     reads only the immutable pinned state, so any number of queries run
@@ -29,9 +29,6 @@ val create :
   unit ->
   t
 (** The default measure is Levenshtein with [eps = 2]. *)
-
-val add_collection : t -> string -> Toss_store.Collection.t
-(** Creates (or returns) a named collection. *)
 
 val add_document : t -> collection:string -> Toss_xml.Tree.t -> unit
 

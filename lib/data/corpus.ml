@@ -110,8 +110,6 @@ let papers_by_author t id = filter_papers t (fun p -> List.mem id p.author_ids)
 let papers_by_venue_category t cat =
   filter_papers t (fun p -> (venue t p.venue_id).category = cat)
 
-let papers_by_topic t topic = filter_papers t (fun p -> p.topic = Some topic)
-let papers_by_year t year = filter_papers t (fun p -> p.year = year)
 
 let correct_keys t ?author ?category ?topic ?year () =
   filter_papers t (fun p ->

@@ -48,8 +48,6 @@ val paper_by_key : t -> string -> paper option
 
 val papers_by_author : t -> int -> paper list
 val papers_by_venue_category : t -> string -> paper list
-val papers_by_topic : t -> string -> paper list
-val papers_by_year : t -> int -> paper list
 
 val correct_keys : t -> ?author:int -> ?category:string -> ?topic:string -> ?year:int ->
   unit -> string list

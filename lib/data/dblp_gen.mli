@@ -15,6 +15,3 @@ type t = {
 }
 
 val render : ?seed:int -> Corpus.t -> t
-
-val style_profile : (Variant.style * float) list
-(** The rendering-style distribution (weights sum to 1). *)

@@ -6,9 +6,6 @@
 
 type person = { first : string; middle : string option; last : string }
 
-val first_names : string array
-val last_names : string array
-
 val fresh : Random.State.t -> person
 (** Draws a person; ~50% receive a middle name. *)
 

@@ -16,5 +16,3 @@ type t = {
 
 val render : ?seed:int -> ?venue_ids:int list -> Corpus.t -> t
 (** [venue_ids] restricts the pages to some venues (default: all). *)
-
-val style_profile : (Variant.style * float) list

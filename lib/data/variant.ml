@@ -6,8 +6,6 @@ type style =
   | Concat
   | Typo of int
 
-let all_styles = [ Full; First_initial; All_initials; Drop_middle; Concat; Typo 1; Typo 2 ]
-
 let initial s = Printf.sprintf "%c." s.[0]
 
 let deterministic_typo i s =

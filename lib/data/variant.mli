@@ -22,6 +22,3 @@ val random_typo : Random.State.t -> string -> string
 
 val render_with_rng : Random.State.t -> Names.person -> style -> string
 (** Like {!render}, drawing typo positions from the RNG. *)
-
-val all_styles : style list
-(** One of each (with [Typo 1] and [Typo 2]). *)

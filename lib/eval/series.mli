@@ -29,9 +29,6 @@ val to_json : ?metrics:string -> t -> string
     under a ["metrics"] key, so a run's artifact carries the
     observability counters that produced it. *)
 
-val save_json : dir:string -> ?metrics:string -> t -> string
-(** Writes [<dir>/<name>.json] (creating [dir]) and returns the path. *)
-
 val save_all : dir:string -> ?metrics:string -> t list -> string list
 (** CSVs plus one [.gp] and one [.json] per series; returns all written
     paths. [metrics] is embedded in each JSON artifact. *)

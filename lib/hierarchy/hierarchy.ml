@@ -22,12 +22,6 @@ let add_node node t =
 
 let nodes_of term t = Option.value ~default:[] (Smap.find_opt term t.index)
 
-let node_of term t =
-  match nodes_of term t with
-  | [] -> None
-  | [ n ] -> Some n
-  | _ -> invalid_arg ("Hierarchy.node_of: ambiguous term " ^ term)
-
 let add_term term t =
   match nodes_of term t with [] -> add_node (Node.singleton term) t | _ -> t
 

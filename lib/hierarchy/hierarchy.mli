@@ -46,10 +46,6 @@ val mem_term : string -> t -> bool
 val nodes_of : string -> t -> Node.t list
 (** All nodes containing the term (at most one unless similarity-enhanced). *)
 
-val node_of : string -> t -> Node.t option
-(** The unique node containing the term.
-    @raise Invalid_argument when the term is in several nodes. *)
-
 val leq : t -> string -> string -> bool
 (** [leq h a b] holds iff some node containing [a] reaches some node
     containing [b] (so it is reflexive on known terms). Unknown terms are
@@ -70,9 +66,6 @@ val least_upper_bound : t -> string -> string -> Node.t option
 
 val roots : t -> Node.t list
 val leaves : t -> Node.t list
-
-val lower_bounds : t -> string -> string -> Node.t list
-(** Maximal common lower bounds of the two terms. *)
 
 val greatest_lower_bound : t -> string -> string -> Node.t option
 

@@ -75,8 +75,6 @@ let create ?db_dir ?metric ?(eps = 2.0) ?(cache_capacity = 256) () =
           db_dir;
         }
 
-let config_fingerprint t = t.config
-
 let write_locked t f =
   Mutex.lock t.write_lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.write_lock) f

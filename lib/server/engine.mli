@@ -54,9 +54,6 @@ val create :
     (default 256). [Error] aggregates hydration failures
     ({!Toss_store.Persist.load_database}). *)
 
-val config_fingerprint : t -> string
-(** The SEO-configuration component of the cache key. *)
-
 val exec :
   t -> deadline:float option -> Protocol.request -> (Toss_json.t, Protocol.error) result
 (** Executes one request, from any domain (see the concurrency contract

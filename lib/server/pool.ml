@@ -86,12 +86,6 @@ let submit t job =
   Mutex.unlock t.lock;
   outcome
 
-let queue_depth t =
-  Mutex.lock t.lock;
-  let n = Queue.length t.jobs in
-  Mutex.unlock t.lock;
-  n
-
 (* A second caller waits on [joining] until the first has joined every
    worker, so [stop] returns only once the queue is drained, whoever
    calls it. *)

@@ -39,8 +39,6 @@ val submit : t -> (queue_wait_s:float -> unit) -> outcome
     [queue_wait_s] is the seconds the job sat in the queue between
     admission and dequeue (clamped non-negative against clock steps). *)
 
-val queue_depth : t -> int
-
 val stop : t -> unit
 (** Stops accepting work, lets workers drain the queue, then joins
     them. Idempotent: a concurrent or later call also returns only once

@@ -318,11 +318,6 @@ type codec = Json | Binary
 
 let codec_name = function Json -> "json" | Binary -> "binary"
 
-let codec_of_name = function
-  | "json" -> Some Json
-  | "binary" -> Some Binary
-  | _ -> None
-
 let binary_magic = '\xB1'
 let max_frame = 64 * 1024 * 1024
 

@@ -67,8 +67,6 @@ type error = { code : error_code; message : string }
 val code_name : error_code -> string
 (** The wire name, e.g. ["deadline_exceeded"]. *)
 
-val code_of_name : string -> error_code option
-
 val error : error_code -> string -> error
 
 type request =
@@ -166,8 +164,6 @@ type codec = Json | Binary
 
 val codec_name : codec -> string
 (** ["json"] / ["binary"] — the CLI's [--codec] values. *)
-
-val codec_of_name : string -> codec option
 
 val binary_magic : char
 (** [0xB1] — sent once by a binary client as the very first byte of the

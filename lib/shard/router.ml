@@ -3,7 +3,7 @@ module P = Toss_server.Protocol
 module Client = Toss_server.Client
 module Parser = Toss_xml.Parser
 module Printer = Toss_xml.Printer
-module Diff = Toss_check.Diff
+module Witness = Toss_tax.Witness
 module Metrics = Toss_obs.Metrics
 
 let m_requests op = Metrics.counter ~labels:[ ("op", op) ] "router.requests.total"
@@ -273,7 +273,7 @@ let merge state ~failed answered own =
   in
   let* parts = collect [] oks in
   let payloads = List.map (fun (_, _, p, _) -> p) parts in
-  let merged = Diff.canonical (List.concat_map (fun (_, _, _, ts) -> ts) parts) in
+  let merged = Witness.canonical (List.concat_map (fun (_, _, _, ts) -> ts) parts) in
   let compute_ms =
     List.fold_left (fun acc p -> Float.max acc (num_field p "compute_ms")) 0. payloads
   in

@@ -24,7 +24,7 @@
       one shard's.
     - [query] on a partitioned collection fans out to all shards and
       merges: trees concatenated and canonicalized with
-      {!Toss_check.Diff.canonical} (the multiset normal form the
+      {!Toss_tax.Witness.canonical} (the multiset normal form the
       differential harness compares in), [version] = sum of shard
       versions, [count] = merged tree count, [cache] = ["hit"] iff
       every shard hit, plus a per-shard array of

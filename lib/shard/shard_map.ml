@@ -14,7 +14,6 @@ let make ~shards ~replicated =
 
 let n t = Array.length t.shards
 let addr t i = t.shards.(i)
-let addrs t = Array.to_list t.shards
 let replicated t collection = List.mem collection t.replicated
 
 let splitmix64 z =

@@ -39,8 +39,6 @@ val n : t -> int
 val addr : t -> int -> string
 (** Address of shard [i] (0-based, in [make]'s order). *)
 
-val addrs : t -> string list
-
 val replicated : t -> string -> bool
 (** Whether [collection] is replicated on every shard. *)
 

@@ -121,7 +121,6 @@ let force_index (e : entry) =
 let v_index v id = force_index (v_entry v id)
 let v_doc_ids v = List.init (Array.length v.entries) Fun.id
 let v_n_documents v = Array.length v.entries
-let v_size_bytes v = v.snap_bytes
 
 let v_n_nodes v =
   let total = ref 0 in
@@ -325,7 +324,6 @@ module Snapshot = struct
   let index = v_index
   let doc_ids = v_doc_ids
   let n_documents = v_n_documents
-  let size_bytes = v_size_bytes
   let n_nodes = v_n_nodes
   let eval = v_eval
   let eval_string = v_eval_string
@@ -347,7 +345,6 @@ let doc t id = v_doc (snapshot t) id
 let index t id = v_index (snapshot t) id
 let doc_ids t = v_doc_ids (snapshot t)
 let n_documents t = v_n_documents (snapshot t)
-let size_bytes t = v_size_bytes (snapshot t)
 let n_nodes t = v_n_nodes (snapshot t)
 let eval ?use_index t xpath = v_eval ?use_index (snapshot t) xpath
 let eval_string ?use_index t s = v_eval_string ?use_index (snapshot t) s

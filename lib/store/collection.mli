@@ -77,7 +77,6 @@ module Snapshot : sig
   (** Every id stored at this version, in insertion order. *)
 
   val n_documents : t -> int
-  val size_bytes : t -> int
   val n_nodes : t -> int
 
   val eval :
@@ -159,9 +158,6 @@ val doc_ids : t -> doc_id list
 
 val n_documents : t -> int
 (** Number of stored documents. *)
-
-val size_bytes : t -> int
-(** Total serialized size of all stored documents. *)
 
 val n_nodes : t -> int
 (** Total element count across all stored documents. *)

@@ -56,6 +56,3 @@ let intersect c1 c2 = List.filter (fun t -> List.exists (Tree.equal t) c2) (dedu
 
 let difference c1 c2 =
   List.filter (fun t -> not (List.exists (Tree.equal t) c2)) (dedup c1)
-
-let embeddings_of_tree ?(eval = default_eval) ~pattern tree =
-  Embedding.enumerate ~eval (Doc.of_tree tree) pattern

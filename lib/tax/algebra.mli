@@ -41,7 +41,3 @@ val union : collection -> collection -> collection
 
 val intersect : collection -> collection -> collection
 val difference : collection -> collection -> collection
-
-val embeddings_of_tree :
-  ?eval:evaluator -> pattern:Pattern.t -> Toss_xml.Tree.t -> Embedding.binding list
-(** Convenience used by tests and the executor. *)

@@ -8,9 +8,6 @@
 
 type agg = Count | Sum | Avg | Min | Max
 
-val group_root_tag : string
-(** ["tax_group_root"] *)
-
 val group_by :
   ?eval:Algebra.evaluator ->
   pattern:Pattern.t ->

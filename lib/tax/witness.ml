@@ -63,3 +63,7 @@ let of_binding doc binding ~sl =
          the forest is always a single tree. *)
       invalid_arg
         (Printf.sprintf "Witness.of_binding: %d roots (expected 1)" (List.length trees))
+
+(* [Tree.compare] is a total order, so sorting makes a comparison of
+   two result lists order-insensitive while still counting duplicates. *)
+let canonical trees = List.sort Tree.compare trees

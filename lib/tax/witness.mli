@@ -16,7 +16,7 @@ val of_binding :
 (** The witness tree of one embedding; images of labels in [sl] contribute
     their entire subtrees. *)
 
-val nodes_of_binding :
-  Toss_xml.Tree.Doc.t -> Embedding.binding -> sl:int list -> Toss_xml.Tree.Doc.node list
-(** The node set underlying {!of_binding} (images plus SL descendants),
-    sorted in document order. *)
+val canonical : Toss_xml.Tree.t list -> Toss_xml.Tree.t list
+(** Sorted by {!Toss_xml.Tree.compare}: the multiset normal form in which
+    result lists compare, and in which the sharded router merges its
+    shards' answers. *)

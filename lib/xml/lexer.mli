@@ -22,13 +22,11 @@ val advance : state -> unit
 val skip_whitespace : state -> unit
 val looking_at : state -> string -> bool
 val expect : state -> string -> unit
-val is_name_start : char -> bool
 val name : state -> string
 
 val entity : state -> string
 (** Consumes [&...;] and returns the replacement text. *)
 
-val quoted_value : state -> string
 val attributes : state -> (string * string) list
 val skip_comment : state -> unit
 val cdata : state -> string

@@ -1,11 +1,5 @@
 (** XML serialization. *)
 
-val escape_text : string -> string
-(** Escapes [&], [<] and [>]. *)
-
-val escape_attr : string -> string
-(** Escapes ampersand, angle brackets and both quote characters. *)
-
 val to_string : ?decl:bool -> Tree.t -> string
 (** Compact, single-line serialization. [decl] prepends the XML
     declaration (default false). Round-trips with {!Parser.parse} up to

@@ -184,50 +184,47 @@ let current ~factor =
          (name, { e with Baseline.median_s = e.Baseline.median_s *. factor }))
        sample_baseline.Baseline.entries)
 
+(* One (parent, change) round per factor, the change slower by it. *)
+let rounds factors = List.map (fun factor -> (sample_baseline, current ~factor)) factors
+
 let test_gate_passes_within_tolerance () =
-  let verdicts, ok =
-    Baseline.compare_runs ~baseline:sample_baseline ~current:(current ~factor:1.1) ()
-  in
+  let verdicts, ok = Baseline.compare_runs (rounds [ 1.1; 1.1; 1.1 ]) in
   checkb "10% slower passes at 20% tolerance" true ok;
   checki "one verdict per experiment" 2 (List.length verdicts);
   checkb "ratios recorded" true
-    (List.for_all (fun v -> abs_float (v.Baseline.ratio -. 1.1) < 1e-6) verdicts)
+    (List.for_all (fun v -> abs_float (v.Baseline.ratio -. 1.1) < 1e-6) verdicts);
+  let verdicts, ok = Baseline.compare_runs (rounds [ 1.0; 2.0; 1.1 ]) in
+  checkb "one slow round of three passes" true ok;
+  checkb "the ratio is the median round's" true
+    (List.for_all (fun v -> abs_float (v.Baseline.ratio -. 1.1) < 1e-6) verdicts);
+  let slow = List.find (fun v -> v.Baseline.name = "slow") verdicts in
+  checkb "change time is the median round's" true
+    (abs_float (slow.Baseline.change_s -. 0.55) < 1e-9)
 
 let test_gate_fails_on_regression () =
-  let verdicts, ok =
-    Baseline.compare_runs ~baseline:sample_baseline ~current:(current ~factor:2.0) ()
-  in
+  let verdicts, ok = Baseline.compare_runs (rounds [ 2.0; 2.0; 2.0 ]) in
   checkb "2x slowdown fails" true (not ok);
   checkb "every experiment flagged" true
-    (List.for_all (fun v -> not v.Baseline.ok) verdicts)
-
-let test_gate_tolerance_is_a_knob () =
-  let _, ok =
-    Baseline.compare_runs ~tolerance:1.5 ~baseline:sample_baseline
-      ~current:(current ~factor:2.0) ()
-  in
-  checkb "2x passes at 150% tolerance" true ok;
-  let _, strict =
-    Baseline.compare_runs ~tolerance:0.05 ~baseline:sample_baseline
-      ~current:(current ~factor:1.1) ()
-  in
-  checkb "10% fails at 5% tolerance" true (not strict)
+    (List.for_all (fun v -> not v.Baseline.ok) verdicts);
+  let _, ok = Baseline.compare_runs (rounds [ 2.0; 1.0; 2.0 ]) in
+  checkb "2x slower in two rounds of three fails" true (not ok)
 
 let test_gate_missing_experiment_fails () =
   let partial =
     Baseline.v ~label:"suite" [ ("fast", { Baseline.median_s = 0.001; runs = 5 }) ]
   in
   let verdicts, ok =
-    Baseline.compare_runs ~baseline:sample_baseline ~current:partial ()
+    Baseline.compare_runs
+      [ (sample_baseline, sample_baseline); (sample_baseline, partial) ]
   in
   checkb "missing experiment fails the gate" true (not ok);
   let missing = List.find (fun v -> v.Baseline.name = "slow") verdicts in
-  checkb "its current time is nan" true (Float.is_nan missing.Baseline.current_s);
-  (* Extra current-only experiments have nothing to regress against. *)
-  let _, ok =
-    Baseline.compare_runs ~baseline:partial ~current:sample_baseline ()
-  in
-  checkb "superset current passes" true ok
+  checkb "its ratio is nan" true (Float.is_nan missing.Baseline.ratio);
+  (* Kernels new in the change have nothing to regress against. *)
+  let verdicts, ok = Baseline.compare_runs [ (partial, sample_baseline) ] in
+  checkb "superset current passes" true ok;
+  let fresh = List.find (fun v -> v.Baseline.name = "slow") verdicts in
+  checkb "the new kernel is reported" true (Float.is_nan fresh.Baseline.parent_s)
 
 let () =
   Alcotest.run "toss_eval"
@@ -269,7 +266,6 @@ let () =
           Alcotest.test_case "passes within tolerance" `Quick
             test_gate_passes_within_tolerance;
           Alcotest.test_case "fails on regression" `Quick test_gate_fails_on_regression;
-          Alcotest.test_case "tolerance knob" `Quick test_gate_tolerance_is_a_knob;
           Alcotest.test_case "missing experiment" `Quick
             test_gate_missing_experiment_fails;
         ] );

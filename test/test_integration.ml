@@ -295,6 +295,85 @@ let test_session_tql_matches_executor () =
         (Workload.result_keys direct)
         (Workload.result_keys answer.Toss_core.Session.trees)
 
+(* Figure 16's result counts come from seeded corpora, so the columns
+   the bench committed must match a recomputation with the bench's
+   seeds and sizes. The timings beside them are not pinned. *)
+let csv_column path column =
+  let rows =
+    In_channel.with_open_text path In_channel.input_all
+    |> String.split_on_char '\n'
+    |> List.filter (( <> ) "")
+    |> List.map (String.split_on_char ',')
+  in
+  match rows with
+  | header :: rows ->
+      let rec index i = function
+        | c :: _ when c = column -> i
+        | _ :: rest -> index (i + 1) rest
+        | [] -> Alcotest.failf "%s has no column %S" path column
+      in
+      let i = index 0 header in
+      List.map (fun row -> List.nth row i) rows
+  | [] -> Alcotest.failf "%s is empty" path
+
+let seo_of ~content_tags ~eps docs =
+  match Seo.of_documents ~metric:Workload.experiment_metric ~eps ~content_tags docs with
+  | Ok seo -> seo
+  | Error msg -> failwith msg
+
+let snapshot_of trees =
+  let c = Collection.create "c" in
+  List.iter (fun t -> ignore (Collection.add_document c t)) trees;
+  Collection.snapshot c
+
+let test_fig16c_selection_counts () =
+  let pattern, sl = Workload.scalability_selection () in
+  let rendered = Dblp_gen.render ~seed:36 (Corpus.generate ~seed:36 ~n_papers:2000 ()) in
+  let coll = snapshot_of [ rendered.Dblp_gen.tree ] in
+  let doc = Doc.of_tree rendered.Dblp_gen.tree in
+  let counts =
+    List.map
+      (fun eps ->
+        let seo = seo_of ~content_tags:[ "booktitle" ] ~eps [ doc ] in
+        let results, _ = Executor.select ~mode:Executor.Toss seo coll ~pattern ~sl in
+        string_of_int (List.length results))
+      [ 0.0; 1.0; 2.0; 3.0; 4.0 ]
+  in
+  Alcotest.(check (list string)) "selection results at eps 0..4"
+    (csv_column "../bench_results/fig16c.csv" "sel results")
+    counts
+
+let test_fig16b_join_counts () =
+  let pattern, sl = Workload.join_query () in
+  let rows =
+    List.map
+      (fun n_papers ->
+        let corpus = Corpus.generate ~seed:26 ~n_papers () in
+        let d = Dblp_gen.render ~seed:26 corpus in
+        let s = Sigmod_gen.render ~seed:26 corpus in
+        let left = snapshot_of [ d.Dblp_gen.tree ] in
+        let right = snapshot_of s.Sigmod_gen.trees in
+        let seo =
+          seo_of ~content_tags:[ "booktitle"; "conference" ] ~eps:2.0
+            (Doc.of_tree d.Dblp_gen.tree :: List.map Doc.of_tree s.Sigmod_gen.trees)
+        in
+        let count mode =
+          string_of_int
+            (List.length (fst (Executor.join ~mode seo left right ~pattern ~sl)))
+        in
+        (string_of_int n_papers, count Executor.Tax, count Executor.Toss))
+      [ 100; 200 ]
+  in
+  let first_two column =
+    List.filteri (fun i _ -> i < 2) (csv_column "../bench_results/fig16b.csv" column)
+  in
+  Alcotest.(check (list string)) "papers per side" (first_two "papers/side")
+    (List.map (fun (n, _, _) -> n) rows);
+  Alcotest.(check (list string)) "TAX results" (first_two "TAX res")
+    (List.map (fun (_, tax, _) -> tax) rows);
+  Alcotest.(check (list string)) "TOSS results" (first_two "TOSS res")
+    (List.map (fun (_, _, toss) -> toss) rows)
+
 let () =
   Alcotest.run "toss_integration"
     [
@@ -320,5 +399,12 @@ let () =
             test_persistence_preserves_answers;
           Alcotest.test_case "sax-filtered ingestion" `Slow test_sax_filtered_ingestion;
           Alcotest.test_case "session TQL replay" `Slow test_session_tql_matches_executor;
+        ] );
+      ( "figure 16 counts",
+        [
+          Alcotest.test_case "16(c) selection results match the csv" `Slow
+            test_fig16c_selection_counts;
+          Alcotest.test_case "16(b) join results match the csv" `Slow
+            test_fig16b_join_counts;
         ] );
     ]

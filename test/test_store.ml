@@ -144,12 +144,7 @@ let test_index_eq_lookup () =
   checki "exact author" 2
     (List.length (Index.eq_lookup idx ~tag:"author" ~value:"Jeff Ullman"));
   checki "no match" 0 (List.length (Index.eq_lookup idx ~tag:"author" ~value:"Nobody"));
-  checki "wrong tag" 0 (List.length (Index.eq_lookup idx ~tag:"title" ~value:"Jeff Ullman"))
-
-let test_index_token_lookup () =
-  let idx = Index.build doc in
-  checki "token" 2 (List.length (Index.token_lookup idx ~tag:"author" ~token:"jeff"));
-  checki "token in titles" 2 (List.length (Index.token_lookup idx ~tag:"title" ~token:"db"));
+  checki "wrong tag" 0 (List.length (Index.eq_lookup idx ~tag:"title" ~value:"Jeff Ullman"));
   checkb "index has entries" true (Index.n_entries idx > 0)
 
 (* ------------------------------------------------------------------ *)
@@ -415,7 +410,6 @@ let () =
       ( "index",
         [
           Alcotest.test_case "equality lookup" `Quick test_index_eq_lookup;
-          Alcotest.test_case "token lookup" `Quick test_index_token_lookup;
         ] );
       ( "collection",
         [
