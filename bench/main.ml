@@ -29,6 +29,7 @@ module Sea = Toss_similarity.Sea
 module Levenshtein = Toss_similarity.Levenshtein
 module Seo = Toss_core.Seo
 module Executor = Toss_core.Executor
+module Session = Toss_core.Session
 module Pattern = Toss_tax.Pattern
 module Condition = Toss_tax.Condition
 module Corpus = Toss_data.Corpus
@@ -1183,13 +1184,15 @@ let perf_suite () =
      them under fresh keys -- with the measure and threshold `toss serve`
      runs. [seo-build-reference] is the all-pairs reference build in
      [Toss_check.Oracle]. *)
-  let seo_docs =
-    let rendered = Dblp_gen.render ~seed:7 (Corpus.generate ~seed:7 ~n_papers:6 ()) in
-    let papers =
-      match rendered.Dblp_gen.tree with
-      | Tree.Element { children; _ } -> Array.of_list children
-      | Tree.Text _ -> [||]
-    in
+  let papers n =
+    match (Dblp_gen.render ~seed:7 (Corpus.generate ~seed:7 ~n_papers:n ())).Dblp_gen.tree with
+    | Tree.Element { children; _ } -> Array.of_list children
+    | Tree.Text _ -> [||]
+  in
+  (* The i-th write-mix document: one of the 6 papers, re-keyed from the
+     7th on. *)
+  let write_mix =
+    let papers = papers 6 in
     let rekey i = function
       | Tree.Element e ->
           let key (k, v) = if k = "key" then (k, Printf.sprintf "%s-r%d" v i) else (k, v) in
@@ -1197,8 +1200,9 @@ let perf_suite () =
       | t -> t
     in
     let n = Array.length papers in
-    List.init 36 (fun i -> Doc.of_tree (if i < n then papers.(i) else rekey i papers.(i mod n)))
+    fun i -> if i < n then papers.(i) else rekey i papers.(i mod n)
   in
+  let seo_docs = List.init 36 (fun i -> Doc.of_tree (write_mix i)) in
   let seo_build () = seo_of_docs ~eps:2.0 seo_docs in
   let seo_build_reference () =
     match Toss_check.Oracle.seo_of_documents ~metric ~eps:2.0 seo_docs with
@@ -1223,6 +1227,31 @@ let perf_suite () =
     let (), median_s = B.time_median ~runs f in
     Printf.printf "  %-19s median %10.3f ms over %d runs\n" name (1000. *. median_s) runs;
     (name, { Baseline.median_s; runs })
+  in
+  (* Rebuild kernels: one insert into a warm session, then the pin that
+     rebuilds its SEO, on both sides of the property the rebuild's reuse
+     depends on (an insert that leaves fusion's output unchanged).
+     [seo-rebuild-known] inserts the next re-keyed copy into the
+     36-document write-mix session, which has it; [seo-rebuild-new]
+     inserts a new distinct paper into a 60-paper session, which does
+     not. *)
+  let seo_rebuild name trees ~warm () =
+    let trees = trees () in
+    let s = Session.create ~metric ~eps:2.0 () in
+    Array.iteri (fun i t -> if i < warm then Session.add_document s ~collection:"bib" t) trees;
+    let pin () =
+      match Result.bind (Session.pin s ~collection:"bib") Session.pinned_seo with
+      | Ok _ -> ()
+      | Error msg -> failwith (name ^ " kernel: " ^ msg)
+    in
+    pin ();
+    let next = ref warm in
+    kernel name runs
+      (fun () ->
+        Session.add_document s ~collection:"bib" trees.(!next);
+        incr next;
+        pin ())
+      ()
   in
   (* One uncached round trip through the router: JSON framing both hops,
      scatter to both shards, canonical-merge of the answers. Compare
@@ -1346,6 +1375,9 @@ let perf_suite () =
           List.iter Domain.join domains);
       kernel "seo-build" runs (fun () -> ignore (seo_build ()));
       kernel "seo-build-reference" 1 (fun () -> ignore (seo_build_reference ()));
+      (* One insert per run, and one more for the warm-up. *)
+      seo_rebuild "seo-rebuild-known" (fun () -> Array.init (36 + runs + 1) write_mix) ~warm:36;
+      seo_rebuild "seo-rebuild-new" (fun () -> papers (60 + runs + 1)) ~warm:60;
     ]
   in
   Baseline.v ~label:suite_label (List.map (fun k -> k ()) kernels)

@@ -21,9 +21,11 @@ let m_cacheable = Metrics.counter "rewrite.queries.seo_independent"
    content predicates, both sides of a join, the explainer), and the
    expansions walk the ontology hierarchies each time. The cache is keyed
    on the physical SEO value — a rebuilt ontology is a new value and
-   invalidates it wholesale — and holds a strong reference to the last
-   SEO used, which is by design: the SEO is the long-lived precomputed
-   artifact of the TOSS architecture.
+   invalidates it wholesale, while a rebuild that leaves fusion's output
+   unchanged returns the same value ([Seo.of_ontologies ~previous]), so
+   such an insert keeps the cache — and holds a strong reference to the
+   last SEO used, which is by design: the SEO is the long-lived
+   precomputed artifact of the TOSS architecture.
 
    The cache lives in domain-local storage: rewrites run concurrently on
    the server's domain pool, and a shared table would need a lock on the

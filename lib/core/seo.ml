@@ -5,6 +5,20 @@ module Levenshtein = Toss_similarity.Levenshtein
 module Ontology = Toss_ontology.Ontology
 module Maker = Toss_ontology.Maker
 module Fusion = Toss_ontology.Fusion
+module Metrics = Toss_obs.Metrics
+
+let h_build = Metrics.histogram "seo.build.seconds"
+let m_digests = Metrics.counter "seo.build.digests"
+let m_reused what = Metrics.counter ~labels:[ ("what", what) ] "seo.build.reused"
+let m_reused_seo = m_reused "seo"
+let m_reused_enhancement = m_reused "enhancement"
+let m_universal = Metrics.counter "seo.lift.universal"
+
+(* Deliberate sabotage for the build-reuse property in test_check; never
+   set outside tests. *)
+type fault = No_fault | Reuse_unchecked
+
+let fault = ref No_fault
 
 type t = {
   fused : Ontology.t;
@@ -30,6 +44,7 @@ let create ?(conversions = Conversion.standard) ?(metric = Levenshtein.metric)
                to the universal lift (the one Theorem 1's proof uses),
                which keeps only the orderings every merged member agrees
                on and therefore always yields a DAG. *)
+            Metrics.incr m_universal;
             Sea.enhance ~lift:Sea.Universal ~metric ~eps isa
     in
     Ok { fused = ontology; enhancement; metric; eps; conversions }
@@ -40,14 +55,50 @@ let create_exn ?conversions ?metric ?eps ontology =
   | Ok t -> t
   | Error msg -> failwith msg
 
+let digest ?lexicon ?content_tags ?max_content_terms doc =
+  Metrics.incr m_digests;
+  Maker.make ?lexicon ?content_tags ?max_content_terms doc
+
+let same_ontology a b =
+  let relations = Ontology.relations a in
+  relations = Ontology.relations b
+  && List.for_all
+       (fun rel -> Hierarchy.equal (Ontology.get rel a) (Ontology.get rel b))
+       relations
+
+(* Fusion always runs, so reuse rests on comparing its output, never on
+   which documents were added. Returning [previous] itself keeps
+   [Rewrite]'s per-SEO expansion memo, keyed on the physical value,
+   warm. *)
+let of_ontologies ?(conversions = Conversion.standard) ?(metric = Levenshtein.metric)
+    ?(eps = 0.) ?lexicon ?previous ontologies =
+  let t0 = Unix.gettimeofday () in
+  let result =
+    match Fusion.fuse_ontologies ontologies (Maker.auto_constraints ?lexicon ontologies) with
+    | Error (rel, e) ->
+        Error (Format.asprintf "fusion failed on relation %s: %a" rel Fusion.pp_error e)
+    | Ok fused -> (
+        let isa o = Ontology.get Ontology.isa o in
+        match previous with
+        | Some p when p.metric == metric && p.eps = eps && p.conversions == conversions ->
+            if !fault = Reuse_unchecked || same_ontology fused p.fused then begin
+              Metrics.incr m_reused_seo;
+              Ok p
+            end
+            else if Hierarchy.equal (isa fused) (isa p.fused) then begin
+              Metrics.incr m_reused_enhancement;
+              Ok { p with fused }
+            end
+            else create ~conversions ~metric ~eps fused
+        | _ -> create ~conversions ~metric ~eps fused)
+  in
+  Metrics.observe h_build (Unix.gettimeofday () -. t0);
+  result
+
 let of_documents ?conversions ?metric ?eps ?lexicon ?content_tags ?max_content_terms
     docs =
-  let ontologies = Maker.make_all ?lexicon ?content_tags ?max_content_terms docs in
-  let constraints = Maker.auto_constraints ?lexicon ontologies in
-  match Fusion.fuse_ontologies ontologies constraints with
-  | Error (rel, e) ->
-      Error (Format.asprintf "fusion failed on relation %s: %a" rel Fusion.pp_error e)
-  | Ok fused -> create ?conversions ?metric ?eps fused
+  of_ontologies ?conversions ?metric ?eps ?lexicon
+    (List.map (digest ?lexicon ?content_tags ?max_content_terms) docs)
 
 let eps t = t.eps
 let metric t = t.metric

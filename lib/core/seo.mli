@@ -24,11 +24,51 @@ val create :
     the standard (existential-lift) SEA construction is similarity
     inconsistent — the cycle case of Definition 9 — the context falls back
     to the universal lift, which keeps only unanimously-agreed orderings
-    and always yields a DAG. [Error] is reserved for invalid parameters or
-    fusion failures. *)
+    and always yields a DAG; each fallback counts in the
+    [seo.lift.universal] counter. [Error] is reserved for invalid
+    parameters or fusion failures. *)
 
 val create_exn :
   ?conversions:Conversion.t -> ?metric:Metric.t -> ?eps:float -> Ontology.t -> t
+
+val digest :
+  ?lexicon:Toss_ontology.Lexicon.t ->
+  ?content_tags:string list ->
+  ?max_content_terms:int ->
+  Toss_xml.Tree.Doc.t ->
+  Ontology.t
+(** The Ontology Maker's ontology of one document
+    ({!Toss_ontology.Maker.make}), the per-document half of the build.
+    Each call counts in the [seo.build.digests] counter. A caller that
+    keeps digests across builds passes them to {!of_ontologies}. *)
+
+val of_ontologies :
+  ?conversions:Conversion.t ->
+  ?metric:Metric.t ->
+  ?eps:float ->
+  ?lexicon:Toss_ontology.Lexicon.t ->
+  ?previous:t ->
+  Ontology.t list ->
+  (t, string) result
+(** The build from per-document ontologies: fusion under the
+    lexicon-derived interoperation constraints, then similarity
+    enhancement ({!create}). Fusion's output does not depend on the
+    order of the ontologies.
+
+    [previous] is an earlier build to reuse from. It is used only when
+    it has the same [conversions] and [metric] (physically) and [eps].
+    Fusion always runs, and reuse depends only on its output:
+    - every fused relation {!Hierarchy.equal}s [previous]'s: the result
+      is [previous] itself, the same physical value;
+    - only the fused isa hierarchy is equal: the result has the new
+      fused ontology and [previous]'s enhancement, since the enhancement
+      depends only on the isa hierarchy, the measure and ε;
+    - otherwise SEA runs as in {!create}.
+    So the result equals a build without [previous].
+
+    Each call observes the [seo.build.seconds] histogram once and counts
+    a reuse in [seo.build.reused{what="seo"}] or
+    [seo.build.reused{what="enhancement"}]. *)
 
 val of_documents :
   ?conversions:Conversion.t ->
@@ -39,9 +79,8 @@ val of_documents :
   ?max_content_terms:int ->
   Toss_xml.Tree.Doc.t list ->
   (t, string) result
-(** The full precomputation pipeline of the TOSS architecture: Ontology
-    Maker on each document, fusion under the lexicon-derived
-    interoperation constraints, then similarity enhancement. *)
+(** The full precomputation pipeline of the TOSS architecture: {!digest}
+    of each document, then {!of_ontologies}. *)
 
 val eps : t -> float
 val metric : t -> Metric.t
@@ -86,3 +125,15 @@ val knows_term : t -> string -> bool
     must see every candidate. *)
 
 val n_terms : t -> int
+
+(** {1 Fault injection (testing only)} *)
+
+type fault =
+  | No_fault
+  | Reuse_unchecked
+      (** {!of_ontologies} returns [previous] whenever it is given,
+          without comparing the fused hierarchies *)
+
+val fault : fault ref
+(** Breaks the reuse rule so a test can show the build-reuse property
+    catches it. Production code must leave this at {!No_fault}. *)

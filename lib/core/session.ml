@@ -7,8 +7,9 @@ module Levenshtein = Toss_similarity.Levenshtein
 
 type t = {
   lock : Mutex.t;
-      (* guards [cached_seo] and makes (SEO, snapshot) capture atomic
-         with respect to writes; never held while a query executes *)
+      (* guards [cached_seo], [previous] and [digests], and makes (SEO,
+         snapshot) capture atomic with respect to writes; never held
+         while a query executes *)
   database : Database.t;
   metric : Metric.t;
   eps : float;
@@ -16,6 +17,11 @@ type t = {
   content_tags : string list option;
   max_content_terms : int option;
   mutable cached_seo : (Seo.t, string) result option;
+  mutable previous : Seo.t option;  (* the last good SEO, reused from *)
+  digests : (string * Collection.doc_id, Toss_ontology.Ontology.t) Hashtbl.t;
+      (* each stored document's Maker ontology, keyed by (collection,
+         doc id); documents are immutable and never removed, so an entry
+         cannot go stale *)
 }
 
 let create ?(metric = Levenshtein.metric) ?(eps = 2.0) ?lexicon ?content_tags
@@ -29,13 +35,19 @@ let create ?(metric = Levenshtein.metric) ?(eps = 2.0) ?lexicon ?content_tags
     content_tags;
     max_content_terms;
     cached_seo = None;
+    previous = None;
+    digests = Hashtbl.create 64;
   }
 
 let locked t f =
   Mutex.lock t.lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
 
-let invalidate t = locked t (fun () -> t.cached_seo <- None)
+let invalidate t =
+  locked t (fun () ->
+      t.cached_seo <- None;
+      t.previous <- None;
+      Hashtbl.reset t.digests)
 
 let add_collection_unlocked t name =
   match Database.collection t.database name with
@@ -66,23 +78,32 @@ let add_xml t ~collection xml =
 let collection t name = Database.collection t.database name
 let collection_names t = Database.collection_names t.database
 
-let all_docs t =
-  List.concat_map
-    (fun (_, snap) ->
-      List.map
-        (fun id -> Collection.Snapshot.doc snap id)
-        (Collection.Snapshot.doc_ids snap))
-    (Database.snapshot t.database)
+let digest_unlocked t name snap id =
+  match Hashtbl.find_opt t.digests (name, id) with
+  | Some o -> o
+  | None ->
+      let o =
+        Seo.digest ?lexicon:t.lexicon ?content_tags:t.content_tags
+          ?max_content_terms:t.max_content_terms (Collection.Snapshot.doc snap id)
+      in
+      Hashtbl.add t.digests (name, id) o;
+      o
 
 let seo_unlocked t =
   match t.cached_seo with
   | Some result -> result
   | None ->
-      let result =
-        Seo.of_documents ~metric:t.metric ~eps:t.eps ?lexicon:t.lexicon
-          ?content_tags:t.content_tags ?max_content_terms:t.max_content_terms
-          (all_docs t)
+      let ontologies =
+        List.concat_map
+          (fun (name, snap) ->
+            List.map (digest_unlocked t name snap) (Collection.Snapshot.doc_ids snap))
+          (Database.snapshot t.database)
       in
+      let result =
+        Seo.of_ontologies ~metric:t.metric ~eps:t.eps ?lexicon:t.lexicon
+          ?previous:t.previous ontologies
+      in
+      Result.iter (fun seo -> t.previous <- Some seo) result;
       t.cached_seo <- Some result;
       result
 

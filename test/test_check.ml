@@ -293,6 +293,90 @@ let test_seo_matches_reference () =
   QCheck2.Test.check_exn ~rand:(Random.State.make [| 18 |]) prop_seo_matches_reference;
   checkb "some cases take the universal-lift fallback" true (!fallbacks > 0)
 
+(* The session's rebuild against the reference, one insert at a time:
+   the case's documents in order, each followed by a re-keyed copy of an
+   earlier one (the same leaves under a new attribute), which leaves
+   fusion's output unchanged. After every insert the session's SEO must
+   equal the reference built from scratch over the documents inserted so
+   far. The build's metrics tell which path each rebuild took. *)
+module Session = Toss_core.Session
+module Metrics = Toss_obs.Metrics
+
+let counter ?labels name =
+  Option.value ~default:0 (Metrics.find_counter (Metrics.snapshot ()) ?labels name)
+
+let reused what = counter ~labels:[ ("what", what) ] "seo.build.reused"
+
+type paths = { mutable seo : int; mutable enhancement : int; mutable fresh : int; mutable universal : int }
+
+let paths = { seo = 0; enhancement = 0; fresh = 0; universal = 0 }
+
+let insert_sequence c =
+  let trees = case_trees c in
+  List.concat
+    (List.mapi
+       (fun i t ->
+         match List.nth trees (i / 2) with
+         | Tree.Element e ->
+             [ t; Tree.Element { e with attrs = [ ("key", Printf.sprintf "copy%d" i) ] } ]
+         | Tree.Text _ -> [ t ])
+       trees)
+
+let prop_rebuild_matches_reference =
+  QCheck2.Test.make ~name:"session rebuild equals the reference after every insert"
+    ~count:200 ~print:print_seo_case seo_case_gen (fun c ->
+      let lexicon = case_lexicon ~synonyms:true c in
+      let s = Session.create ~metric:seo_metric ~eps:seo_eps ~lexicon () in
+      let rec check inserted = function
+        | [] -> true
+        | t :: rest ->
+            Session.add_document s ~collection:"c" t;
+            let inserted = inserted @ [ Doc.of_tree t ] in
+            let seo0 = reused "seo" and enh0 = reused "enhancement" in
+            let universal0 = counter "seo.lift.universal" in
+            let built = Result.get_ok (Session.seo s) in
+            if reused "seo" > seo0 then paths.seo <- paths.seo + 1
+            else if reused "enhancement" > enh0 then paths.enhancement <- paths.enhancement + 1
+            else paths.fresh <- paths.fresh + 1;
+            if counter "seo.lift.universal" > universal0 then
+              paths.universal <- paths.universal + 1;
+            let reference =
+              Result.get_ok
+                (Oracle.seo_of_documents ~metric:seo_metric ~eps:seo_eps ~lexicon inserted)
+            in
+            same_seo (Seo.ontology built, built) (Seo.ontology reference, reference)
+            && check inserted rest
+      in
+      check [] (insert_sequence c))
+
+let test_rebuild_matches_reference () =
+  paths.seo <- 0;
+  paths.enhancement <- 0;
+  paths.fresh <- 0;
+  paths.universal <- 0;
+  QCheck2.Test.check_exn ~rand:(Random.State.make [| 30 |]) prop_rebuild_matches_reference;
+  checkb "some rebuilds reuse the whole SEO" true (paths.seo > 0);
+  checkb "some rebuilds reuse only the enhancement" true (paths.enhancement > 0);
+  checkb "some rebuilds run SEA afresh" true (paths.fresh > 0);
+  checkb "some rebuilds take the universal-lift fallback" true (paths.universal > 0)
+
+(* Reusing the previous SEO without comparing fusion's output must be
+   caught. *)
+let test_rebuild_fault_caught () =
+  Seo.fault := Seo.Reuse_unchecked;
+  let caught =
+    Fun.protect
+      ~finally:(fun () -> Seo.fault := Seo.No_fault)
+      (fun () ->
+        match
+          QCheck2.Test.check_exn ~rand:(Random.State.make [| 30 |])
+            prop_rebuild_matches_reference
+        with
+        | () -> false
+        | exception QCheck2.Test.Test_fail _ -> true)
+  in
+  checkb "unchecked reuse caught" true caught
+
 (* Canonical fusion against the reference on random hierarchies over
    overlapping per-source pools, some nodes holding two terms, under
    random [Leq]/[Eq]/[Neq] constraints that may name unknown terms and,
@@ -428,5 +512,9 @@ let () =
             test_seo_matches_reference;
           Alcotest.test_case "fusion equals the reference" `Quick
             test_fusion_matches_reference;
+          Alcotest.test_case "session rebuild equals the reference" `Quick
+            test_rebuild_matches_reference;
+          Alcotest.test_case "catches unchecked SEO reuse" `Quick
+            test_rebuild_fault_caught;
         ] );
     ]

@@ -20,6 +20,7 @@ module Executor = Toss_core.Executor
 module Planner = Toss_core.Planner
 module Plan = Toss_core.Plan
 module Workload = Toss_data.Workload
+module Metrics = Toss_obs.Metrics
 
 let checkb = Alcotest.(check bool)
 let checki = Alcotest.(check int)
@@ -516,15 +517,61 @@ let test_session_basics () =
       checkb "finds both Ullman variants" true (List.length answer.Session.trees >= 2);
       checkb "stats attached" true (answer.Session.stats <> None)
 
+let counter ?labels name =
+  Option.value ~default:0 (Metrics.find_counter (Metrics.snapshot ()) ?labels name)
+
+let digests () = counter "seo.build.digests"
+
+let rec rekey = function
+  | Tree.Element e ->
+      let key (k, v) = if k = "key" then (k, v ^ "-copy") else (k, v) in
+      Tree.Element { e with attrs = List.map key e.attrs; children = List.map rekey e.children }
+  | t -> t
+
 let test_session_seo_cache_invalidation () =
   let s = Session.create ~metric:Workload.experiment_metric ~eps:2.0 () in
   Session.add_document s ~collection:"dblp" db;
   let seo1 = Result.get_ok (Session.seo s) in
   let seo1' = Result.get_ok (Session.seo s) in
   checkb "cached" true (seo1 == seo1');
+  (* A re-keyed copy leaves fusion's output unchanged: the rebuild digests
+     only the new document and returns the same SEO value. *)
+  let before = digests () in
+  Session.add_document s ~collection:"dblp" (rekey db);
+  checkb "re-keyed copy keeps the SEO" true (Result.get_ok (Session.seo s) == seo1);
+  checki "one new digest" 1 (digests () - before);
   Session.add_document s ~collection:"dblp" (Tree.leaf "extra" "x");
   let seo2 = Result.get_ok (Session.seo s) in
-  checkb "rebuilt after insert" true (not (seo1 == seo2))
+  checkb "rebuilt after a new term" true (not (seo1 == seo2));
+  checkb "new term known" true (Seo.knows_term seo2 "x");
+  let before = digests () in
+  Session.invalidate s;
+  let seo3 = Result.get_ok (Session.seo s) in
+  checki "invalidate digests every document again" 3 (digests () - before);
+  checkb "rebuilt after invalidate" true (not (seo2 == seo3))
+
+(* A document that adds part-of structure but no isa structure: the
+   rebuild keeps the enhancement and makes a new SEO. *)
+let test_session_reuses_enhancement () =
+  let papers =
+    match
+      (Toss_data.Dblp_gen.render ~seed:7 (Toss_data.Corpus.generate ~seed:7 ~n_papers:6 ()))
+        .Toss_data.Dblp_gen.tree
+    with
+    | Tree.Element { children; _ } -> children
+    | Tree.Text _ -> []
+  in
+  let s = Session.create ~metric:Workload.experiment_metric ~eps:2.0 () in
+  List.iter (Session.add_document s ~collection:"bib") papers;
+  let seo1 = Result.get_ok (Session.seo s) in
+  let before = counter ~labels:[ ("what", "enhancement") ] "seo.build.reused" in
+  Session.add_document s ~collection:"bib" (Tree.element "inproceedings" [ Tree.element "zzz" [] ]);
+  let seo2 = Result.get_ok (Session.seo s) in
+  checkb "new SEO" true (not (seo1 == seo2));
+  checkb "same enhancement" true (Seo.enhancement seo2 == Seo.enhancement seo1);
+  checkb "new part-of ordering" true (Seo.leq_part seo2 "zzz" "inproceedings");
+  checki "one enhancement reuse" 1
+    (counter ~labels:[ ("what", "enhancement") ] "seo.build.reused" - before)
 
 let test_session_projection () =
   let s = Session.create ~metric:Workload.experiment_metric ~eps:2.0 () in
@@ -715,6 +762,8 @@ let () =
           Alcotest.test_case "query through a session" `Quick test_session_basics;
           Alcotest.test_case "seo cache invalidation" `Quick
             test_session_seo_cache_invalidation;
+          Alcotest.test_case "rebuild keeps an unchanged enhancement" `Quick
+            test_session_reuses_enhancement;
           Alcotest.test_case "projection" `Quick test_session_projection;
           Alcotest.test_case "join" `Quick test_session_join;
           Alcotest.test_case "errors" `Quick test_session_errors;
