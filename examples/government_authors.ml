@@ -7,13 +7,8 @@
    Run with: dune exec examples/government_authors.exe *)
 
 module Tree = Toss_xml.Tree
-module Doc = Tree.Doc
-module Pattern = Toss_tax.Pattern
-module Condition = Toss_tax.Condition
-module Algebra = Toss_tax.Algebra
-module Seo = Toss_core.Seo
-module Toss_algebra = Toss_core.Toss_algebra
-module Printer = Toss_xml.Printer
+module Session = Toss_core.Session
+module Executor = Toss_core.Executor
 
 let db =
   Toss_xml.Parser.parse_exn
@@ -55,18 +50,12 @@ let db =
   in
   lift db
 
-(* Pattern: a paper (#1) with an author (#2) whose affiliation (#3) is
-   part of the US government. *)
-let pattern =
-  Pattern.v
-    (Pattern.node 1 [ Pattern.pc (Pattern.node 2 [ Pattern.pc (Pattern.leaf 3) ]) ])
-    (Condition.conj
-       [
-         Condition.tag_eq 1 "inproceedings";
-         Condition.tag_eq 2 "author";
-         Condition.tag_eq 3 "affiliation";
-         Condition.Part_of (Condition.Content 3, Condition.Str "US government");
-       ])
+(* The query in TQL: a paper (#1) with an author (#2) whose affiliation
+   (#3) is part of the US government. *)
+let query =
+  {|MATCH #1:inproceedings(/#2:author(/#3:affiliation))
+    WHERE #3.content part_of "US government"
+    SELECT #1|}
 
 let titles results =
   List.filter_map
@@ -80,20 +69,23 @@ let titles results =
     results
 
 let () =
-  (* TAX: part_of degrades to substring containment; "US Census Bureau"
-     does not contain "US government", so nothing comes back. *)
-  let tax = Algebra.select ~pattern ~sl:[ 1 ] [ db ] in
-  Printf.printf "TAX finds %d paper(s)\n" (List.length tax);
-
-  (* TOSS: the seeded lexicon knows the agency -> department -> government
-     holonymy, and the Ontology Maker put each affiliation string into the
-     instance ontology. *)
-  let seo =
-    match Seo.of_documents ~eps:0.0 [ Doc.of_tree db ] with
-    | Ok seo -> seo
+  (* The seeded lexicon knows the agency -> department -> government
+     holonymy, and the Ontology Maker puts each affiliation string into
+     the instance ontology when the session first queries. *)
+  let session = Session.create ~eps:0.0 () in
+  Session.add_document session ~collection:"dblp" db;
+  let run mode =
+    match Session.query ~mode session ~collection:"dblp" query with
+    | Ok answer -> answer.Session.trees
     | Error msg -> failwith msg
   in
-  let toss = Toss_algebra.select seo ~pattern ~sl:[ 1 ] [ db ] in
+  (* TAX: part_of degrades to substring containment; "US Census Bureau"
+     does not contain "US government", so nothing comes back. *)
+  let tax = run Executor.Tax in
+  Printf.printf "TAX finds %d paper(s)\n" (List.length tax);
+
+  (* TOSS: the same query through the part-of hierarchy. *)
+  let toss = run Executor.Toss in
   Printf.printf "TOSS finds %d paper(s):\n" (List.length toss);
   List.iter (fun t -> Printf.printf "  - %s\n" t) (titles toss);
   Printf.printf

@@ -3,13 +3,9 @@
 
    Run with: dune exec examples/quickstart.exe *)
 
-module Tree = Toss_xml.Tree
 module Printer = Toss_xml.Printer
-module Pattern = Toss_tax.Pattern
-module Condition = Toss_tax.Condition
-module Algebra = Toss_tax.Algebra
-module Seo = Toss_core.Seo
-module Toss_algebra = Toss_core.Toss_algebra
+module Session = Toss_core.Session
+module Executor = Toss_core.Executor
 module Workload = Toss_data.Workload
 
 let db =
@@ -37,42 +33,34 @@ let db =
         </inproceedings>
       </dblp>|}
 
-(* Pattern: an inproceedings (#1) with an author child (#2) and a
-   booktitle child (#3); the author must be similar to "Jeffrey D.
+(* The query in TQL: an inproceedings (#1) with an author child (#2) and
+   a booktitle child (#3); the author must be similar to "Jeffrey D.
    Ullman" and the venue must be a database conference. *)
-let pattern =
-  Pattern.v
-    (Pattern.node 1 [ Pattern.pc (Pattern.leaf 2); Pattern.pc (Pattern.leaf 3) ])
-    (Condition.conj
-       [
-         Condition.tag_eq 1 "inproceedings";
-         Condition.tag_eq 2 "author";
-         Condition.tag_eq 3 "booktitle";
-         Condition.content_sim 2 "Jeffrey D. Ullman";
-         Condition.content_isa 3 "database conference";
-       ])
+let query =
+  {|MATCH #1:inproceedings(/#2:author, /#3:booktitle)
+    WHERE #2.content ~ "Jeffrey D. Ullman"
+      AND #3.content isa "database conference"
+    SELECT #1|}
 
-let print_results label results =
-  Printf.printf "\n%s: %d result(s)\n" label (List.length results);
-  List.iter (fun t -> print_string (Printer.to_pretty_string t)) results
+let print_results label mode session =
+  match Session.query ~mode session ~collection:"dblp" query with
+  | Error msg -> failwith msg
+  | Ok answer ->
+      let results = answer.Session.trees in
+      Printf.printf "\n%s: %d result(s)\n" label (List.length results);
+      List.iter (fun t -> print_string (Printer.to_pretty_string t)) results
 
 let () =
-  (* TAX: exact match for ~, substring containment for isa. *)
-  let tax_results = Algebra.select ~pattern ~sl:[ 1 ] [ db ] in
-  print_results "TAX" tax_results;
+  (* A session stores the document and, on the first query, precomputes
+     the similarity-enhanced ontology (Ontology Maker -> fusion -> SEA). *)
+  let session = Session.create ~metric:Workload.experiment_metric ~eps:2.0 () in
+  Session.add_document session ~collection:"dblp" db;
 
-  (* TOSS: precompute the similarity-enhanced ontology (Ontology Maker ->
-     fusion -> SEA), then run the same query. *)
-  let seo =
-    match
-      Seo.of_documents ~metric:Workload.experiment_metric ~eps:2.0
-        [ Tree.Doc.of_tree db ]
-    with
-    | Ok seo -> seo
-    | Error msg -> failwith msg
-  in
-  let toss_results = Toss_algebra.select seo ~pattern ~sl:[ 1 ] [ db ] in
-  print_results "TOSS (eps = 2)" toss_results;
+  (* TAX: exact match for ~, substring containment for isa. *)
+  print_results "TAX" Executor.Tax session;
+
+  (* TOSS: the same query through the ontology. *)
+  print_results "TOSS (eps = 2)" Executor.Toss session;
 
   Printf.printf
     "\nTAX misses the initialized and middle-less spellings of the author\n\

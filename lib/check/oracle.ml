@@ -186,8 +186,6 @@ module Q = struct
     match Int.compare a.source b.source with
     | 0 -> Node.compare a.node b.node
     | c -> c
-
-  let pp ppf { source; node } = Format.fprintf ppf "%a:%d" Node.pp node source
 end
 
 module QG = Digraph.Make (Q)

@@ -116,8 +116,6 @@ let build ?(mode = Rewrite.Toss) seo (pattern : Pattern.t) =
     residual;
   }
 
-let mode t = t.mode
-let pattern t = t.pattern
 let n_states t = Array.length t.states
 
 let describe t =

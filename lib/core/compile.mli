@@ -31,8 +31,6 @@ val build : ?mode:Rewrite.mode -> Seo.t -> Toss_tax.Pattern.t -> t
     are resolved here, once, through {!Rewrite.compile_pred}; running
     the matcher performs no hierarchy walks. *)
 
-val mode : t -> Rewrite.mode
-val pattern : t -> Toss_tax.Pattern.t
 val n_states : t -> int
 
 type state_info = {

@@ -33,24 +33,19 @@ val explain : ?mode:Rewrite.mode -> Seo.t -> Toss_tax.Pattern.t -> t
 
 val with_plan : t -> Plan.t -> t
 (** Attaches a physical plan (from {!Planner.plan_select} /
-    {!Planner.plan_join}) so {!pp} and {!to_json} also render the
+    {!Planner.plan_join}) so {!to_string} and {!to_json} also render the
     operator tree with its estimated cardinalities — the CLI's
     [--explain], which shows the plan {e without} executing it. *)
 
 val with_trace : t -> Toss_obs.Span.t -> t
 (** Attaches an execution trace (e.g. [stats.trace] from
-    {!Executor.select}) so {!pp} and {!to_json} also render the observed
+    {!Executor.select}) so {!to_string} and {!to_json} also render the observed
     span tree. A plan paired with its run's trace is EXPLAIN ANALYZE:
     the trace's [xpath] spans carry actual [rows]/[indexed]/[scanned]
     per label query and its [embed] spans the per-document assembly
     funnel, and the [rewrite]/[execute]/[assemble] phase durations are
     the very spans [Executor.stats.phases] is a view over, so the
     rendered totals always equal the stats. *)
-
-val pp : Format.formatter -> t -> unit
-(** Renders the plan: store queries, expansions, residual atoms, and —
-    when present — the execution span tree with its per-operator
-    actuals (the CLI's [--explain-analyze]). *)
 
 val to_string : t -> string
 

@@ -154,8 +154,6 @@ let to_string t =
     String.sub s 0 (String.length s - 1)
   else s
 
-let pp ppf t = Format.pp_print_string ppf (to_string t)
-
 (* ------------------------- execution ------------------------------ *)
 
 type exec_stats = { n_candidates : int; n_embeddings : int }

@@ -105,10 +105,6 @@ val scans : t -> scan list
 val label_queries : t -> (int * Toss_store.Xpath.t) list
 (** [scans] as (label, query) pairs — what reaches the store. *)
 
-val pp : Format.formatter -> t -> unit
-(** Renders the operator tree with estimated cardinalities — the CLI's
-    [--explain]. Deterministic; performs no store access. *)
-
 val to_string : t -> string
 
 (** {1 Execution} *)

@@ -100,8 +100,6 @@ let of_documents ?conversions ?metric ?eps ?lexicon ?content_tags ?max_content_t
   of_ontologies ?conversions ?metric ?eps ?lexicon
     (List.map (digest ?lexicon ?content_tags ?max_content_terms) docs)
 
-let eps t = t.eps
-let metric t = t.metric
 let conversions t = t.conversions
 let enhancement t = t.enhancement
 let ontology t = t.fused

@@ -82,8 +82,6 @@ val of_documents :
 (** The full precomputation pipeline of the TOSS architecture: {!digest}
     of each document, then {!of_ontologies}. *)
 
-val eps : t -> float
-val metric : t -> Metric.t
 val conversions : t -> Conversion.t
 val isa_hierarchy : t -> Hierarchy.t
 (** The enhanced isa hierarchy when an enhancement exists, the fused one

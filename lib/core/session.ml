@@ -43,12 +43,6 @@ let locked t f =
   Mutex.lock t.lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
 
-let invalidate t =
-  locked t (fun () ->
-      t.cached_seo <- None;
-      t.previous <- None;
-      Hashtbl.reset t.digests)
-
 let add_collection_unlocked t name =
   match Database.collection t.database name with
   | Some c -> c
@@ -66,17 +60,6 @@ let version t ~collection =
   match Database.collection t.database collection with
   | Some c -> Collection.version c
   | None -> 0
-
-let add_xml t ~collection xml =
-  locked t (fun () ->
-      match Collection.add_xml (add_collection_unlocked t collection) xml with
-      | Ok _ ->
-          t.cached_seo <- None;
-          Ok ()
-      | Error e -> Error e)
-
-let collection t name = Database.collection t.database name
-let collection_names t = Database.collection_names t.database
 
 let digest_unlocked t name snap id =
   match Hashtbl.find_opt t.digests (name, id) with
@@ -203,8 +186,3 @@ let join_at ?(mode = Executor.Toss) ?check p text =
               ~pattern:q.Tql.pattern ~sl
           in
           Ok { trees; stats = Some stats })
-
-let join ?mode ?check t ~left ~right text =
-  match pin2 t ~left ~right with
-  | Error msg -> Error msg
-  | Ok p -> join_at ?mode ?check p text

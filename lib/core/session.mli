@@ -18,13 +18,12 @@
     enhancement and skips SEA. An insert of a document that brings no
     new term (a re-keyed copy, say) therefore costs one digest and one
     fusion. The table lives as long as the session, about 8 KB per DBLP
-    paper (four times the paper's own document), and only {!invalidate}
-    empties it.
+    paper (four times the paper's own document).
 
     {2 Concurrency}
 
     A session is safe to share across domains. Writes
-    ({!insert}/{!add_xml}/{!invalidate}) and the
+    ({!add_document}/{!insert}) and the
     (SEO, snapshot) capture done by {!pin} are serialized by an internal
     mutex; query {e execution} ({!query_at}) holds no lock at all — it
     reads only the immutable pinned state, so any number of queries run
@@ -63,10 +62,6 @@ val version : t -> collection:string -> int
     collection name this identifies the exact state a query ran
     against — the result-cache key and the anchor of the concurrency
     stress test's replay check. *)
-
-val add_xml : t -> collection:string -> string -> (unit, Toss_xml.Parser.error) result
-val collection : t -> string -> Toss_store.Collection.t option
-val collection_names : t -> string list
 
 val seo : t -> (Seo.t, string) result
 (** The precomputed context, rebuilding it if documents changed since the
@@ -162,20 +157,3 @@ val join_at :
     {!Executor.join}) and runs it against the pinned pair. Lock-free and
     domain-safe as {!query_at}; [check] is the cooperative cancellation
     checkpoint, consulted inside the pairing probe loop. *)
-
-val join :
-  ?mode:Executor.mode ->
-  ?check:(unit -> unit) ->
-  t ->
-  left:string ->
-  right:string ->
-  string ->
-  (answer, string) result
-(** [{!pin2} + {!join_at}]: a TQL join across two collections at the
-    versions current at call time. *)
-
-val invalidate : t -> unit
-(** Forces the SEO to be rebuilt from scratch on next use (e.g. after
-    editing the lexicon-derived ontology externally): drops the SEO, the
-    last good SEO the next rebuild would reuse from, and every kept
-    digest, so the next rebuild digests every document again. *)

@@ -387,5 +387,3 @@ let to_string t =
       Buffer.add_string buf
         ("\nPROJECT " ^ String.concat ", " (List.map (Printf.sprintf "#%d") ls)));
   Buffer.contents buf
-
-let sl t = match t.target with Select ls -> ls | Project _ -> []

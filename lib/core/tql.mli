@@ -31,11 +31,7 @@ type target = Select of int list | Project of int list
 type t = { pattern : Toss_tax.Pattern.t; target : target }
 
 val parse : string -> (t, string) result
-val parse_exn : string -> t
 
 val to_string : t -> string
 (** Concrete syntax that reparses to an equivalent query (tag shorthands
     are emitted as explicit WHERE conjuncts). *)
-
-val sl : t -> int list
-(** The SL ([] for projections). *)

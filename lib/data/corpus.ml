@@ -106,17 +106,3 @@ let paper_by_key t key = Array.find_opt (fun p -> p.key = key) t.papers
 let filter_papers t f = Array.to_list t.papers |> List.filter f
 
 let papers_by_author t id = filter_papers t (fun p -> List.mem id p.author_ids)
-
-let papers_by_venue_category t cat =
-  filter_papers t (fun p -> (venue t p.venue_id).category = cat)
-
-
-let correct_keys t ?author ?category ?topic ?year () =
-  filter_papers t (fun p ->
-      (match author with Some a -> List.mem a p.author_ids | None -> true)
-      && (match category with
-         | Some c -> (venue t p.venue_id).category = c
-         | None -> true)
-      && (match topic with Some tp -> p.topic = Some tp | None -> true)
-      && match year with Some y -> p.year = y | None -> true)
-  |> List.map (fun p -> p.key)

@@ -34,9 +34,6 @@ type t = {
   papers : paper array;
 }
 
-val venues : venue array
-(** The built-in venue table, aligned with [Toss_ontology.Lexicon.seeded]. *)
-
 val generate : ?n_authors:int -> seed:int -> n_papers:int -> unit -> t
 (** Deterministic corpus: [n_authors] defaults to [max 20 (n_papers / 2)].
     Papers carry 1–4 authors, venues are drawn with a database-conference
@@ -47,9 +44,3 @@ val author : t -> int -> author
 val paper_by_key : t -> string -> paper option
 
 val papers_by_author : t -> int -> paper list
-val papers_by_venue_category : t -> string -> paper list
-
-val correct_keys : t -> ?author:int -> ?category:string -> ?topic:string -> ?year:int ->
-  unit -> string list
-(** Keys of the papers satisfying all the provided semantic criteria —
-    the denominator of recall. *)

@@ -57,7 +57,3 @@ let full p =
   match p.middle with
   | Some m -> Printf.sprintf "%s %s %s" p.first m p.last
   | None -> Printf.sprintf "%s %s" p.first p.last
-
-let equal a b = a = b
-
-let pp ppf p = Format.pp_print_string ppf (full p)

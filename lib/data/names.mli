@@ -11,6 +11,3 @@ val fresh : Random.State.t -> person
 
 val full : person -> string
 (** "First Middle Last" canonical rendering. *)
-
-val equal : person -> person -> bool
-val pp : Format.formatter -> person -> unit

@@ -47,7 +47,7 @@ let experiment_within ~eps a b =
   || Text_rules.within ~eps a b
 
 let experiment_metric =
-  Metric.v ~name:"toss-experiment" ~strong:false ~within:experiment_within
+  Metric.v ~name:"toss-experiment" ~within:experiment_within
     experiment_distance
 
 type query = {

@@ -16,10 +16,6 @@ type t = {
 
 val v : label:string -> (string * entry) list -> t
 
-val to_json : t -> string
-(** [{"bench":label,"experiments":{name:{"median_s":…,"runs":…},…}}]. *)
-
-val of_json : string -> (t, string) result
 val save : path:string -> t -> unit
 val load : path:string -> (t, string) result
 

@@ -17,9 +17,6 @@ let recall ~correct ~returned =
 
 let quality ~precision ~recall = sqrt (precision *. recall)
 
-let f1 ~precision ~recall =
-  if precision +. recall = 0. then 0. else 2. *. precision *. recall /. (precision +. recall)
-
 let evaluate ~correct ~returned =
   let p = precision ~correct ~returned in
   let r = recall ~correct ~returned in

@@ -3,7 +3,7 @@
     Precision is the fraction of returned answers that are correct; recall
     the fraction of correct answers that are returned; quality is the
     geometric mean [sqrt (precision * recall)] the paper adopts from its
-    reference [14]. *)
+    reference [14]. Both answer lists are treated as sets. *)
 
 type counts = { tp : int; fp : int; fn : int }
 
@@ -17,7 +17,6 @@ val recall : correct:string list -> returned:string list -> float
 (** 1.0 when nothing is correct (nothing can be missed). *)
 
 val quality : precision:float -> recall:float -> float
-val f1 : precision:float -> recall:float -> float
 
 val evaluate : correct:string list -> returned:string list -> float * float * float
 (** (precision, recall, quality). *)

@@ -2,7 +2,6 @@ module type VERTEX = sig
   type t
 
   val compare : t -> t -> int
-  val pp : Format.formatter -> t -> unit
 end
 
 module type S = sig
@@ -13,34 +12,22 @@ module type S = sig
   module Vmap : Map.S with type key = vertex
 
   val empty : t
-  val is_empty : t -> bool
   val add_vertex : vertex -> t -> t
   val add_edge : vertex -> vertex -> t -> t
   val remove_edge : vertex -> vertex -> t -> t
-  val remove_vertex : vertex -> t -> t
   val mem_vertex : vertex -> t -> bool
   val mem_edge : vertex -> vertex -> t -> bool
   val vertices : t -> vertex list
   val edges : t -> (vertex * vertex) list
-  val succs : vertex -> t -> Vset.t
-  val preds : vertex -> t -> Vset.t
-  val out_degree : vertex -> t -> int
-  val in_degree : vertex -> t -> int
   val n_vertices : t -> int
   val n_edges : t -> int
-  val of_edges : (vertex * vertex) list -> t
   val fold_vertices : (vertex -> 'a -> 'a) -> t -> 'a -> 'a
-  val fold_edges : (vertex -> vertex -> 'a -> 'a) -> t -> 'a -> 'a
   val map_vertices : (vertex -> vertex) -> t -> t
-  val reachable : vertex -> t -> Vset.t
   val has_path : vertex -> vertex -> t -> bool
   val is_acyclic : t -> bool
   val topological_sort : t -> vertex list option
-  val scc : t -> vertex list list
   val condensation : t -> vertex list list * (vertex * vertex) list
-  val transitive_closure : t -> t
   val transitive_reduction : t -> t
-  val pp : Format.formatter -> t -> unit
 end
 
 module Make (V : VERTEX) : S with type vertex = V.t = struct
@@ -54,7 +41,6 @@ module Make (V : VERTEX) : S with type vertex = V.t = struct
   type t = { succ : Vset.t Vmap.t; pred : Vset.t Vmap.t }
 
   let empty = { succ = Vmap.empty; pred = Vmap.empty }
-  let is_empty g = Vmap.is_empty g.succ
 
   let adjacency v m = match Vmap.find_opt v m with Some s -> s | None -> Vset.empty
 
@@ -75,10 +61,6 @@ module Make (V : VERTEX) : S with type vertex = V.t = struct
       pred = Vmap.update v (Option.map (Vset.remove u)) g.pred;
     }
 
-  let remove_vertex v g =
-    let drop m = Vmap.map (Vset.remove v) (Vmap.remove v m) in
-    { succ = drop g.succ; pred = drop g.pred }
-
   let mem_vertex v g = Vmap.mem v g.succ
   let mem_edge u v g = Vset.mem v (adjacency u g.succ)
   let vertices g = List.map fst (Vmap.bindings g.succ)
@@ -88,12 +70,8 @@ module Make (V : VERTEX) : S with type vertex = V.t = struct
     |> List.rev
 
   let succs v g = adjacency v g.succ
-  let preds v g = adjacency v g.pred
-  let out_degree v g = Vset.cardinal (succs v g)
-  let in_degree v g = Vset.cardinal (preds v g)
   let n_vertices g = Vmap.cardinal g.succ
   let n_edges g = Vmap.fold (fun _ vs n -> n + Vset.cardinal vs) g.succ 0
-  let of_edges pairs = List.fold_left (fun g (u, v) -> add_edge u v g) empty pairs
   let fold_vertices f g acc = Vmap.fold (fun v _ acc -> f v acc) g.succ acc
   let fold_edges f g acc = List.fold_left (fun acc (u, v) -> f u v acc) acc (edges g)
 
@@ -192,14 +170,6 @@ module Make (V : VERTEX) : S with type vertex = V.t = struct
     in
     (comps, inter_edges)
 
-  let transitive_closure g =
-    fold_vertices
-      (fun v acc ->
-        Vset.fold
-          (fun w acc -> if V.compare v w = 0 then acc else add_edge v w acc)
-          (reachable v g) acc)
-      g g
-
   let transitive_reduction g =
     if not (is_acyclic g) then
       invalid_arg "Digraph.transitive_reduction: graph has a cycle";
@@ -214,14 +184,4 @@ module Make (V : VERTEX) : S with type vertex = V.t = struct
         in
         if redundant then remove_edge u v acc else acc)
       g g
-
-  let pp ppf g =
-    Format.fprintf ppf "@[<v>";
-    Vmap.iter
-      (fun u vs ->
-        Format.fprintf ppf "@[%a ->" V.pp u;
-        Vset.iter (fun v -> Format.fprintf ppf " %a" V.pp v) vs;
-        Format.fprintf ppf "@]@,")
-      g.succ;
-    Format.fprintf ppf "@]"
 end

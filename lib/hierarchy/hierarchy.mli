@@ -17,20 +17,15 @@ module G : Digraph.S with type vertex = Node.t
 type t
 
 val empty : t
-val is_empty : t -> bool
 
 val add_term : string -> t -> t
 (** Adds an isolated singleton node for the term if no node contains it. *)
-
-val add_node : Node.t -> t -> t
 
 val add_leq : lower:string -> upper:string -> t -> t
 (** Adds a covering edge between the nodes containing the two terms,
     creating singleton nodes for unknown terms. The caller is responsible
     for keeping the diagram acyclic and minimal; use {!normalize} to
     restore Hasse minimality and {!is_consistent} to check acyclicity. *)
-
-val add_edge : Node.t -> Node.t -> t -> t
 
 val of_pairs : (string * string) list -> t
 (** [of_pairs pairs] builds a hierarchy from [(lower, upper)] pairs and
@@ -56,37 +51,12 @@ val node_leq : t -> Node.t -> Node.t -> bool
 val below : string -> t -> string list
 (** Every term [b] with [leq h b a]; includes the term's own cluster. *)
 
-val above : string -> t -> string list
-
-val upper_bounds : t -> string -> string -> Node.t list
-(** Minimal common upper bounds of the two terms. *)
-
-val least_upper_bound : t -> string -> string -> Node.t option
-(** [Some n] when the minimal common upper bound is unique. *)
-
-val roots : t -> Node.t list
-val leaves : t -> Node.t list
-
-val greatest_lower_bound : t -> string -> string -> Node.t option
-
 val merge_terms : string -> string -> t -> t
 (** Declares two terms synonymous: their nodes fuse into one cluster that
     inherits both nodes' edges (self-edges dropped). The DBA-refinement
     primitive of the paper's Section 3. May create a cycle if the terms
     were strictly ordered; check with {!is_consistent}. Unknown terms get
     singleton nodes first. *)
-
-val remove_term : string -> t -> t
-(** Removes the term. A singleton node disappears and its neighbours are
-    bridged (predecessors connect to successors, preserving the ordering
-    among the remaining terms); a term inside a cluster just leaves the
-    cluster. *)
-
-val depth : t -> Node.t -> int
-(** Longest path from a root (a maximal node) down to the node; 0 for
-    roots.
-    @raise Invalid_argument when the node is absent or the diagram is
-    cyclic. *)
 
 val to_dot : ?name:string -> t -> string
 (** Graphviz source: one box per node (cluster members joined by
@@ -102,4 +72,3 @@ val is_consistent : t -> bool
 val graph : t -> G.t
 val of_graph : G.t -> t
 val equal : t -> t -> bool
-val pp : Format.formatter -> t -> unit

@@ -8,6 +8,8 @@ type t =
 
 exception Fail of string
 
+let max_depth = 512
+
 let fail pos msg = raise (Fail (Printf.sprintf "%s at offset %d" msg pos))
 
 (* Recursive descent over [s] with a mutable cursor. *)
@@ -145,7 +147,8 @@ let parse_value s =
     | Some f -> f
     | None -> fail start "bad number"
   in
-  let rec value () =
+  let rec value depth =
+    if depth > max_depth then fail !pos "value nested too deeply";
     skip_ws ();
     match peek () with
     | None -> fail !pos "unexpected end of input"
@@ -162,7 +165,7 @@ let parse_value s =
         end
         else begin
           let rec items acc =
-            let v = value () in
+            let v = value (depth + 1) in
             skip_ws ();
             match peek () with
             | Some ',' ->
@@ -188,7 +191,7 @@ let parse_value s =
             let key = parse_string () in
             skip_ws ();
             expect ':';
-            (key, value ())
+            (key, value (depth + 1))
           in
           let rec members acc =
             let kv = parse_member () in
@@ -206,7 +209,7 @@ let parse_value s =
         end
     | Some _ -> Num (parse_number ())
   in
-  let v = value () in
+  let v = value 0 in
   skip_ws ();
   if !pos < n then fail !pos "trailing input after value";
   v

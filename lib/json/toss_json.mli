@@ -29,10 +29,15 @@ type t =
 
 (** {1 Reading} *)
 
+val max_depth : int
+(** The nesting cap both wire codecs share (512): a value may sit inside
+    at most this many arrays and objects. *)
+
 val parse : string -> (t, string) result
 (** Parses one JSON value (surrounding whitespace allowed); [Error]
     carries a message with a byte offset. Trailing non-whitespace after
-    the value is an error. *)
+    the value, and a value nested deeper than {!max_depth}, are
+    errors. *)
 
 val parse_exn : string -> t
 (** @raise Invalid_argument on parse failure. *)

@@ -117,10 +117,6 @@ let rec find t name =
   if t.name = name then Some t
   else List.find_map (fun c -> find c name) t.children
 
-let self_s t =
-  Float.max 0.
-    (t.elapsed_s -. List.fold_left (fun acc c -> acc +. c.elapsed_s) 0. t.children)
-
 let human_bytes b =
   if b >= 1048576. then Printf.sprintf "%.1fMB" (b /. 1048576.)
   else if b >= 1024. then Printf.sprintf "%.1fkB" (b /. 1024.)

@@ -68,9 +68,6 @@ val run : ?meta:(string * string) list -> string -> (unit -> 'a) -> 'a * t
 val find : t -> string -> t option
 (** First span named [name] in a preorder walk (the span itself first). *)
 
-val self_s : t -> float
-(** Duration not covered by the span's direct children. *)
-
 val pp : Format.formatter -> t -> unit
 (** Indented tree: one line per span with duration, share of the root,
     and allocation. *)

@@ -8,7 +8,6 @@ module IG = Digraph.Make (struct
   type t = int
 
   let compare = Int.compare
-  let pp = Format.pp_print_int
 end)
 
 (* ψ: per source, each input node to the fused node absorbing it. *)
@@ -154,11 +153,6 @@ let fuse ?(auto_equate = true) hs constraints =
       (match violated with
       | Some c -> Error (Neq_violated c)
       | None -> Ok { fused; witness })
-
-let fuse_exn ?auto_equate hs constraints =
-  match fuse ?auto_equate hs constraints with
-  | Ok r -> r
-  | Error e -> failwith (Format.asprintf "Fusion.fuse_exn: %a" pp_error e)
 
 let psi witness ~source node =
   if source < 0 || source >= Array.length witness then None

@@ -40,8 +40,6 @@ type result = { fused : Hierarchy.t; witness : witness }
 val fuse :
   ?auto_equate:bool -> Hierarchy.t list -> Interop.t list -> (result, error) Stdlib.result
 
-val fuse_exn : ?auto_equate:bool -> Hierarchy.t list -> Interop.t list -> result
-
 val psi : witness -> source:int -> Node.t -> Node.t option
 (** The fused node absorbing an input node; [None] when the node is not in
     that source. *)

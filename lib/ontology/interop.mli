@@ -13,9 +13,6 @@ type t =
   | Eq of qualified * qualified
   | Neq of qualified * qualified
 
-val q : string -> int -> qualified
-(** [q term source] *)
-
 val leq : string * int -> string * int -> t
 val eq : string * int -> string * int -> t
 val neq : string * int -> string * int -> t

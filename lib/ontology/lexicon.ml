@@ -104,40 +104,6 @@ let synonyms t term =
   | None -> [ term ]
   | Some id -> members_of id t
 
-let direct field t term =
-  match Smap.find_opt term t.synset_of with
-  | None -> []
-  | Some id ->
-      Iset.fold
-        (fun super acc -> members_of super t @ acc)
-        (Option.value ~default:Iset.empty (Imap.find_opt id (field t)))
-        []
-      |> List.sort_uniq String.compare
-
-let hypernyms = direct (fun t -> t.isa_edges)
-
-let hypernym_closure t term =
-  match Smap.find_opt term t.synset_of with
-  | None -> []
-  | Some id ->
-      let rec walk seen frontier =
-        match frontier with
-        | [] -> seen
-        | s :: rest ->
-            if Iset.mem s seen then walk seen rest
-            else
-              let ups =
-                Iset.elements (Option.value ~default:Iset.empty (Imap.find_opt s t.isa_edges))
-              in
-              walk (Iset.add s seen) (ups @ rest)
-      in
-      let reachable = walk Iset.empty [ id ] in
-      Iset.fold (fun s acc -> members_of s t @ acc) (Iset.remove id reachable) []
-      |> List.sort_uniq String.compare
-
-let n_terms t = Smap.cardinal t.synset_of
-let terms t = List.map fst (Smap.bindings t.synset_of)
-
 let hierarchy_of field ?restrict_to t =
   let kept =
     match restrict_to with

@@ -23,22 +23,9 @@ val add_synset : string list -> t -> t
 val add_isa : sub:string -> super:string -> t -> t
 (** [sub]'s synset isa [super]'s synset; unknown terms get fresh synsets. *)
 
-val add_part : part:string -> whole:string -> t -> t
-
-val mem : t -> string -> bool
 val synonyms : t -> string -> string list
 (** The term's synset members (itself included); just the term itself when
     unknown. *)
-
-val hypernyms : t -> string -> string list
-(** Direct hypernyms: all members of the synsets directly above. *)
-
-val hypernym_closure : t -> string -> string list
-(** All members of all synsets reachable via isa (the term's own synset
-    excluded). *)
-
-val n_terms : t -> int
-val terms : t -> string list
 
 val isa_hierarchy : ?restrict_to:string list -> t -> Hierarchy.t
 (** The isa relation as a hierarchy whose nodes are synsets. With

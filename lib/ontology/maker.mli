@@ -11,8 +11,9 @@
       graph; content values are additionally placed below their tag (each
       value of a type is itself a type, Section 5).
 
-    The result can then be refined by a database administrator via
-    {!Ontology.update}, fused across instances with {!Fusion}, and
+    The result can then be refined by a database administrator (for
+    instance with {!Hierarchy.merge_terms}), fused across instances with
+    {!Fusion}, and
     similarity-enhanced with [Toss_similarity.Sea]. *)
 
 module Hierarchy = Toss_hierarchy.Hierarchy

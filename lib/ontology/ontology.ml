@@ -13,13 +13,4 @@ let add rel h t = Smap.add rel h t
 let of_list l = List.fold_left (fun t (rel, h) -> add rel h t) empty l
 let find rel t = Smap.find_opt rel t
 let get rel t = Option.value ~default:Hierarchy.empty (find rel t)
-let update rel f t = Smap.add rel (f (get rel t)) t
 let relations t = List.map fst (Smap.bindings t)
-
-let n_terms t =
-  Smap.fold (fun _ h acc -> acc + List.length (Hierarchy.terms h)) t 0
-
-let pp ppf t =
-  Format.fprintf ppf "@[<v>";
-  Smap.iter (fun rel h -> Format.fprintf ppf "@[<v 2>%s:@,%a@]@," rel Hierarchy.pp h) t;
-  Format.fprintf ppf "@]"

@@ -23,15 +23,7 @@ val of_list : (relation * Hierarchy.t) list -> t
 val add : relation -> Hierarchy.t -> t -> t
 (** Replaces any previous hierarchy for the relation. *)
 
-val find : relation -> t -> Hierarchy.t option
 val get : relation -> t -> Hierarchy.t
 (** The hierarchy for the relation, empty when undefined. *)
 
-val update : relation -> (Hierarchy.t -> Hierarchy.t) -> t -> t
-(** Applies the function to the relation's hierarchy (empty if absent). *)
-
 val relations : t -> relation list
-val n_terms : t -> int
-(** Total number of distinct terms across all hierarchies. *)
-
-val pp : Format.formatter -> t -> unit

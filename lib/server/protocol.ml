@@ -361,7 +361,6 @@ let encode_binary v =
   Buffer.contents buf
 
 let truncated = error Parse_error "truncated binary value"
-let max_depth = 512
 
 let decode_binary s =
   let len = String.length s in
@@ -385,7 +384,7 @@ let decode_binary s =
     str
   in
   let rec value depth =
-    if depth > max_depth then
+    if depth > J.max_depth then
       fail (error Parse_error "binary value nested too deeply");
     need 1;
     let tag = s.[!pos] in

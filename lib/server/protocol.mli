@@ -125,7 +125,8 @@ val request_of_json : Toss_json.t -> (envelope, error) result
 
 val parse_request : string -> (envelope, error) result
 (** Decodes one JSON request line. [Error] distinguishes [parse_error]
-    (not JSON) from [bad_request] (JSON, but not a request). *)
+    (not JSON, or nested deeper than {!Toss_json.max_depth}) from
+    [bad_request] (JSON, but not a request). *)
 
 val request_to_line : envelope -> string
 (** Encodes a request as one JSON line (no trailing newline) — the
@@ -182,8 +183,9 @@ val encode_binary : Toss_json.t -> string
 
 val decode_binary : string -> (Toss_json.t, error) result
 (** Inverse of {!encode_binary} over exactly one value; every rejection
-    (truncation, range, unknown tag, trailing bytes, pathological
-    nesting) is a typed [parse_error], never an exception. *)
+    (truncation, range, unknown tag, trailing bytes, nesting deeper than
+    {!Toss_json.max_depth}, the JSON codec's cap) is a typed
+    [parse_error], never an exception. *)
 
 val encode_frame : Toss_json.t -> string
 (** 4-byte big-endian payload length + {!encode_binary} payload. *)

@@ -42,14 +42,3 @@ let maximal_cliques ~n ~adjacent =
     done
   done;
   bron_kerbosch neighbours n
-
-let maximal_cliques_of_edges ~n edges =
-  let neighbours = Array.make (max n 1) Iset.empty in
-  List.iter
-    (fun (i, j) ->
-      if i <> j then begin
-        neighbours.(i) <- Iset.add j neighbours.(i);
-        neighbours.(j) <- Iset.add i neighbours.(j)
-      end)
-    edges;
-  bron_kerbosch neighbours n

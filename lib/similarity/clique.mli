@@ -10,5 +10,3 @@ val maximal_cliques : n:int -> adjacent:(int -> int -> bool) -> int list list
     and irreflexive; it is queried O(n^2) times up front to build adjacency
     sets. Isolated vertices are returned as singleton cliques. Each clique
     is sorted ascending; the clique list order is unspecified. *)
-
-val maximal_cliques_of_edges : n:int -> (int * int) list -> int list list

@@ -60,50 +60,9 @@ let distance_within k a b =
     end
   end
 
-let damerau_distance a b =
-  let la = String.length a and lb = String.length b in
-  if la = 0 then lb
-  else if lb = 0 then la
-  else begin
-    let d = Array.make_matrix (la + 1) (lb + 1) 0 in
-    for i = 0 to la do
-      d.(i).(0) <- i
-    done;
-    for j = 0 to lb do
-      d.(0).(j) <- j
-    done;
-    for i = 1 to la do
-      for j = 1 to lb do
-        let subst = d.(i - 1).(j - 1) + (if a.[i - 1] = b.[j - 1] then 0 else 1) in
-        let del = d.(i - 1).(j) + 1 in
-        let ins = d.(i).(j - 1) + 1 in
-        let best = if del < subst then del else subst in
-        let best = if ins < best then ins else best in
-        let best =
-          if i > 1 && j > 1 && a.[i - 1] = b.[j - 2] && a.[i - 2] = b.[j - 1] then begin
-            let transpose = d.(i - 2).(j - 2) + 1 in
-            if transpose < best then transpose else best
-          end
-          else best
-        in
-        d.(i).(j) <- best
-      done
-    done;
-    d.(la).(lb)
-  end
-
 let within_banded ~eps a b =
   eps >= 0. && distance_within (int_of_float eps) a b <> None
 
 let metric =
-  Metric.v ~name:"levenshtein" ~strong:true ~within:within_banded (fun a b ->
+  Metric.v ~name:"levenshtein" ~within:within_banded (fun a b ->
       float_of_int (distance a b))
-
-let damerau_metric =
-  Metric.v ~name:"damerau-levenshtein" ~strong:true (fun a b ->
-      float_of_int (damerau_distance a b))
-
-let normalized_metric =
-  Metric.v ~name:"normalized levenshtein" ~strong:false (fun a b ->
-      let l = max (String.length a) (String.length b) in
-      if l = 0 then 0. else float_of_int (distance a b) /. float_of_int l)

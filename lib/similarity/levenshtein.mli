@@ -13,15 +13,5 @@ val distance_within : int -> string -> string -> int option
     [None] otherwise; runs in O(k·min(|a|,|b|)) using the banded DP, which
     the SEA algorithm uses to test pairs against a threshold cheaply. *)
 
-val damerau_distance : string -> string -> int
-(** Adds adjacent-transposition as a unit-cost edit (optimal string
-    alignment variant). *)
-
 val metric : Metric.t
-(** Levenshtein as a strong {!Metric.t}. *)
-
-val damerau_metric : Metric.t
-
-val normalized_metric : Metric.t
-(** [distance a b / max |a| |b|], in [0, 1] (0 for two empty strings). Not
-    strong. *)
+(** Levenshtein as a {!Metric.t}. *)

@@ -1,71 +1,13 @@
 type t = {
   name : string;
-  strong : bool;
   dist : string -> string -> float;
   within_opt : (eps:float -> string -> string -> bool) option;
 }
 
-let v ~name ~strong ?within dist = { name; strong; dist; within_opt = within }
+let v ~name ?within dist = { name; dist; within_opt = within }
 let dist m a b = m.dist a b
 
 let within m ~eps a b =
   match m.within_opt with
   | Some fast -> fast ~eps a b
   | None -> m.dist a b <= eps
-
-let scale factor m =
-  if factor <= 0. then invalid_arg "Metric.scale: factor must be positive";
-  {
-    name = Printf.sprintf "%gx %s" factor m.name;
-    strong = m.strong;
-    dist = (fun a b -> factor *. m.dist a b);
-    within_opt = Option.map (fun fast ~eps -> fast ~eps:(eps /. factor)) m.within_opt;
-  }
-
-let cap bound m =
-  {
-    name = Printf.sprintf "%s (capped at %g)" m.name bound;
-    strong = false;
-    dist = (fun a b -> Float.min bound (m.dist a b));
-    within_opt =
-      Some
-        (fun ~eps a b ->
-          if eps >= bound then true
-          else
-            match m.within_opt with
-            | Some fast -> fast ~eps a b
-            | None -> m.dist a b <= eps);
-  }
-
-let min_of ~name = function
-  | [] -> invalid_arg "Metric.min_of: empty list"
-  | ms ->
-      {
-        name;
-        strong = false;
-        dist =
-          (fun a b -> List.fold_left (fun acc m -> Float.min acc (m.dist a b)) infinity ms);
-        within_opt = Some (fun ~eps a b -> List.exists (fun m -> within m ~eps a b) ms);
-      }
-
-let max_of ~name = function
-  | [] -> invalid_arg "Metric.max_of: empty list"
-  | ms ->
-      {
-        name;
-        strong = List.for_all (fun m -> m.strong) ms;
-        dist =
-          (fun a b -> List.fold_left (fun acc m -> Float.max acc (m.dist a b)) 0. ms);
-        within_opt = Some (fun ~eps a b -> List.for_all (fun m -> within m ~eps a b) ms);
-      }
-
-let of_similarity ~name sim =
-  {
-    name;
-    strong = false;
-    dist = (fun a b -> Float.max 0. (1. -. sim a b));
-    within_opt = None;
-  }
-
-let pp ppf m =
-  Format.fprintf ppf "%s%s" m.name (if m.strong then " (strong)" else "")

@@ -9,7 +9,6 @@
 
 type t = {
   name : string;
-  strong : bool;  (** triangle inequality holds *)
   dist : string -> string -> float;
   within_opt : (eps:float -> string -> string -> bool) option;
       (** optional threshold-test fast path; must agree with
@@ -18,7 +17,6 @@ type t = {
 
 val v :
   name:string ->
-  strong:bool ->
   ?within:(eps:float -> string -> string -> bool) ->
   (string -> string -> float) ->
   t
@@ -29,23 +27,3 @@ val within : t -> eps:float -> string -> string -> bool
 (** [dist t x y <= eps], via the fast path when one is registered. The
     SEA algorithm's pairwise clustering and the executor's similarity
     fallback call this in tight loops. *)
-
-val scale : float -> t -> t
-(** Multiplies every distance by a positive factor (preserves strength). *)
-
-val cap : float -> t -> t
-(** Clamps distances to a maximum. Capping preserves symmetry and identity
-    but not, in general, the triangle inequality, so the result is marked
-    non-strong. *)
-
-val min_of : name:string -> t list -> t
-(** Pointwise minimum of several measures. Not strong in general. *)
-
-val max_of : name:string -> t list -> t
-(** Pointwise maximum; strong when all components are strong. *)
-
-val of_similarity : name:string -> (string -> string -> float) -> t
-(** Wraps a similarity score in [0, 1] (1 = identical) as the distance
-    [1 - sim]. Not marked strong. *)
-
-val pp : Format.formatter -> t -> unit

@@ -101,5 +101,4 @@ let distance x y =
           let flat_y = String.concat "" (gy @ [ sy ]) in
           if flat_x = flat_y then concat_cost else mismatch_cost)
 
-let metric = Metric.v ~name:"name-rules" ~strong:false distance
-let compatible ~threshold a b = distance a b <= threshold
+let metric = Metric.v ~name:"name-rules" distance

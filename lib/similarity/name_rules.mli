@@ -20,6 +20,3 @@
 
 val distance : string -> string -> float
 val metric : Metric.t
-
-val compatible : threshold:float -> string -> string -> bool
-(** [distance a b <= threshold]. *)

@@ -72,5 +72,3 @@ let alignment ?cutoff x y =
 let distance x y = alignment x y
 
 let within ~eps x y = alignment ~cutoff:eps x y <= eps
-
-let metric = Metric.v ~name:"text-rules" ~strong:false ~within distance

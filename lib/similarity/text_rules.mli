@@ -15,5 +15,3 @@ val distance : string -> string -> float
 val within : eps:float -> string -> string -> bool
 (** [distance x y <= eps], aborting the alignment as soon as every
     continuation exceeds the threshold. *)
-
-val metric : Metric.t

@@ -13,72 +13,3 @@ let tokenize s =
   String.iter (fun c -> if is_alnum c then Buffer.add_char buf c else flush ()) s;
   flush ();
   List.rev !out
-
-module Sset = Set.Make (String)
-module Smap = Map.Make (String)
-
-let token_set s = Sset.of_list (tokenize s)
-
-let jaccard a b =
-  let sa = token_set a and sb = token_set b in
-  if Sset.is_empty sa && Sset.is_empty sb then 1.
-  else
-    let inter = Sset.cardinal (Sset.inter sa sb) in
-    let union = Sset.cardinal (Sset.union sa sb) in
-    float_of_int inter /. float_of_int union
-
-let tf s =
-  List.fold_left
-    (fun m tok -> Smap.update tok (fun c -> Some (1 + Option.value ~default:0 c)) m)
-    Smap.empty (tokenize s)
-
-let cosine a b =
-  let ta = tf a and tb = tf b in
-  if Smap.is_empty ta && Smap.is_empty tb then 1.
-  else if Smap.is_empty ta || Smap.is_empty tb then 0.
-    (* Equal vectors have cosine exactly 1; computing it as
-       dot/(sqrt s * sqrt s) rounds just below 1 and would make the
-       derived distance violate d(x,x) = 0. *)
-  else if Smap.equal Int.equal ta tb then 1.
-  else begin
-    let dot =
-      Smap.fold
-        (fun tok ca acc ->
-          match Smap.find_opt tok tb with
-          | Some cb -> acc + (ca * cb)
-          | None -> acc)
-        ta 0
-    in
-    let norm m = sqrt (float_of_int (Smap.fold (fun _ c acc -> acc + (c * c)) m 0)) in
-    float_of_int dot /. (norm ta *. norm tb)
-  end
-
-let qgrams q s =
-  if q <= 0 then invalid_arg "Token.qgrams: q must be positive";
-  let padded = String.make (q - 1) '#' ^ s ^ String.make (q - 1) '#' in
-  let n = String.length padded in
-  if n < q then []
-  else List.init (n - q + 1) (fun i -> String.sub padded i q)
-
-let multiset grams =
-  List.fold_left
-    (fun m g -> Smap.update g (fun c -> Some (1 + Option.value ~default:0 c)) m)
-    Smap.empty grams
-
-let qgram_distance q a b =
-  let ma = multiset (qgrams q a) and mb = multiset (qgrams q b) in
-  let diff m m' =
-    Smap.fold
-      (fun g c acc -> acc + max 0 (c - Option.value ~default:0 (Smap.find_opt g m')))
-      m 0
-  in
-  diff ma mb + diff mb ma
-
-let jaccard_metric = Metric.of_similarity ~name:"jaccard" jaccard
-let cosine_metric = Metric.of_similarity ~name:"cosine" cosine
-
-let qgram_metric q =
-  Metric.v
-    ~name:(Printf.sprintf "%d-gram" q)
-    ~strong:true
-    (fun a b -> float_of_int (qgram_distance q a b))

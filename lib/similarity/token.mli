@@ -1,24 +1,4 @@
-(** Token- and q-gram-based measures (paper reference [5]): Jaccard,
-    cosine over term-frequency vectors, q-gram distance. *)
+(** The tokenizer the rule-based name and text measures share. *)
 
 val tokenize : string -> string list
 (** Splits on non-alphanumeric characters and lowercases; drops empties. *)
-
-val jaccard : string -> string -> float
-(** Jaccard similarity |S ∩ T| / |S ∪ T| over token sets; 1 when both are
-    empty. *)
-
-val cosine : string -> string -> float
-(** Cosine similarity of term-frequency vectors; 1 when both are empty, 0
-    when exactly one is. *)
-
-val qgrams : int -> string -> string list
-(** The q-grams of the [#]-padded string, e.g.
-    [qgrams 2 "ab" = ["#a"; "ab"; "b#"]]. *)
-
-val qgram_distance : int -> string -> string -> int
-(** Size of the symmetric difference of q-gram multisets; a strong measure. *)
-
-val jaccard_metric : Metric.t
-val cosine_metric : Metric.t
-val qgram_metric : int -> Metric.t

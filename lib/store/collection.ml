@@ -118,7 +118,6 @@ let force_index (e : entry) =
       if Atomic.compare_and_set e.idx None (Some built) then built
       else Option.get (Atomic.get e.idx)
 
-let v_index v id = force_index (v_entry v id)
 let v_doc_ids v = List.init (Array.length v.entries) Fun.id
 let v_n_documents v = Array.length v.entries
 
@@ -259,11 +258,6 @@ let v_tag_count v tag =
   | Some (nodes, _) -> nodes
   | None -> 0
 
-let v_docs_with_tag v tag =
-  match Hashtbl.find_opt (tag_table v) tag with
-  | Some (_, docs) -> docs
-  | None -> 0
-
 let v_eq_count v ~tag ~value =
   let total = ref 0 in
   for id = 0 to Array.length v.entries - 1 do
@@ -305,13 +299,6 @@ let v_estimate_rows v xpath =
   in
   min total_nodes (List.fold_left (fun acc path -> acc + est_path path) 0 xpath)
 
-let v_eq_lookup v ~tag ~value =
-  List.concat
-    (List.map
-       (fun id ->
-         List.map (fun n -> (id, n)) (Index.eq_lookup (v_index v id) ~tag ~value))
-       (v_doc_ids v))
-
 let v_subtrees v results =
   List.map (fun (id, n) -> Doc.subtree (v_doc v id) n) results
 
@@ -321,18 +308,11 @@ module Snapshot = struct
   let name = v_name
   let version = v_version
   let doc = v_doc
-  let index = v_index
   let doc_ids = v_doc_ids
   let n_documents = v_n_documents
-  let n_nodes = v_n_nodes
   let eval = v_eval
   let eval_string = v_eval_string
-  let eq_lookup = v_eq_lookup
-  let tag_count = v_tag_count
-  let docs_with_tag = v_docs_with_tag
-  let eq_count = v_eq_count
   let estimate_rows = v_estimate_rows
-  let subtrees = v_subtrees
 end
 
 (* Collection-level reads delegate to the current view: each call pins
@@ -342,15 +322,6 @@ end
 
 let version t = v_version (snapshot t)
 let doc t id = v_doc (snapshot t) id
-let index t id = v_index (snapshot t) id
 let doc_ids t = v_doc_ids (snapshot t)
-let n_documents t = v_n_documents (snapshot t)
-let n_nodes t = v_n_nodes (snapshot t)
 let eval ?use_index t xpath = v_eval ?use_index (snapshot t) xpath
-let eval_string ?use_index t s = v_eval_string ?use_index (snapshot t) s
-let eq_lookup t ~tag ~value = v_eq_lookup (snapshot t) ~tag ~value
-let tag_count t tag = v_tag_count (snapshot t) tag
-let docs_with_tag t tag = v_docs_with_tag (snapshot t) tag
-let eq_count t ~tag ~value = v_eq_count (snapshot t) ~tag ~value
-let estimate_rows t xpath = v_estimate_rows (snapshot t) xpath
 let subtrees t results = v_subtrees (snapshot t) results

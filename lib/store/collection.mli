@@ -68,16 +68,10 @@ module Snapshot : sig
   val doc : t -> doc_id -> Toss_xml.Tree.Doc.t
   (** @raise Not_found for ids not yet inserted at this version. *)
 
-  val index : t -> doc_id -> Index.t
-  (** The document's value index, built on first use and shared by all
-      later readers of any snapshot containing the document.
-      @raise Not_found for unknown ids. *)
-
   val doc_ids : t -> doc_id list
   (** Every id stored at this version, in insertion order. *)
 
   val n_documents : t -> int
-  val n_nodes : t -> int
 
   val eval :
     ?use_index:bool -> t -> Xpath.t -> (doc_id * Toss_xml.Tree.Doc.node) list
@@ -91,18 +85,6 @@ module Snapshot : sig
   (** Parses the XPath first.
       @raise Xpath_parser.Error on syntax errors. *)
 
-  val eq_lookup :
-    t -> tag:string -> value:string -> (doc_id * Toss_xml.Tree.Doc.node) list
-  (** Indexed exact-content lookup across all documents of this
-      version. *)
-
-  val tag_count : t -> string -> int
-  val docs_with_tag : t -> string -> int
-
-  val eq_count : t -> tag:string -> value:string -> int
-  (** Leaf elements with the given tag and exact content, summed across
-      all documents (forces the per-document indexes). *)
-
   val estimate_rows : t -> Xpath.t -> int
   (** Estimated result cardinality of the query: per union path, the
       number of elements matching the last step's name test, refined by
@@ -110,10 +92,6 @@ module Snapshot : sig
       [And] takes the minimum), capped at {!n_nodes}. Exact for the
       common rewritten shapes [//tag] and [//a/b[.='v' or ...]]; an
       estimate otherwise (intermediate steps are ignored). *)
-
-  val subtrees :
-    t -> (doc_id * Toss_xml.Tree.Doc.node) list -> Toss_xml.Tree.t list
-  (** Rematerializes result nodes as trees, preserving result order. *)
 end
 
 val snapshot : t -> Snapshot.t
@@ -149,46 +127,11 @@ val of_trees : ?name:string -> Toss_xml.Tree.t list -> t
 val doc : t -> doc_id -> Toss_xml.Tree.Doc.t
 (** @raise Not_found for unknown ids. *)
 
-val index : t -> doc_id -> Index.t
-(** The document's value index, built on first use.
-    @raise Not_found for unknown ids. *)
-
 val doc_ids : t -> doc_id list
 (** Every stored id, in insertion order. *)
 
-val n_documents : t -> int
-(** Number of stored documents. *)
-
-val n_nodes : t -> int
-(** Total element count across all stored documents. *)
-
 val eval : ?use_index:bool -> t -> Xpath.t -> (doc_id * Toss_xml.Tree.Doc.node) list
 (** {!Snapshot.eval} against the current version. *)
-
-val eval_string : ?use_index:bool -> t -> string -> (doc_id * Toss_xml.Tree.Doc.node) list
-(** Parses the XPath first.
-    @raise Xpath_parser.Error on syntax errors. *)
-
-val eq_lookup : t -> tag:string -> value:string -> (doc_id * Toss_xml.Tree.Doc.node) list
-(** Indexed exact-content lookup across all documents. *)
-
-(** {1 Statistics}
-
-    Per-term statistics backing the planner's selectivity estimates,
-    cached per version (a new version starts with an empty cache). *)
-
-val tag_count : t -> string -> int
-(** Elements with the given tag, summed across all documents. *)
-
-val docs_with_tag : t -> string -> int
-(** Documents containing at least one element with the given tag. *)
-
-val eq_count : t -> tag:string -> value:string -> int
-(** Leaf elements with the given tag and exact content, summed across
-    all documents (forces the per-document indexes). *)
-
-val estimate_rows : t -> Xpath.t -> int
-(** {!Snapshot.estimate_rows} against the current version. *)
 
 val subtrees : t -> (doc_id * Toss_xml.Tree.Doc.node) list -> Toss_xml.Tree.t list
 (** Rematerializes result nodes as trees, preserving result order. *)

@@ -27,8 +27,6 @@ let collection t name = locked t (fun () -> Hashtbl.find_opt t.collections name)
 let collection_exn t name =
   match collection t name with Some c -> c | None -> raise Not_found
 
-let drop_collection t name = locked t (fun () -> Hashtbl.remove t.collections name)
-
 let collection_names t =
   locked t (fun () ->
       Hashtbl.fold (fun name _ acc -> name :: acc) t.collections [])
@@ -40,6 +38,3 @@ let snapshot t =
         (fun name c acc -> (name, Collection.snapshot c) :: acc)
         t.collections [])
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-
-let query t ~collection:name q =
-  Collection.eval_string (collection_exn t name) q

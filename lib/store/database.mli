@@ -23,7 +23,6 @@ val register : t -> Collection.t -> unit
 
 val collection : t -> string -> Collection.t option
 val collection_exn : t -> string -> Collection.t
-val drop_collection : t -> string -> unit
 val collection_names : t -> string list
 
 val snapshot : t -> (string * Collection.Snapshot.t) list
@@ -33,9 +32,3 @@ val snapshot : t -> (string * Collection.Snapshot.t) list
     time, so the result is a stable, immutable view of the whole
     database suitable for lock-free multi-domain reads. Collections
     added (or versions published) after the call are not reflected. *)
-
-val query : t -> collection:string -> string ->
-  (Collection.doc_id * Toss_xml.Tree.Doc.node) list
-(** Parses and evaluates an XPath query against a collection.
-    @raise Not_found for an unknown collection
-    @raise Xpath_parser.Error on syntax errors. *)

@@ -3,8 +3,6 @@ module Doc = Tree.Doc
 module Metrics = Toss_obs.Metrics
 
 let m_builds = Metrics.counter "store.index.builds"
-let m_eq_lookups = Metrics.counter "store.index.eq_lookups"
-let m_eq_hits = Metrics.counter "store.index.eq_hits"
 
 type t = (string * string, Doc.node list) Hashtbl.t
 
@@ -19,16 +17,6 @@ let build doc =
       if Doc.children doc n = [] then push eq (Doc.tag doc n, Doc.content doc n) n)
     (Doc.nodes doc);
   eq
-
-let eq_lookup t ~tag ~value =
-  Metrics.incr m_eq_lookups;
-  match Hashtbl.find_opt t (tag, value) with
-  | None -> []
-  | Some nodes ->
-      Metrics.incr m_eq_hits;
-      List.rev nodes
-
-let n_entries = Hashtbl.length
 
 (* Statistics accessors for the planner: plain reads, no lookup/hit
    metrics — estimating a plan must not perturb the counters that

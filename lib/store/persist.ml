@@ -1,4 +1,3 @@
-module Tree = Toss_xml.Tree
 module Parser = Toss_xml.Parser
 module Printer = Toss_xml.Printer
 
@@ -11,14 +10,6 @@ let write_doc ~path tree =
   Fun.protect
     ~finally:(fun () -> close_out_noerr oc)
     (fun () -> output_string oc (Printer.to_string ~decl:true tree))
-
-let save_collection collection ~dir =
-  ensure_dir dir;
-  List.iter
-    (fun id ->
-      let tree = Tree.Doc.to_tree (Collection.doc collection id) in
-      write_doc ~path:(Filename.concat dir (doc_filename id)) tree)
-    (Collection.doc_ids collection)
 
 let append_document ~dir ~collection id tree =
   ensure_dir dir;
@@ -36,42 +27,25 @@ let read_file path =
    corrupt document reports alongside every other corrupt document
    instead of masking them; the collection is only returned when all of
    them load (a partial collection would silently renumber ids). *)
-let load_collection ?max_bytes ~name dir =
-  if not (Sys.file_exists dir && Sys.is_directory dir) then
-    Error (Printf.sprintf "%s: not a directory" dir)
-  else begin
-    let files =
-      Sys.readdir dir |> Array.to_list
-      |> List.filter (fun f -> Filename.check_suffix f ".xml")
-      |> List.sort String.compare
-    in
-    let collection = Collection.create ?max_bytes name in
-    let errors =
-      List.filter_map
-        (fun file ->
-          let path = Filename.concat dir file in
-          match Collection.add_xml collection (read_file path) with
-          | Ok _ -> None
-          | Error e -> Some (Format.asprintf "%s: %a" path Parser.pp_error e)
-          | exception Collection.Collection_full { limit; _ } ->
-              Some
-                (Printf.sprintf "%s: collection size limit %d exceeded" path
-                   limit))
-        files
-    in
-    match errors with
-    | [] -> Ok collection
-    | errors -> Error (String.concat "\n" errors)
-  end
-
-let save_database db ~dir =
-  ensure_dir dir;
-  List.iter
-    (fun name ->
-      match Database.collection db name with
-      | Some c -> save_collection c ~dir:(Filename.concat dir name)
-      | None -> ())
-    (Database.collection_names db)
+let load_collection ~name dir =
+  let files =
+    Sys.readdir dir |> Array.to_list
+    |> List.filter (fun f -> Filename.check_suffix f ".xml")
+    |> List.sort String.compare
+  in
+  let collection = Collection.create name in
+  let errors =
+    List.filter_map
+      (fun file ->
+        let path = Filename.concat dir file in
+        match Collection.add_xml collection (read_file path) with
+        | Ok _ -> None
+        | Error e -> Some (Format.asprintf "%s: %a" path Parser.pp_error e))
+      files
+  in
+  match errors with
+  | [] -> Ok collection
+  | errors -> Error (String.concat "\n" errors)
 
 (* Like [load_collection], keeps going past a failing collection and
    aggregates every error; one bad collection no longer hides problems

@@ -1,15 +1,10 @@
-(** Filesystem persistence for collections and databases.
+(** Filesystem persistence for the query server's database.
 
     Xindice stored collections as directories of XML documents; this
-    module provides the same durable layout: a collection becomes a
-    directory with one [NNNNNN.xml] file per document (zero-padded
-    insertion order), and a database a directory of collection
-    directories. Round-trips preserve document order and content up to
-    whitespace normalization. *)
-
-val save_collection : Collection.t -> dir:string -> unit
-(** Creates [dir] if needed and (re)writes every document.
-    @raise Sys_error on filesystem failures. *)
+    module keeps the same durable layout: a database is a directory of
+    collection directories, each holding one [NNNNNN.xml] file per
+    document (zero-padded insertion order). Round-trips preserve
+    document order and content up to whitespace normalization. *)
 
 val append_document :
   dir:string -> collection:string -> Collection.doc_id -> Toss_xml.Tree.t -> unit
@@ -20,16 +15,9 @@ val append_document :
     rewriting the whole database.
     @raise Sys_error on filesystem failures. *)
 
-val load_collection : ?max_bytes:int -> name:string -> string -> (Collection.t, string) result
-(** [load_collection ~name dir] loads every [*.xml] file of [dir] in
-    lexicographic (= insertion) order. Every file is attempted: on
-    failure the error lists {e all} unloadable files (newline-separated,
-    each with its path), not just the first. *)
-
-val save_database : Database.t -> dir:string -> unit
-(** One subdirectory per collection, named after it. *)
-
 val load_database : dir:string -> (Database.t, string) result
-(** Every subdirectory becomes a collection. Like {!load_collection},
-    aggregates the errors of every failing collection instead of
-    stopping at the first. *)
+(** Every subdirectory becomes a collection named after it, loading its
+    [*.xml] files in lexicographic (= insertion) order. Every file of
+    every collection is attempted: on failure the error lists {e all}
+    unloadable files (newline-separated, each with its path), not just
+    the first. *)

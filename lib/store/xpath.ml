@@ -21,7 +21,6 @@ type path = step list
 type t = path list
 
 let path steps = [ steps ]
-let union ts = List.concat ts
 let step ?(axis = Child) ?(predicates = []) tag = { axis; test = Tag tag; predicates }
 let any ?(axis = Child) ?(predicates = []) () = { axis; test = Any; predicates }
 
@@ -118,4 +117,3 @@ let step_to_string st =
 
 let path_to_string steps = String.concat "" (List.map step_to_string steps)
 let to_string t = String.concat " | " (List.map path_to_string t)
-let pp ppf t = Format.pp_print_string ppf (to_string t)

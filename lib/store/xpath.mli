@@ -38,9 +38,6 @@ type t = path list
 val path : step list -> t
 (** A single-path query. *)
 
-val union : t list -> t
-(** Concatenates the alternatives of several queries into one. *)
-
 val step : ?axis:axis -> ?predicates:predicate list -> string -> step
 (** A step testing for the given tag (default axis {!Child}). *)
 
@@ -56,6 +53,3 @@ val matches : Toss_xml.Tree.Doc.t -> Toss_xml.Tree.Doc.node -> predicate -> bool
 
 val to_string : t -> string
 (** Concrete syntax; parses back with {!Xpath_parser.parse}. *)
-
-val pp : Format.formatter -> t -> unit
-(** Pretty-printer for the concrete syntax of {!to_string}. *)

@@ -22,7 +22,6 @@ type t =
 let conj = function [] -> True | c :: cs -> List.fold_left (fun a b -> And (a, b)) c cs
 let disj = function [] -> Not True | c :: cs -> List.fold_left (fun a b -> Or (a, b)) c cs
 let tag_eq i s = Cmp (Tag i, Eq, Str s)
-let content_eq i s = Cmp (Content i, Eq, Str s)
 let content_sim i s = Sim (Content i, Str s)
 let content_isa i s = Isa (Content i, Str s)
 

@@ -39,7 +39,6 @@ val disj : t list -> t
 val tag_eq : int -> string -> t
 (** [#i.tag = s] *)
 
-val content_eq : int -> string -> t
 val content_sim : int -> string -> t
 val content_isa : int -> string -> t
 

@@ -21,5 +21,3 @@ val enumerate :
     search space for a label (e.g. from an index); [None] means
     unrestricted. Node-local atomic conjuncts of the pattern's condition
     are additionally used as prefilters with the supplied [eval]. *)
-
-val env_of : Toss_xml.Tree.Doc.t -> binding -> Condition.env

@@ -19,32 +19,3 @@ let v root condition =
   { root; condition }
 
 let labels t = node_labels t.root
-let n_nodes t = List.length (labels t)
-
-let find t label =
-  let rec go n =
-    if n.label = label then Some n
-    else List.find_map (fun (_, c) -> go c) n.children
-  in
-  go t.root
-
-let parent_label t label =
-  let rec go n =
-    List.find_map
-      (fun (kind, c) -> if c.label = label then Some (n.label, kind) else go c)
-      n.children
-  in
-  go t.root
-
-let rec pp_node ppf n =
-  match n.children with
-  | [] -> Format.fprintf ppf "#%d" n.label
-  | cs ->
-      Format.fprintf ppf "#%d(%a)" n.label
-        (Format.pp_print_list
-           ~pp_sep:(fun ppf () -> Format.pp_print_string ppf ", ")
-           (fun ppf (kind, c) ->
-             Format.fprintf ppf "%s%a" (match kind with Pc -> "/" | Ad -> "//") pp_node c))
-        cs
-
-let pp ppf t = Format.fprintf ppf "@[%a where %a@]" pp_node t.root Condition.pp t.condition

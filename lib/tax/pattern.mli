@@ -21,11 +21,3 @@ val v : node -> Condition.t -> t
 
 val labels : t -> int list
 (** All node labels, in preorder. *)
-
-val n_nodes : t -> int
-val find : t -> int -> node option
-val parent_label : t -> int -> (int * edge_kind) option
-(** The label of a node's parent in the pattern and the connecting edge
-    kind; [None] for the root. *)
-
-val pp : Format.formatter -> t -> unit

@@ -86,23 +86,3 @@ let parse ?keep_whitespace input =
   match parse_exn ?keep_whitespace input with
   | tree -> Ok tree
   | exception Parse_error e -> Error e
-
-let parse_fragment input =
-  match
-    wrap (fun () ->
-        let st = Lexer.make input in
-        Lexer.skip_prolog st;
-        let rec go acc =
-          Lexer.skip_whitespace st;
-          if Lexer.eof st then List.rev acc
-          else if Lexer.looking_at st "<!--" then begin
-            Lexer.skip_comment st;
-            go acc
-          end
-          else if Lexer.peek st = '<' then go (parse_element st :: acc)
-          else Lexer.fail st "expected an element"
-        in
-        go [])
-  with
-  | roots -> Ok roots
-  | exception Parse_error e -> Error e

@@ -18,7 +18,4 @@ val parse : ?keep_whitespace:bool -> string -> (Tree.t, error) result
 val parse_exn : ?keep_whitespace:bool -> string -> Tree.t
 (** @raise Parse_error *)
 
-val parse_fragment : string -> (Tree.t list, error) result
-(** Parses a sequence of sibling elements with no single root. *)
-
 val pp_error : Format.formatter -> error -> unit

@@ -87,13 +87,6 @@ let run ?keep_whitespace input ~init ~f ~stop =
        with Stop -> ());
       !acc)
 
-let fold ?keep_whitespace input ~init ~f =
-  run ?keep_whitespace input ~init ~f ~stop:(fun _ -> false)
-
-let events ?keep_whitespace input =
-  Result.map List.rev
-    (fold ?keep_whitespace input ~init:[] ~f:(fun acc e -> e :: acc))
-
 type 'a builder_state = {
   matched : Tree.t list;  (** completed matches, reversed *)
   stack : (string * (string * string) list * Tree.t list) list;
@@ -133,7 +126,3 @@ let trees_where ?(limit = max_int) p input =
        ~init:{ matched = []; stack = []; remaining = limit }
        ~f:step
        ~stop:(fun st -> st.remaining <= 0 && st.stack = []))
-
-let count p input =
-  fold input ~init:0 ~f:(fun n event ->
-      match event with Start_element { tag; _ } when p tag -> n + 1 | _ -> n)

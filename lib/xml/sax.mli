@@ -1,36 +1,14 @@
 (** Event-based (SAX-style) XML processing.
 
     Bibliographic dumps are large (the paper's DBLP file is 188 MB while
-    Xindice accepts 5 MB); an event stream lets callers filter or truncate
-    while parsing instead of materializing the whole document. The event
-    vocabulary matches the tree model: start/end element, character data.
-    {!fold} drives a callback over the events; {!trees_where} rebuilds
-    only the subtrees whose root tag satisfies a predicate — how one
-    extracts "all proceedings records" from a huge dump. *)
-
-type event =
-  | Start_element of { tag : string; attrs : (string * string) list }
-  | End_element of string
-  | Text of string
-
-val fold :
-  ?keep_whitespace:bool ->
-  string ->
-  init:'a ->
-  f:('a -> event -> 'a) ->
-  ('a, Parser.error) result
-(** Runs the callback over the document's events in order. Whitespace-only
-    text is dropped unless [keep_whitespace]. *)
-
-val events : ?keep_whitespace:bool -> string -> (event list, Parser.error) result
-(** All events, materialized (mostly for tests). *)
+    Xindice accepts 5 MB); reading them as a stream of start/end/text
+    events lets a caller filter or truncate while parsing instead of
+    materializing the whole document. {!trees_where} rebuilds only the
+    subtrees whose root tag satisfies a predicate — how one extracts
+    "all proceedings records" from a huge dump. *)
 
 val trees_where :
   ?limit:int -> (string -> bool) -> string -> (Tree.t list, Parser.error) result
 (** [trees_where p input] rebuilds every maximal subtree whose root tag
     satisfies [p] (subtrees nested inside an already-matching element are
     not reported separately), stopping after [limit] matches if given. *)
-
-val count : (string -> bool) -> string -> (int, Parser.error) result
-(** Number of elements whose tag satisfies the predicate, without building
-    any tree. *)

@@ -5,7 +5,6 @@ type t =
 let element ?(attrs = []) tag children = Element { tag; attrs; children }
 let text s = Text s
 let leaf ?attrs tag s = element ?attrs tag [ text s ]
-let tag = function Element { tag; _ } -> Some tag | Text _ -> None
 
 let string_value t =
   let buf = Buffer.create 64 in
@@ -16,10 +15,6 @@ let string_value t =
   go t;
   Buffer.contents buf
 
-let rec size = function
-  | Text _ -> 1
-  | Element { children; _ } -> 1 + List.fold_left (fun n c -> n + size c) 0 children
-
 let rec n_elements = function
   | Text _ -> 0
   | Element { children; _ } ->
@@ -28,25 +23,10 @@ let rec n_elements = function
 let equal (a : t) (b : t) = a = b
 let compare (a : t) (b : t) = Stdlib.compare a b
 
-let rec map_tags f = function
-  | Text s -> Text s
-  | Element { tag; attrs; children } ->
-      Element { tag = f tag; attrs; children = List.map (map_tags f) children }
-
 let rec fold f acc t =
   match t with
   | Text _ -> f acc t
   | Element { children; _ } -> List.fold_left (fold f) (f acc t) children
-
-let rec pp ppf = function
-  | Text s -> Format.fprintf ppf "%S" s
-  | Element { tag; children = []; _ } -> Format.fprintf ppf "<%s/>" tag
-  | Element { tag; children = [ Text s ]; _ } -> Format.fprintf ppf "<%s>%S" tag s
-  | Element { tag; children; _ } ->
-      Format.fprintf ppf "@[<v 2><%s>%a@]" tag
-        (Format.pp_print_list ~pp_sep:Format.pp_print_cut (fun ppf c ->
-             Format.fprintf ppf "@,%a" pp c))
-        children
 
 module Doc = struct
   type tree = t
@@ -109,7 +89,6 @@ module Doc = struct
   let content d n = d.contents.(n)
   let children d n = d.kids.(n)
   let parent d n = if d.parents.(n) < 0 then None else Some d.parents.(n)
-  let depth d n = d.depths.(n)
   let is_child d ~parent ~child = d.parents.(child) = parent
   let is_descendant d ~anc ~desc = anc < desc && desc <= d.last_desc.(anc)
 
@@ -117,7 +96,6 @@ module Doc = struct
     let rec range i acc = if i > d.last_desc.(n) then List.rev acc else range (i + 1) (i :: acc) in
     range (n + 1) []
 
-  let precedes _ a b = a < b
   let by_tag d t = Option.value ~default:[] (Hashtbl.find_opt d.by_tag_index t)
 
   let tags d =

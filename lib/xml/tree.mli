@@ -16,27 +16,17 @@ val text : string -> t
 val leaf : ?attrs:(string * string) list -> string -> string -> t
 (** [leaf tag s] is [element tag [text s]]. *)
 
-val tag : t -> string option
-(** [None] on text nodes. *)
-
 val string_value : t -> string
 (** Concatenation of all descendant text, in document order (the XPath
     string-value). *)
 
-val size : t -> int
-(** Number of nodes (elements and text nodes). *)
-
-val n_elements : t -> int
 val equal : t -> t -> bool
 (** Structural equality: same tags, attributes, and ordered children —
     the tree-identity notion TAX's set operations use. *)
 
 val compare : t -> t -> int
-val map_tags : (string -> string) -> t -> t
 val fold : ('a -> t -> 'a) -> 'a -> t -> 'a
 (** Preorder fold over all subtrees. *)
-
-val pp : Format.formatter -> t -> unit
 
 (** Frozen, indexed documents. *)
 module Doc : sig
@@ -63,16 +53,12 @@ module Doc : sig
   (** Element children, in order. *)
 
   val parent : t -> node -> node option
-  val depth : t -> node -> int
   val is_child : t -> parent:node -> child:node -> bool
   val is_descendant : t -> anc:node -> desc:node -> bool
   (** Strict: a node is not its own descendant. O(1). *)
 
   val descendants : t -> node -> node list
   (** Strict descendants, in document order. *)
-
-  val precedes : t -> node -> node -> bool
-  (** Document (preorder) order. *)
 
   val by_tag : t -> string -> node list
   (** All element nodes with the given tag, in document order. *)

@@ -15,6 +15,3 @@ let of_name = function
   | "year" -> Some Year
   | "string" -> Some String
   | _ -> None
-
-let equal (a : t) (b : t) = a = b
-let pp ppf t = Format.pp_print_string ppf (name t)

@@ -13,5 +13,3 @@ val infer : string -> t
 
 val name : t -> string
 val of_name : string -> t option
-val equal : t -> t -> bool
-val pp : Format.formatter -> t -> unit

@@ -422,7 +422,7 @@ let fusion_case_gen =
 let print_fusion_case (hs, cs) =
   Format.asprintf "@[<v>%a@,constraints: %a@]"
     (Format.pp_print_list (fun ppf (i, h) ->
-         Format.fprintf ppf "source %d: %a" i Hierarchy.pp h))
+         Format.fprintf ppf "source %d: %s" i (Hierarchy.to_dot h)))
     (List.mapi (fun i h -> (i, h)) hs)
     (Format.pp_print_list
        ~pp_sep:(fun ppf () -> Format.pp_print_string ppf "; ")

@@ -16,7 +16,12 @@ let test_counts () =
 let test_counts_dedup () =
   let c = Quality.counts ~correct:[ "a"; "a" ] ~returned:[ "a"; "a"; "a" ] in
   checki "tp deduped" 1 c.Quality.tp;
-  checki "fp deduped" 0 c.Quality.fp
+  checki "fp deduped" 0 c.Quality.fp;
+  (* Answers are sets: a repeated answer is one true positive. *)
+  checkf "precision deduped" 1.0
+    (Quality.precision ~correct:[ "a"; "a" ] ~returned:[ "a"; "a"; "a" ]);
+  checkf "recall deduped" 0.5
+    (Quality.recall ~correct:[ "a"; "b"; "b" ] ~returned:[ "a"; "a" ])
 
 let test_precision_recall () =
   checkf "precision" (2. /. 3.)
@@ -42,10 +47,6 @@ let test_quality () =
   checkf "evaluate recall" 0.5 r;
   checkf "evaluate quality" (sqrt 0.5) q
 
-let test_f1 () =
-  checkf "balanced" 0.5 (Quality.f1 ~precision:0.5 ~recall:0.5);
-  checkf "degenerate" 0.0 (Quality.f1 ~precision:0.0 ~recall:0.0)
-
 let test_mean () =
   checkf "empty" 0.0 (Quality.mean []);
   checkf "values" 2.0 (Quality.mean [ 1.0; 2.0; 3.0 ])
@@ -70,16 +71,27 @@ let sample_series =
     ~columns:[ "x"; "tax"; "toss" ]
     [ [ "1"; "0.1"; "0.2" ]; [ "2"; "0.3"; "0.4" ] ]
 
+let temp_dir () =
+  let dir = Filename.temp_file "toss_eval" "" in
+  Sys.remove dir;
+  dir
+
+(* The artifact [save_all] wrote for the series, by file extension. *)
+let artifact s ext =
+  let paths = Series.save_all ~dir:(temp_dir ()) [ s ] in
+  let path = List.find (fun p -> Filename.check_suffix p ext) paths in
+  In_channel.with_open_bin path In_channel.input_all
+
 let test_series_csv () =
   Alcotest.(check string) "csv" "x,tax,toss\n1,0.1,0.2\n2,0.3,0.4\n"
-    (Series.to_csv sample_series)
+    (artifact sample_series ".csv")
 
 let test_series_escaping () =
   let s =
     Series.v ~name:"esc" ~columns:[ "a" ] [ [ "plain" ]; [ "with,comma" ]; [ "say \"hi\"" ] ]
   in
   Alcotest.(check string) "quoted fields" "a\nplain\n\"with,comma\"\n\"say \"\"hi\"\"\"\n"
-    (Series.to_csv s)
+    (artifact s ".csv")
 
 let test_series_validation () =
   Alcotest.check_raises "ragged row"
@@ -88,22 +100,15 @@ let test_series_validation () =
   Alcotest.check_raises "empty name" (Invalid_argument "Series.v: empty name")
     (fun () -> ignore (Series.v ~name:"" ~columns:[] []))
 
-let temp_dir () =
-  let dir = Filename.temp_file "toss_eval" "" in
-  Sys.remove dir;
-  dir
-
 let test_series_save () =
-  let dir = temp_dir () in
-  let path = Series.save_csv ~dir sample_series in
-  checkb "file exists" true (Sys.file_exists path);
-  let paths = Series.save_all ~dir [ sample_series ] in
+  let paths = Series.save_all ~dir:(temp_dir ()) [ sample_series ] in
+  checkb "files exist" true (List.for_all Sys.file_exists paths);
   checki "csv, gp and json" 3 (List.length paths);
   checkb "writes the json" true
     (List.exists (fun p -> Filename.check_suffix p ".json") paths)
 
 let test_series_gnuplot () =
-  let gp = Series.gnuplot_script sample_series in
+  let gp = artifact sample_series ".gp" in
   let has needle =
     let nh = String.length gp and nn = String.length needle in
     let rec go i = i + nn <= nh && (String.sub gp i nn = needle || go (i + 1)) in
@@ -149,7 +154,15 @@ let test_json_errors () =
   checkb "trailing garbage" true (fails "1 2");
   checkb "unterminated string" true (fails "\"abc");
   checkb "missing bracket" true (fails "[1,2");
-  checkb "bare word" true (fails "nope")
+  checkb "bare word" true (fails "nope");
+  (* The nesting cap both wire codecs share: a scalar inside 512 arrays
+     parses, inside 513 it does not, and a very deep input fails fast. *)
+  let nested k = String.make k '[' ^ "0" ^ String.make k ']' in
+  checkb "512 levels accepted" false (fails (nested 512));
+  checkb "513 levels rejected" true (fails (nested 513));
+  checkb "objects count too" true
+    (fails (String.concat "" (List.init 513 (fun _ -> {|{"a":|})) ^ "0" ^ String.make 513 '}'));
+  checkb "1,000,000 levels rejected" true (fails (String.make 1_000_000 '['))
 
 let sample_baseline =
   Baseline.v ~label:"suite"
@@ -159,7 +172,11 @@ let sample_baseline =
     ]
 
 let test_baseline_roundtrip () =
-  match Baseline.of_json (Baseline.to_json sample_baseline) with
+  let path = Filename.temp_file "toss_baseline" ".json" in
+  Fun.protect ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+  @@ fun () ->
+  Baseline.save ~path sample_baseline;
+  match Baseline.load ~path with
   | Error msg -> Alcotest.failf "round trip failed: %s" msg
   | Ok b ->
       Alcotest.(check string) "label" sample_baseline.Baseline.label b.Baseline.label;
@@ -236,7 +253,6 @@ let () =
           Alcotest.test_case "precision and recall" `Quick test_precision_recall;
           Alcotest.test_case "edge conventions" `Quick test_edge_conventions;
           Alcotest.test_case "quality" `Quick test_quality;
-          Alcotest.test_case "f1" `Quick test_f1;
           Alcotest.test_case "mean" `Quick test_mean;
         ] );
       ( "bench utilities",

@@ -170,7 +170,7 @@ let test_cross_schema_join () =
     (List.length tax_pairs < List.length toss_pairs)
 
 (* ------------------------------------------------------------------ *)
-(* The in-memory TOSS algebra agrees with the executor on the workload  *)
+(* The executor agrees with the naive oracle on the workload           *)
 (* ------------------------------------------------------------------ *)
 
 let test_executor_algebra_agreement_on_workload () =
@@ -193,9 +193,9 @@ let test_executor_algebra_agreement_on_workload () =
         Executor.select ~mode:Executor.Toss seo coll ~pattern:q.Workload.pattern
           ~sl:q.Workload.sl
       in
-      let in_memory =
-        Toss_core.Toss_algebra.select seo ~pattern:q.Workload.pattern ~sl:q.Workload.sl
-          [ d.Dblp_gen.tree ]
+      let in_memory, _ =
+        Toss_check.Oracle.select ~eval:(Toss_core.Toss_condition.evaluator seo)
+          ~pattern:q.Workload.pattern ~sl:q.Workload.sl [ Doc.of_tree d.Dblp_gen.tree ]
       in
       checkb
         (Printf.sprintf "query %d agreement" q.Workload.query_id)
@@ -215,10 +215,15 @@ let test_persistence_preserves_answers () =
   in
   let dir = Filename.temp_file "toss_int" "" in
   Sys.remove dir;
-  Toss_store.Persist.save_collection collection_t ~dir;
-  match Toss_store.Persist.load_collection ~name:"reloaded" dir with
+  List.iter
+    (fun id ->
+      Toss_store.Persist.append_document ~dir ~collection:"dblp" id
+        (Doc.to_tree (Collection.doc collection_t id)))
+    (Collection.doc_ids collection_t);
+  match Toss_store.Persist.load_database ~dir with
   | Error msg -> Alcotest.fail msg
-  | Ok reloaded ->
+  | Ok db ->
+      let reloaded = Toss_store.Database.collection_exn db "dblp" in
       let after, _ =
         Executor.select ~mode:Executor.Toss seo2 (Collection.snapshot reloaded)
           ~pattern:q.Workload.pattern ~sl:q.Workload.sl
@@ -287,8 +292,8 @@ let test_session_tql_matches_executor () =
       let direct, _ =
         Executor.select ~mode:Executor.Toss
           (Result.get_ok (Toss_core.Session.seo session))
-          (Collection.snapshot
-             (Option.get (Toss_core.Session.collection session "dblp")))
+          (Toss_core.Session.pinned_snapshot
+             (Result.get_ok (Toss_core.Session.pin session ~collection:"dblp")))
           ~pattern:q.Workload.pattern ~sl:q.Workload.sl
       in
       Alcotest.(check (list string)) "TQL and direct answers agree"

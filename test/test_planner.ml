@@ -250,7 +250,8 @@ let small_coll =
   | Error _ -> failwith "bad xml");
   c
 
-let est q = Collection.estimate_rows small_coll (Xpath_parser.parse_exn q)
+let est q =
+  Collection.Snapshot.estimate_rows (Collection.snapshot small_coll) (Xpath_parser.parse_exn q)
 
 let test_estimate_rows () =
   checki "tag count" 3 (est "//a");
@@ -259,10 +260,7 @@ let test_estimate_rows () =
   checki "or sums" 3 (est "//a[.='x' or .='y']");
   checki "and takes min" 1 (est "//a[.='x' and .='y']");
   checki "union of paths sums" 4 (est "//a|//b");
-  checki "capped at collection size" 6 (est "//*");
-  checki "tag stats" 3 (Collection.tag_count small_coll "a");
-  checki "docs with tag" 1 (Collection.docs_with_tag small_coll "a");
-  checki "eq count" 2 (Collection.eq_count small_coll ~tag:"a" ~value:"x")
+  checki "capped at collection size" 6 (est "//*")
 
 (* ---------------------- unit: scan ordering ----------------------- *)
 

@@ -310,7 +310,9 @@ let await_ready run =
   done;
   Mutex.unlock ready;
   let stop () =
-    (match Client.connect !resolved with
+    (* A router's shutdown also stops its shards, so a later stop may
+       find its server gone: fail at once rather than retry. *)
+    (match Client.connect ~retry_ms:0 !resolved with
     | Ok conn ->
         ignore (Client.call conn Protocol.Shutdown);
         Client.close conn
@@ -1212,7 +1214,20 @@ let test_oversized_frame_rejected () =
     (is_parse_error (Protocol.decode_frame (header 1 ^ "Z")));
   checkb "trailing bytes" true
     (is_parse_error
-       (Protocol.decode_frame (header 2 ^ Protocol.encode_binary J.Null ^ "N")))
+       (Protocol.decode_frame (header 2 ^ Protocol.encode_binary J.Null ^ "N")));
+  (* Both codecs share one nesting cap: a value inside 512 arrays
+     decodes, one inside 513 is a typed parse_error. *)
+  let rec nest k v = if k = 0 then v else nest (k - 1) (J.Arr [ v ]) in
+  let deep k = nest k (J.Num 0.) in
+  checkb "binary: 512 levels accepted" true
+    (Protocol.decode_binary (Protocol.encode_binary (deep 512)) = Ok (deep 512));
+  checkb "binary: 513 levels rejected" true
+    (is_parse_error (Protocol.decode_binary (Protocol.encode_binary (deep 513))));
+  let request k = J.to_string (J.Obj [ ("op", J.Str "ping"); ("pad", deep k) ]) in
+  checkb "json: 512 levels accepted" true
+    (Result.is_ok (Protocol.parse_request (request 511)));
+  checkb "json: 513 levels rejected" true
+    (is_parse_error (Protocol.parse_request (request 512)))
 
 let prop_cross_codec_responses =
   (* One response value, both codecs: the JSON line and the binary

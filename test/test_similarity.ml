@@ -4,9 +4,7 @@
 
 module Metric = Toss_similarity.Metric
 module Levenshtein = Toss_similarity.Levenshtein
-module Jaro = Toss_similarity.Jaro
 module Token = Toss_similarity.Token
-module Monge_elkan = Toss_similarity.Monge_elkan
 module Name_rules = Toss_similarity.Name_rules
 module Text_rules = Toss_similarity.Text_rules
 module Clique = Toss_similarity.Clique
@@ -45,11 +43,6 @@ let test_levenshtein_within () =
   Alcotest.(check (option int)) "length gap prunes" None
     (Levenshtein.distance_within 2 "abc" "abcdefgh")
 
-let test_damerau () =
-  checki "transposition is one edit" 1 (Levenshtein.damerau_distance "abcd" "abdc");
-  checki "plain lev needs two" 2 (Levenshtein.distance "abcd" "abdc");
-  checki "identical" 0 (Levenshtein.damerau_distance "x" "x")
-
 let string_pair_gen =
   QCheck2.Gen.(pair (string_size ~gen:printable (int_range 0 12))
                  (string_size ~gen:printable (int_range 0 12)))
@@ -80,123 +73,13 @@ let prop_lev_within_agrees =
       | None -> d > 4)
 
 (* ------------------------------------------------------------------ *)
-(* Jaro, token measures, Monge-Elkan                                    *)
+(* The shared tokenizer                                                 *)
 (* ------------------------------------------------------------------ *)
-
-let test_jaro_known () =
-  checkf_approx "martha/marhta" 0.9444 (Jaro.jaro "martha" "marhta");
-  checkf_approx "dixon/dicksonx" 0.7667 (Jaro.jaro "dixon" "dicksonx");
-  checkf "identical" 1.0 (Jaro.jaro "same" "same");
-  checkf "both empty" 1.0 (Jaro.jaro "" "");
-  checkf "nothing shared" 0.0 (Jaro.jaro "abc" "xyz")
-
-let test_jaro_winkler () =
-  checkf_approx "martha/marhta boosted" 0.9611 (Jaro.jaro_winkler "martha" "marhta");
-  checkb "winkler >= jaro" true
-    (Jaro.jaro_winkler "dwayne" "duane" >= Jaro.jaro "dwayne" "duane");
-  Alcotest.check_raises "bad prefix scale"
-    (Invalid_argument "Jaro.jaro_winkler: prefix_scale out of [0, 0.25]") (fun () ->
-      ignore (Jaro.jaro_winkler ~prefix_scale:0.5 "a" "b"))
 
 let test_tokenize () =
   Alcotest.(check (list string)) "splits and lowercases" [ "hello"; "world"; "42" ]
     (Token.tokenize "Hello, World! 42");
   Alcotest.(check (list string)) "empty" [] (Token.tokenize "  .,; ")
-
-let test_jaccard () =
-  checkf "identical sets" 1.0 (Token.jaccard "a b c" "c b a");
-  checkf "disjoint" 0.0 (Token.jaccard "a b" "c d");
-  checkf "one third" (1. /. 3.) (Token.jaccard "a b" "b c");
-  checkf "both empty" 1.0 (Token.jaccard "" "")
-
-let test_cosine () =
-  checkf "identical" 1.0 (Token.cosine "a b" "b a");
-  checkf "disjoint" 0.0 (Token.cosine "a" "b");
-  checkf "one empty" 0.0 (Token.cosine "" "a");
-  checkb "partial overlap strictly between" true
-    (let c = Token.cosine "a b" "a c" in
-     c > 0. && c < 1.)
-
-let test_qgrams () =
-  Alcotest.(check (list string)) "bigrams of ab" [ "#a"; "ab"; "b#" ] (Token.qgrams 2 "ab");
-  checki "identical distance 0" 0 (Token.qgram_distance 2 "abc" "abc");
-  checkb "different positive" true (Token.qgram_distance 2 "abc" "abd" > 0);
-  Alcotest.check_raises "q must be positive"
-    (Invalid_argument "Token.qgrams: q must be positive") (fun () ->
-      ignore (Token.qgrams 0 "x"))
-
-let test_monge_elkan () =
-  checkf "identical" 1.0 (Monge_elkan.similarity "Jeff Ullman" "Jeff Ullman");
-  checkb "token reorder tolerated" true
-    (Monge_elkan.similarity "Ullman Jeff" "Jeff Ullman" > 0.95);
-  checkb "different names lower" true
-    (Monge_elkan.similarity "Jeff Ullman" "Alice Smith"
-    < Monge_elkan.similarity "Jeff Ullman" "Jeff Ullmann")
-
-(* ------------------------------------------------------------------ *)
-(* TF-IDF / Soft-TFIDF                                                  *)
-(* ------------------------------------------------------------------ *)
-
-module Tfidf = Toss_similarity.Tfidf
-
-let bib_corpus =
-  Tfidf.corpus_of
-    [
-      "Jeffrey Ullman"; "Jennifer Widom"; "Jeffrey Naughton"; "Serge Abiteboul";
-      "Jeffrey Dean"; "David Ullman";
-    ]
-
-let test_tfidf_idf () =
-  checki "corpus size" 6 (Tfidf.n_documents bib_corpus);
-  checkb "common token weighs less" true
-    (Tfidf.idf bib_corpus "jeffrey" < Tfidf.idf bib_corpus "widom");
-  checkb "unseen token gets max weight" true
-    (Tfidf.idf bib_corpus "zzz" >= Tfidf.idf bib_corpus "widom")
-
-let test_tfidf_similarity () =
-  checkf "identical" 1.0 (Tfidf.tfidf bib_corpus "Jeffrey Ullman" "Jeffrey Ullman");
-  checkf "disjoint" 0.0 (Tfidf.tfidf bib_corpus "Jeffrey Ullman" "Serge Abiteboul");
-  (* Sharing the rare surname counts more than sharing the common given
-     name. *)
-  checkb "rare token dominates" true
-    (Tfidf.tfidf bib_corpus "Jeffrey Ullman" "David Ullman"
-    > Tfidf.tfidf bib_corpus "Jeffrey Ullman" "Jeffrey Widom")
-
-let test_soft_tfidf () =
-  (* A typo in the rare token defeats plain TF-IDF but not Soft-TFIDF. *)
-  checkf "plain tfidf sees no overlap" 0.0
-    (Tfidf.tfidf bib_corpus "Jeffrey Ullmann" "Dave Ullman" *. 0.0);
-  checkb "typo'd rare token still matches" true
-    (Tfidf.soft_tfidf bib_corpus "Jeffrey Ullmann" "Jeffrey Ullman"
-    > Tfidf.tfidf bib_corpus "Jeffrey Ullmann" "Jeffrey Ullman");
-  checkb "bounded by 1" true
-    (Tfidf.soft_tfidf bib_corpus "Jeffrey Ullman" "Jeffrey Ullman" <= 1.0);
-  let m = Tfidf.metric bib_corpus in
-  checkf "metric identity" 0.0 (Metric.dist m "x" "x");
-  checkb "metric distance positive for dissimilar" true
-    (Metric.dist m "Jeffrey Ullman" "Serge Abiteboul" > 0.5)
-
-(* ------------------------------------------------------------------ *)
-(* Metric combinators                                                   *)
-(* ------------------------------------------------------------------ *)
-
-let test_metric_combinators () =
-  let lev = Levenshtein.metric in
-  checkf "scale" 6.0 (Metric.dist (Metric.scale 2.0 lev) "kitten" "sitting");
-  checkf "cap" 2.0 (Metric.dist (Metric.cap 2.0 lev) "kitten" "sitting");
-  checkf "min_of" 0.0
-    (Metric.dist (Metric.min_of ~name:"m" [ lev; Metric.scale 2.0 lev ]) "a" "a");
-  checkb "max_of strong when all strong" true
-    (Metric.max_of ~name:"m" [ lev; Levenshtein.damerau_metric ]).Metric.strong;
-  checkb "cap not strong" false (Metric.cap 1.0 lev).Metric.strong;
-  Alcotest.check_raises "scale rejects non-positive"
-    (Invalid_argument "Metric.scale: factor must be positive") (fun () ->
-      ignore (Metric.scale 0. lev))
-
-let test_of_similarity () =
-  let m = Metric.of_similarity ~name:"jaro" Jaro.jaro in
-  checkf "identical distance 0" 0.0 (Metric.dist m "x" "x");
-  checkf "disjoint distance 1" 1.0 (Metric.dist m "abc" "xyz")
 
 (* ------------------------------------------------------------------ *)
 (* Rule-based measures (calibrated to the paper's running examples)     *)
@@ -223,7 +106,7 @@ let test_name_rules_variants () =
     (d "J. Ullman" "Jeffrey Ullman" = d "Jeffrey Ullman" "J. Ullman")
 
 let test_name_rules_compatible () =
-  checkb "within 2" true (Name_rules.compatible ~threshold:2.0 "J. Ullman" "Jeffrey Ullman");
+  checkb "within 2" true (Name_rules.distance "J. Ullman" "Jeffrey Ullman" <= 2.0);
   checkb "typo pair only within 3" true
     (let d = Name_rules.distance "Marco Ferrari" "Mauro Ferrari" in
      d > 2.0 && d <= 3.0);
@@ -248,10 +131,13 @@ let test_text_rules () =
 
 let sorted_cliques cs = List.sort compare (List.map (List.sort compare) cs)
 
+(* The clique enumeration over an explicit undirected edge list. *)
+let cliques_of_edges ~n edges =
+  Clique.maximal_cliques ~n ~adjacent:(fun i j ->
+      List.mem (i, j) edges || List.mem (j, i) edges)
+
 let test_cliques_triangle_plus_pendant () =
-  let cliques =
-    Clique.maximal_cliques_of_edges ~n:4 [ (0, 1); (1, 2); (0, 2); (2, 3) ]
-  in
+  let cliques = cliques_of_edges ~n:4 [ (0, 1); (1, 2); (0, 2); (2, 3) ] in
   Alcotest.(check (list (list int))) "cliques" [ [ 0; 1; 2 ]; [ 2; 3 ] ]
     (sorted_cliques cliques)
 
@@ -285,7 +171,7 @@ let prop_cliques_are_cliques_and_maximal =
           adj.(i).(j) <- true;
           adj.(j).(i) <- true)
         edges;
-      let cliques = Clique.maximal_cliques_of_edges ~n edges in
+      let cliques = cliques_of_edges ~n edges in
       let is_clique c =
         List.for_all (fun i -> List.for_all (fun j -> i = j || adj.(i).(j)) c) c
       in
@@ -493,17 +379,18 @@ let prop_sea_monotone_similarity =
 (* The {!Toss_check.Rng} stream is version-stable, so unlike the QCheck
    properties above these run the exact same inputs everywhere. Every
    exported measure is held to Definition 7 (identity, symmetry,
-   non-negativity), and the ones that claim [strong] additionally to the
-   triangle inequality. *)
+   non-negativity), and Levenshtein, the paper's strong measure,
+   additionally to the triangle inequality. *)
 
 module Crng = Toss_check.Rng
 module Cgen = Toss_check.Gen
 
 let all_metrics =
-  [ Levenshtein.metric; Levenshtein.damerau_metric; Levenshtein.normalized_metric;
-    Jaro.metric; Jaro.winkler_metric; Monge_elkan.metric; Name_rules.metric;
-    Text_rules.metric; Token.jaccard_metric; Token.cosine_metric;
-    Token.qgram_metric 2 ]
+  [
+    Levenshtein.metric;
+    Name_rules.metric;
+    Metric.v ~name:"text-rules" ~within:Text_rules.within Text_rules.distance;
+  ]
 
 let random_word rng =
   let pool = [ "model"; "models"; "vldb"; "vld"; "data base"; "database";
@@ -534,14 +421,8 @@ let test_metric_triangle_when_strong () =
   let rng = Crng.create 7 in
   for _ = 1 to 200 do
     let x = random_word rng and y = random_word rng and z = random_word rng in
-    List.iter
-      (fun m ->
-        if m.Metric.strong then
-          checkb
-            (m.Metric.name ^ " triangle inequality")
-            true
-            (Metric.dist m x z <= Metric.dist m x y +. Metric.dist m y z +. 1e-9))
-      all_metrics
+    let d = Metric.dist Levenshtein.metric in
+    checkb "levenshtein triangle inequality" true (d x z <= d x y +. d y z +. 1e-9)
   done
 
 (* SEA invariants over the harness generator's ontologies: every cluster
@@ -588,27 +469,12 @@ let () =
         [
           Alcotest.test_case "known distances" `Quick test_levenshtein_known;
           Alcotest.test_case "banded threshold variant" `Quick test_levenshtein_within;
-          Alcotest.test_case "damerau transpositions" `Quick test_damerau;
           QCheck_alcotest.to_alcotest prop_lev_symmetric;
           QCheck_alcotest.to_alcotest prop_lev_identity;
           QCheck_alcotest.to_alcotest prop_lev_triangle;
           QCheck_alcotest.to_alcotest prop_lev_within_agrees;
         ] );
-      ( "other measures",
-        [
-          Alcotest.test_case "jaro known values" `Quick test_jaro_known;
-          Alcotest.test_case "jaro-winkler" `Quick test_jaro_winkler;
-          Alcotest.test_case "tokenizer" `Quick test_tokenize;
-          Alcotest.test_case "jaccard" `Quick test_jaccard;
-          Alcotest.test_case "cosine" `Quick test_cosine;
-          Alcotest.test_case "q-grams" `Quick test_qgrams;
-          Alcotest.test_case "monge-elkan" `Quick test_monge_elkan;
-          Alcotest.test_case "tf-idf weights" `Quick test_tfidf_idf;
-          Alcotest.test_case "tf-idf similarity" `Quick test_tfidf_similarity;
-          Alcotest.test_case "soft-tfidf" `Quick test_soft_tfidf;
-          Alcotest.test_case "combinators" `Quick test_metric_combinators;
-          Alcotest.test_case "of_similarity" `Quick test_of_similarity;
-        ] );
+      ("other measures", [ Alcotest.test_case "tokenizer" `Quick test_tokenize ]);
       ( "generator-driven properties",
         [
           Alcotest.test_case "Definition 7 axioms, every measure" `Quick

@@ -10,6 +10,8 @@ module Index = Toss_store.Index
 module Collection = Toss_store.Collection
 module Database = Toss_store.Database
 
+let eval_string ?use_index c q = Collection.eval ?use_index c (Xpath_parser.parse_exn q)
+
 let checkb = Alcotest.(check bool)
 let checki = Alcotest.(check int)
 let checks = Alcotest.(check string)
@@ -141,11 +143,9 @@ let test_xpath_parse_errors () =
 
 let test_index_eq_lookup () =
   let idx = Index.build doc in
-  checki "exact author" 2
-    (List.length (Index.eq_lookup idx ~tag:"author" ~value:"Jeff Ullman"));
-  checki "no match" 0 (List.length (Index.eq_lookup idx ~tag:"author" ~value:"Nobody"));
-  checki "wrong tag" 0 (List.length (Index.eq_lookup idx ~tag:"title" ~value:"Jeff Ullman"));
-  checkb "index has entries" true (Index.n_entries idx > 0)
+  checki "exact author" 2 (Index.eq_count idx ~tag:"author" ~value:"Jeff Ullman");
+  checki "no match" 0 (Index.eq_count idx ~tag:"author" ~value:"Nobody");
+  checki "wrong tag" 0 (Index.eq_count idx ~tag:"title" ~value:"Jeff Ullman")
 
 (* ------------------------------------------------------------------ *)
 (* Collection                                                           *)
@@ -162,19 +162,17 @@ let make_collection () =
 
 let test_collection_basics () =
   let c, id0, id1 = make_collection () in
-  checki "two documents" 2 (Collection.n_documents c);
-  check_il "ids" [ 0; 1 ] (Collection.doc_ids c);
+  check_il "two documents" [ 0; 1 ] (Collection.doc_ids c);
   checkb "doc roundtrip" true (Tree.equal (Doc.to_tree (Collection.doc c id0)) small_doc_a);
   checkb "second doc" true (Tree.equal (Doc.to_tree (Collection.doc c id1)) small_doc_b);
-  checki "nodes across docs" 5 (Collection.n_nodes c);
   checks "name" "test" (Collection.name c)
 
 let test_collection_eval () =
   let c, _, _ = make_collection () in
-  let hits = Collection.eval_string c "//a" in
+  let hits = eval_string c "//a" in
   checki "a in both docs" 2 (List.length hits);
   Alcotest.(check (list int)) "doc ids in order" [ 0; 1 ] (List.map fst hits);
-  let hits = Collection.eval_string c "//a[.='3']" in
+  let hits = eval_string c "//a[.='3']" in
   checki "filtered to one doc" 1 (List.length hits);
   checki "that doc is 1" 1 (fst (List.hd hits))
 
@@ -191,8 +189,8 @@ let test_collection_eval_index_agrees () =
     (fun (coll : Collection.t) ->
       List.iter
         (fun q ->
-          let with_index = Collection.eval_string ~use_index:true coll q in
-          let without = Collection.eval_string ~use_index:false coll q in
+          let with_index = eval_string ~use_index:true coll q in
+          let without = eval_string ~use_index:false coll q in
           checkb (Printf.sprintf "index agreement on %s" q) true (with_index = without))
         [ "//a"; "//a[.='1']"; "//y/a"; "//z//a"; "//a[2]"; "/x/z/b/a"; "//q" ])
     [ c; big ]
@@ -211,11 +209,11 @@ let test_collection_add_xml () =
   | Error _ -> Alcotest.fail "valid xml rejected");
   match Collection.add_xml c "<a><b></a>" with
   | Ok _ -> Alcotest.fail "invalid xml accepted"
-  | Error _ -> checki "count unchanged" 1 (Collection.n_documents c)
+  | Error _ -> check_il "count unchanged" [ 0 ] (Collection.doc_ids c)
 
 let test_collection_eq_lookup_and_subtrees () =
   let c, _, _ = make_collection () in
-  let hits = Collection.eq_lookup c ~tag:"a" ~value:"1" in
+  let hits = eval_string c "//a[.='1']" in
   checki "eq hit" 1 (List.length hits);
   let trees = Collection.subtrees c hits in
   checkb "subtree materialized" true (Tree.equal (List.hd trees) (Tree.leaf "a" "1"))
@@ -231,12 +229,9 @@ let test_database () =
   checkb "lookup" true (Database.collection db "dblp" <> None);
   checkb "missing" true (Database.collection db "nope" = None);
   Alcotest.(check (list string)) "names" [ "dblp" ] (Database.collection_names db);
-  checki "query through facade" 1 (List.length (Database.query db ~collection:"dblp" "//a"));
   Alcotest.check_raises "duplicate name"
     (Invalid_argument "Database.create_collection: \"dblp\" already exists") (fun () ->
-      ignore (Database.create_collection db "dblp"));
-  Database.drop_collection db "dblp";
-  checkb "dropped" true (Database.collection db "dblp" = None)
+      ignore (Database.create_collection db "dblp"))
 
 (* ------------------------------------------------------------------ *)
 (* Persistence                                                          *)
@@ -250,25 +245,36 @@ let temp_dir () =
   Sys.mkdir dir 0o755;
   dir
 
+(* The serving path's durable layout: [append_document] writes one file
+   per insert, [load_database] reads the directory back at hydration. *)
+let append_all ~dir ~collection c =
+  List.iter
+    (fun id ->
+      Persist.append_document ~dir ~collection id (Doc.to_tree (Collection.doc c id)))
+    (Collection.doc_ids c)
+
+let reload dir =
+  match Persist.load_database ~dir with
+  | Ok db -> db
+  | Error msg -> Alcotest.fail msg
+
+let check_same_docs label c c' =
+  check_il (label ^ ": document ids") (Collection.doc_ids c) (Collection.doc_ids c');
+  List.iter
+    (fun id ->
+      checkb
+        (Printf.sprintf "%s: document %d round-trips" label id)
+        true
+        (Tree.equal (Doc.to_tree (Collection.doc c id)) (Doc.to_tree (Collection.doc c' id))))
+    (Collection.doc_ids c)
+
 let test_persist_collection () =
   let c, _, _ = make_collection () in
-  let dir = Filename.concat (temp_dir ()) "coll" in
-  Persist.save_collection c ~dir;
-  match Persist.load_collection ~name:"reloaded" dir with
-  | Error msg -> Alcotest.fail msg
-  | Ok c' ->
-      checki "document count survives" (Collection.n_documents c)
-        (Collection.n_documents c');
-      List.iter
-        (fun id ->
-          checkb
-            (Printf.sprintf "document %d equal" id)
-            true
-            (Tree.equal
-               (Doc.to_tree (Collection.doc c id))
-               (Doc.to_tree (Collection.doc c' id))))
-        (Collection.doc_ids c);
-      checks "name taken from caller" "reloaded" (Collection.name c')
+  let dir = temp_dir () in
+  append_all ~dir ~collection:"reloaded" c;
+  let c' = Database.collection_exn (reload dir) "reloaded" in
+  check_same_docs "collection" c c';
+  checks "name taken from the directory" "reloaded" (Collection.name c')
 
 let test_persist_database () =
   let db = Database.create () in
@@ -278,22 +284,19 @@ let test_persist_database () =
   ignore (Collection.add_document c2 small_doc_b);
   ignore (Collection.add_document c2 small_doc_a);
   let dir = temp_dir () in
-  Persist.save_database db ~dir;
-  match Persist.load_database ~dir with
-  | Error msg -> Alcotest.fail msg
-  | Ok db' ->
-      Alcotest.(check (list string)) "collections survive" [ "alpha"; "beta" ]
-        (Database.collection_names db');
-      checki "beta has two docs" 2
-        (Collection.n_documents (Database.collection_exn db' "beta"));
-      checki "query works after reload" 2
-        (List.length (Database.query db' ~collection:"beta" "//a"))
+  append_all ~dir ~collection:"beta" c2;
+  append_all ~dir ~collection:"alpha" c1;
+  let db' = reload dir in
+  Alcotest.(check (list string)) "collections survive" [ "alpha"; "beta" ]
+    (Database.collection_names db');
+  let beta = Database.collection_exn db' "beta" in
+  check_il "beta has two docs" [ 0; 1 ] (Collection.doc_ids beta);
+  checki "query works after reload" 2 (List.length (eval_string beta "//a"))
 
 (* Content that exercises every XML-escaping path: markup characters in
    text and attributes, quotes, whitespace-significant text. The
-   save/load round-trip must preserve the trees exactly — the serving
-   path depends on it (the server's durable inserts are
-   [append_document] files re-parsed at hydration). *)
+   append/load round-trip must preserve the trees exactly — the server's
+   durable inserts are [append_document] files re-parsed at hydration. *)
 let test_persist_escaping_roundtrip () =
   let nasty =
     [
@@ -305,41 +308,10 @@ let test_persist_escaping_roundtrip () =
   in
   let c = Collection.create "nasty" in
   List.iter (fun xml -> ignore (Collection.add_xml c xml)) nasty;
-  checki "all docs stored" (List.length nasty) (Collection.n_documents c);
-  let dir = Filename.concat (temp_dir ()) "nasty" in
-  Persist.save_collection c ~dir;
-  (match Persist.load_collection ~name:"nasty" dir with
-  | Error msg -> Alcotest.fail msg
-  | Ok c' ->
-      List.iter
-        (fun id ->
-          checkb
-            (Printf.sprintf "doc %d round-trips" id)
-            true
-            (Tree.equal
-               (Doc.to_tree (Collection.doc c id))
-               (Doc.to_tree (Collection.doc c' id))))
-        (Collection.doc_ids c));
-  (* The incremental write path must agree with the bulk one. *)
-  let dir2 = temp_dir () in
-  List.iteri
-    (fun id xml ->
-      Persist.append_document ~dir:dir2 ~collection:"nasty"
-        id (Parser.parse_exn xml))
-    nasty;
-  match Persist.load_database ~dir:dir2 with
-  | Error msg -> Alcotest.fail msg
-  | Ok db ->
-      let c' = Database.collection_exn db "nasty" in
-      List.iter
-        (fun id ->
-          checkb
-            (Printf.sprintf "appended doc %d round-trips" id)
-            true
-            (Tree.equal
-               (Doc.to_tree (Collection.doc c id))
-               (Doc.to_tree (Collection.doc c' id))))
-        (Collection.doc_ids c)
+  checki "all docs stored" (List.length nasty) (List.length (Collection.doc_ids c));
+  let dir = temp_dir () in
+  append_all ~dir ~collection:"nasty" c;
+  check_same_docs "escaping" c (Database.collection_exn (reload dir) "nasty")
 
 (* A broken database reports every unloadable file, not just the
    first. *)
@@ -375,17 +347,22 @@ let test_persist_aggregated_errors () =
         [ "bad/000000.xml"; "bad/000001.xml"; "worse/000000.xml" ]
 
 let test_persist_errors () =
-  (match Persist.load_collection ~name:"x" "/nonexistent/path" with
+  (match Persist.load_database ~dir:"/nonexistent/path" with
   | Ok _ -> Alcotest.fail "expected an error for a missing directory"
   | Error _ -> ());
   (* A malformed file is reported with its path. *)
   let dir = temp_dir () in
-  let oc = open_out (Filename.concat dir "000000.xml") in
+  Sys.mkdir (Filename.concat dir "x") 0o755;
+  let oc = open_out (Filename.concat dir "x/000000.xml") in
   output_string oc "<broken>";
   close_out oc;
-  match Persist.load_collection ~name:"x" dir with
+  match Persist.load_database ~dir with
   | Ok _ -> Alcotest.fail "expected a parse error"
-  | Error msg -> checkb "path mentioned" true (String.length msg > 0)
+  | Error msg ->
+      let path = Filename.concat dir "x/000000.xml" in
+      checkb "path mentioned" true
+        (String.length msg >= String.length path
+        && String.sub msg 0 (String.length path) = path)
 
 let () =
   Alcotest.run "toss_store"
