@@ -916,7 +916,9 @@ let spawn_serving run =
   done;
   Mutex.unlock ready;
   let stop () =
-    (match Client.connect !resolved with
+    (* A router's shutdown also stops its shards, so a later stop may
+       find its server gone: fail at once rather than retry. *)
+    (match Client.connect ~retry_ms:0 !resolved with
     | Ok conn ->
         ignore (Client.call conn Protocol.Shutdown);
         Client.close conn
@@ -1230,10 +1232,10 @@ let perf_suite () =
   in
   (* Rebuild kernels: one insert into a warm session, then the pin that
      rebuilds its SEO, on both sides of the property the rebuild's reuse
-     depends on (an insert that leaves fusion's output unchanged).
+     depends on (an insert the current fusion absorbs).
      [seo-rebuild-known] inserts the next re-keyed copy into the
-     36-document write-mix session, which has it; [seo-rebuild-new]
-     inserts a new distinct paper into a 60-paper session, which does
+     36-document write-mix session, which is absorbed; [seo-rebuild-new]
+     inserts a new distinct paper into a 60-paper session, which is
      not. *)
   let seo_rebuild name trees ~warm () =
     let trees = trees () in

@@ -56,12 +56,10 @@ let () =
   let pattern, sl = Workload.join_query () in
 
   let run mode label =
-    let results, stats = Executor.join ~mode seo left right ~pattern ~sl in
+    let results, _ = Executor.join ~mode seo left right ~pattern ~sl in
     let pairs = Workload.result_key_pairs results in
     let correct = List.length (List.filter (fun (l, r) -> l = r) pairs) in
-    Printf.printf "%-10s %3d joined pairs (%d correct) in %.4fs\n" label
-      (List.length pairs) correct
-      (Executor.total_s stats.Executor.phases);
+    Printf.printf "%-10s %3d joined pairs (%d correct)\n" label (List.length pairs) correct;
     pairs
   in
   let tax_pairs = run Executor.Tax "TAX" in

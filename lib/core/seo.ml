@@ -1,9 +1,11 @@
 module Hierarchy = Toss_hierarchy.Hierarchy
+module Node = Toss_hierarchy.Node
 module Metric = Toss_similarity.Metric
 module Sea = Toss_similarity.Sea
 module Levenshtein = Toss_similarity.Levenshtein
 module Ontology = Toss_ontology.Ontology
 module Maker = Toss_ontology.Maker
+module Lexicon = Toss_ontology.Lexicon
 module Fusion = Toss_ontology.Fusion
 module Metrics = Toss_obs.Metrics
 
@@ -55,50 +57,79 @@ let create_exn ?conversions ?metric ?eps ontology =
   | Ok t -> t
   | Error msg -> failwith msg
 
+let timed_build build =
+  let t0 = Unix.gettimeofday () in
+  let result = build () in
+  Metrics.observe h_build (Unix.gettimeofday () -. t0);
+  result
+
 let digest ?lexicon ?content_tags ?max_content_terms doc =
   Metrics.incr m_digests;
   Maker.make ?lexicon ?content_tags ?max_content_terms doc
 
-let same_ontology a b =
-  let relations = Ontology.relations a in
-  relations = Ontology.relations b
-  && List.for_all
-       (fun rel -> Hierarchy.equal (Ontology.get rel a) (Ontology.get rel b))
-       relations
+(* Relation by relation, [d] adds nothing to [fused] when
+   1. each node of [d] lies inside one fused node: no new spelling, and
+      no merge through a node holding several;
+   2. each Hasse edge of [d] is already an ordering of [fused]
+      (Definition 5's axiom 1 for the new source);
+   3. each spelling of [d] shares its fused node with every synonym
+      [fused] holds: [Maker.auto_constraints] equates the two once a
+      second source holds the spelling (axiom 2).
+   By 1, [d] brings no spelling that no old source holds, so every other
+   constraint is one the old fusion already had. *)
+let absorbs ?(lexicon = Lexicon.seeded) fused d =
+  let relations = Ontology.relations fused in
+  List.for_all
+    (fun rel ->
+      List.mem rel relations
+      &&
+      let h = Ontology.get rel fused and dh = Ontology.get rel d in
+      let absorbed node =
+        match Hierarchy.nodes_of (Node.representative node) h with
+        | [] -> false
+        | n :: _ ->
+            Node.subset node n
+            && List.for_all
+                 (fun s ->
+                   List.for_all
+                     (fun t -> Node.mem t n || not (Hierarchy.mem_term t h))
+                     (Lexicon.synonyms lexicon s))
+                 (Node.strings node)
+      in
+      let ordered (u, v) =
+        Hierarchy.leq h (Node.representative u) (Node.representative v)
+      in
+      List.for_all absorbed (Hierarchy.nodes dh) && List.for_all ordered (Hierarchy.edges dh))
+    (Ontology.relations d)
 
-(* Fusion always runs, so reuse rests on comparing its output, never on
-   which documents were added. Returning [previous] itself keeps
-   [Rewrite]'s per-SEO expansion memo, keyed on the physical value,
-   warm. *)
+(* Returning [previous] itself keeps [Rewrite]'s per-SEO expansion memo,
+   keyed on the physical value, warm. *)
 let of_ontologies ?(conversions = Conversion.standard) ?(metric = Levenshtein.metric)
     ?(eps = 0.) ?lexicon ?previous ontologies =
-  let t0 = Unix.gettimeofday () in
-  let result =
-    match Fusion.fuse_ontologies ontologies (Maker.auto_constraints ?lexicon ontologies) with
-    | Error (rel, e) ->
-        Error (Format.asprintf "fusion failed on relation %s: %a" rel Fusion.pp_error e)
-    | Ok fused -> (
-        let isa o = Ontology.get Ontology.isa o in
-        match previous with
-        | Some p when p.metric == metric && p.eps = eps && p.conversions == conversions ->
-            if !fault = Reuse_unchecked || same_ontology fused p.fused then begin
-              Metrics.incr m_reused_seo;
-              Ok p
-            end
-            else if Hierarchy.equal (isa fused) (isa p.fused) then begin
+  let same_setup p = p.metric == metric && p.eps = eps && p.conversions == conversions in
+  match previous with
+  | Some (p, fresh)
+    when same_setup p
+         && (!fault = Reuse_unchecked || List.for_all (absorbs ?lexicon p.fused) fresh) ->
+      Metrics.incr m_reused_seo;
+      Ok p
+  | _ -> (
+      match Fusion.fuse_ontologies ontologies (Maker.auto_constraints ?lexicon ontologies) with
+      | Error (rel, e) ->
+          Error (Format.asprintf "fusion failed on relation %s: %a" rel Fusion.pp_error e)
+      | Ok fused -> (
+          let isa o = Ontology.get Ontology.isa o in
+          match previous with
+          | Some (p, _) when same_setup p && Hierarchy.equal (isa fused) (isa p.fused) ->
               Metrics.incr m_reused_enhancement;
               Ok { p with fused }
-            end
-            else create ~conversions ~metric ~eps fused
-        | _ -> create ~conversions ~metric ~eps fused)
-  in
-  Metrics.observe h_build (Unix.gettimeofday () -. t0);
-  result
+          | _ -> create ~conversions ~metric ~eps fused))
 
 let of_documents ?conversions ?metric ?eps ?lexicon ?content_tags ?max_content_terms
     docs =
-  of_ontologies ?conversions ?metric ?eps ?lexicon
-    (List.map (digest ?lexicon ?content_tags ?max_content_terms) docs)
+  timed_build (fun () ->
+      of_ontologies ?conversions ?metric ?eps ?lexicon
+        (List.map (digest ?lexicon ?content_tags ?max_content_terms) docs))
 
 let conversions t = t.conversions
 let enhancement t = t.enhancement

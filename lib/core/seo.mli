@@ -42,12 +42,29 @@ val digest :
     Each call counts in the [seo.build.digests] counter. A caller that
     keeps digests across builds passes them to {!of_ontologies}. *)
 
+val absorbs : ?lexicon:Toss_ontology.Lexicon.t -> Ontology.t -> Ontology.t -> bool
+(** [absorbs fused d]: whether fusing the ontology [d] into [fused], the
+    fusion of some sources under the [lexicon]'s synonym constraints
+    ({!Toss_ontology.Maker.auto_constraints}), adds no node, adds no
+    ordering and merges nothing. It holds iff [fused] has each of [d]'s
+    relations and, in each of them:
+    + every node of [d] has all of its spellings inside one fused node;
+    + for every Hasse edge [u -> v] of [d], [u]'s fused node reaches
+      [v]'s (Definition 5's first axiom for the new source);
+    + every spelling of [d] shares its fused node with each of its
+      synonyms ({!Toss_ontology.Lexicon.synonyms}) that [fused] holds
+      (the second axiom for the equalities [d] would add).
+
+    Then fusion over the sources plus [d] equals [fused], relation by
+    relation, and only then. The cost depends on [d]'s size, not on the
+    number of sources. *)
+
 val of_ontologies :
   ?conversions:Conversion.t ->
   ?metric:Metric.t ->
   ?eps:float ->
   ?lexicon:Toss_ontology.Lexicon.t ->
-  ?previous:t ->
+  ?previous:t * Ontology.t list ->
   Ontology.t list ->
   (t, string) result
 (** The build from per-document ontologies: fusion under the
@@ -55,20 +72,24 @@ val of_ontologies :
     enhancement ({!create}). Fusion's output does not depend on the
     order of the ontologies.
 
-    [previous] is an earlier build to reuse from. It is used only when
-    it has the same [conversions] and [metric] (physically) and [eps].
-    Fusion always runs, and reuse depends only on its output:
-    - every fused relation {!Hierarchy.equal}s [previous]'s: the result
-      is [previous] itself, the same physical value;
-    - only the fused isa hierarchy is equal: the result has the new
-      fused ontology and [previous]'s enhancement, since the enhancement
-      depends only on the isa hierarchy, the measure and ε;
+    [previous = (p, fresh)] is an earlier build to reuse from: [p] was
+    built by this function with the same [lexicon] from the ontologies
+    that are not in [fresh], and [fresh] are the rest. It is used only
+    when [p] has the same [conversions] and [metric] (physically) and
+    [eps]:
+    - when {!absorbs} holds for [p]'s fused ontology and every
+      ontology in [fresh], the result is [p] itself, the same physical
+      value, and neither constraints, fusion nor SEA run;
+    - otherwise fusion runs, and when its isa hierarchy
+      {!Hierarchy.equal}s [p]'s, the result has the new fused ontology
+      and [p]'s enhancement, since the enhancement depends only on the
+      isa hierarchy, the measure and ε;
     - otherwise SEA runs as in {!create}.
     So the result equals a build without [previous].
 
-    Each call observes the [seo.build.seconds] histogram once and counts
-    a reuse in [seo.build.reused{what="seo"}] or
-    [seo.build.reused{what="enhancement"}]. *)
+    The two reuses count in [seo.build.reused{what="seo"}] and
+    [seo.build.reused{what="enhancement"}]. Run inside {!timed_build}
+    to observe the build's time. *)
 
 val of_documents :
   ?conversions:Conversion.t ->
@@ -80,7 +101,13 @@ val of_documents :
   Toss_xml.Tree.Doc.t list ->
   (t, string) result
 (** The full precomputation pipeline of the TOSS architecture: {!digest}
-    of each document, then {!of_ontologies}. *)
+    of each document, then {!of_ontologies}, inside {!timed_build}. *)
+
+val timed_build : (unit -> 'a) -> 'a
+(** [timed_build build] runs [build], one whole build (the {!digest}s of
+    the documents it has not digested before, then {!of_ontologies}),
+    and observes its wall time once in the [seo.build.seconds]
+    histogram. {!of_documents} and each session rebuild run inside it. *)
 
 val conversions : t -> Conversion.t
 val isa_hierarchy : t -> Hierarchy.t
@@ -129,8 +156,9 @@ val n_terms : t -> int
 type fault =
   | No_fault
   | Reuse_unchecked
-      (** {!of_ontologies} returns [previous] whenever it is given,
-          without comparing the fused hierarchies *)
+      (** {!of_ontologies} absorbs without checking: it returns
+          [previous]'s SEO whenever its setup matches, without running
+          {!absorbs} *)
 
 val fault : fault ref
 (** Breaks the reuse rule so a test can show the build-reuse property

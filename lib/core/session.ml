@@ -17,7 +17,9 @@ type t = {
   content_tags : string list option;
   max_content_terms : int option;
   mutable cached_seo : (Seo.t, string) result option;
-  mutable previous : Seo.t option;  (* the last good SEO, reused from *)
+  mutable previous : Seo.t option;
+      (* the last good SEO, built from every digest in [digests]; reused
+         from *)
   digests : (string * Collection.doc_id, Toss_ontology.Ontology.t) Hashtbl.t;
       (* each stored document's Maker ontology, keyed by (collection,
          doc id); documents are immutable and never removed, so an entry
@@ -61,7 +63,7 @@ let version t ~collection =
   | Some c -> Collection.version c
   | None -> 0
 
-let digest_unlocked t name snap id =
+let digest_unlocked t fresh name snap id =
   match Hashtbl.find_opt t.digests (name, id) with
   | Some o -> o
   | None ->
@@ -70,23 +72,32 @@ let digest_unlocked t name snap id =
           ?max_content_terms:t.max_content_terms (Collection.Snapshot.doc snap id)
       in
       Hashtbl.add t.digests (name, id) o;
+      fresh := o :: !fresh;
       o
 
+(* [previous] is dropped while the build runs, so a build that fails or
+   raises cannot leave it behind a digest it lacks. *)
 let seo_unlocked t =
   match t.cached_seo with
   | Some result -> result
   | None ->
-      let ontologies =
-        List.concat_map
-          (fun (name, snap) ->
-            List.map (digest_unlocked t name snap) (Collection.Snapshot.doc_ids snap))
-          (Database.snapshot t.database)
-      in
+      let previous = t.previous in
+      t.previous <- None;
       let result =
-        Seo.of_ontologies ~metric:t.metric ~eps:t.eps ?lexicon:t.lexicon
-          ?previous:t.previous ontologies
+        Seo.timed_build (fun () ->
+            let fresh = ref [] in
+            let ontologies =
+              List.concat_map
+                (fun (name, snap) ->
+                  List.map (digest_unlocked t fresh name snap)
+                    (Collection.Snapshot.doc_ids snap))
+                (Database.snapshot t.database)
+            in
+            Seo.of_ontologies ~metric:t.metric ~eps:t.eps ?lexicon:t.lexicon
+              ?previous:(Option.map (fun p -> (p, !fresh)) previous)
+              ontologies)
       in
-      Result.iter (fun seo -> t.previous <- Some seo) result;
+      t.previous <- Result.to_option result;
       t.cached_seo <- Some result;
       result
 

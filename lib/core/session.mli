@@ -11,14 +11,19 @@
     A rebuild digests only the documents added since the last one: the
     session keeps each stored document's Maker ontology ({!Seo.digest})
     in a table keyed by (collection, doc id), filled lazily by the
-    rebuild. Fusion then runs over every document's digest, and the last
-    good SEO is passed to {!Seo.of_ontologies} as [previous]: when
-    fusion's output is unchanged, the rebuild returns that SEO itself;
-    when only the fused isa hierarchy is unchanged, it keeps the
-    enhancement and skips SEA. An insert of a document that brings no
-    new term (a re-keyed copy, say) therefore costs one digest and one
-    fusion. The table lives as long as the session, about 8 KB per DBLP
-    paper (four times the paper's own document).
+    rebuild. It passes the last good SEO and the digests it just made
+    to {!Seo.of_ontologies} as [previous]. When that SEO's fusion
+    absorbs every new digest ({!Seo.absorbs}: fusing it in would add no
+    node, add no ordering and merge nothing), the rebuild returns the
+    SEO itself, and neither constraints, fusion nor SEA run. Otherwise
+    fusion runs over every document's digest, and the enhancement is
+    kept when the fused isa hierarchy is unchanged. An insert of a
+    document that brings nothing new (a re-keyed copy, say) therefore
+    costs one digest and the absorption test, which depend on that
+    document's size, not on the collection's. A rebuild that fails or
+    raises drops the last good SEO, so the next one is a full build.
+    The table lives as long as the session, about 8 KB per
+    DBLP paper (four times the paper's own document).
 
     {2 Concurrency}
 
@@ -30,9 +35,10 @@
     in parallel with each other and with one writer. The mutex is never
     held during execution, only during the O(1) pin (plus the SEO
     rebuild on the first pin after a write, which is the one deliberate
-    stop-the-world moment: the ontology is global precomputed state).
-    The digest table and the last good SEO are guarded by the same
-    mutex. *)
+    stop-the-world moment: the ontology is global precomputed state;
+    after an absorbed insert it lasts one digest plus the absorption
+    test). The digest table and the last good SEO are guarded by the
+    same mutex. *)
 
 type t
 
@@ -65,10 +71,11 @@ val version : t -> collection:string -> int
 
 val seo : t -> (Seo.t, string) result
 (** The precomputed context, rebuilding it if documents changed since the
-    last call. The rebuild digests only the new documents and reuses the
-    previous SEO, or its enhancement, when fusion's output is unchanged
-    (see "Rebuilds" above); the result always equals a build from
-    scratch. *)
+    last call. The rebuild digests only the new documents and returns
+    the previous SEO when its fusion absorbs them, or keeps its
+    enhancement when the fused isa hierarchy is unchanged (see
+    "Rebuilds" above); the result always equals a full build over
+    every document. *)
 
 type answer = {
   trees : Toss_xml.Tree.t list;
@@ -95,9 +102,9 @@ val pin : t -> collection:string -> (pinned, string) result
     subsequent {!query_at} observes is decided here. Cheap when the SEO
     cache is warm (O(1) plus a mutex acquisition); rebuilds the SEO
     first if a write invalidated it, as {!seo} does: digests of the
-    documents added since the last rebuild, fusion over every digest,
-    and SEA only when the fused isa hierarchy changed. [Error] for
-    unknown collections. *)
+    documents added since the last rebuild, then either the absorption
+    test alone or fusion over every digest, and SEA only when the fused
+    isa hierarchy changed. [Error] for unknown collections. *)
 
 val pinned_version : pinned -> int
 (** The pinned {!Toss_store.Collection.Snapshot.version} — what the

@@ -42,6 +42,9 @@ type state = {
   sample_tick : int Atomic.t;  (** head-based sampling counter *)
   lock : Mutex.t;  (** guards [stopping], [conns] and [threads] *)
   mutable stopping : bool;
+  wake : Unix.file_descr * Unix.file_descr;
+      (** a self-pipe in the accept loop's [select] set: {!request_stop}
+          writes to it so the loop sees the stop at once *)
   mutable conns : Unix.file_descr list;
   mutable threads : Thread.t list;
 }
@@ -63,7 +66,10 @@ let stopped state =
 let request_stop state =
   Mutex.lock state.lock;
   state.stopping <- true;
-  Mutex.unlock state.lock
+  Mutex.unlock state.lock;
+  (* Non-blocking: a full pipe already wakes the loop. *)
+  try ignore (Unix.single_write_substring (snd state.wake) "x" 0 1)
+  with Unix.Unix_error (_, _, _) -> ()
 
 (* The fd is registered before its thread is spawned, so the thread's
    [remove_conn] always finds it — whoever removes it closes it. *)
@@ -410,6 +416,8 @@ let run ?(ready = fun (_ : string) -> ()) config exec =
              process. *)
           (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
            with Invalid_argument _ -> ());
+          let wake = Unix.pipe ~cloexec:true () in
+          Unix.set_nonblock (snd wake);
           let state =
             {
               exec;
@@ -419,6 +427,7 @@ let run ?(ready = fun (_ : string) -> ()) config exec =
               sample_tick = Atomic.make 0;
               lock = Mutex.create ();
               stopping = false;
+              wake;
               conns = [];
               threads = [];
             }
@@ -426,11 +435,10 @@ let run ?(ready = fun (_ : string) -> ()) config exec =
           ready resolved;
           let rec accept_loop () =
             if not (stopped state) then begin
-              (* Short select timeout so a shutdown request (set by a
-                 connection thread) is noticed promptly. *)
-              (match Unix.select [ listen_fd ] [] [] 0.2 with
-              | [], _, _ -> ()
-              | _ :: _, _, _ -> (
+              (match Unix.select [ listen_fd; fst wake ] [] [] (-1.) with
+              | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
+              | readable, _, _ when not (List.mem listen_fd readable) -> ()
+              | _ -> (
                   match Unix.accept listen_fd with
                   | exception Unix.Unix_error (_, _, _) -> ()
                   | fd, _ ->
@@ -462,6 +470,6 @@ let run ?(ready = fun (_ : string) -> ()) config exec =
           List.iter Thread.join threads;
           List.iter
             (fun fd -> try Unix.close fd with Unix.Unix_error (_, _, _) -> ())
-            doomed;
+            (fst wake :: snd wake :: doomed);
           Option.iter (fun al -> close_out_noerr al.aoc) access;
           Ok ())

@@ -355,13 +355,13 @@ let test_rebuild_matches_reference () =
   paths.fresh <- 0;
   paths.universal <- 0;
   QCheck2.Test.check_exn ~rand:(Random.State.make [| 30 |]) prop_rebuild_matches_reference;
-  checkb "some rebuilds reuse the whole SEO" true (paths.seo > 0);
+  checkb "some rebuilds absorb the insert, reusing the whole SEO" true (paths.seo > 0);
   checkb "some rebuilds reuse only the enhancement" true (paths.enhancement > 0);
   checkb "some rebuilds run SEA afresh" true (paths.fresh > 0);
   checkb "some rebuilds take the universal-lift fallback" true (paths.universal > 0)
 
-(* Reusing the previous SEO without comparing fusion's output must be
-   caught. *)
+(* Absorbing without the test, so reusing the previous SEO whatever the
+   insert brought, must be caught. *)
 let test_rebuild_fault_caught () =
   Seo.fault := Seo.Reuse_unchecked;
   let caught =
@@ -376,6 +376,70 @@ let test_rebuild_fault_caught () =
         | exception QCheck2.Test.Test_fail _ -> true)
   in
   checkb "unchecked reuse caught" true caught
+
+(* Absorption against fusion itself: [Seo.absorbs] must hold exactly
+   when fusing the new document in leaves the old fusion unchanged,
+   relation by relation. A case's documents become old sources plus one
+   new document, printed last: the case's last document, a copy of an
+   old one, a subset of an old one's leaves, or an old one's leaves with
+   each content moved up to a hypernym the lexicon gives it (a spelling
+   the old sources may hold only as an ancestor). The ontologies are
+   made both ways [prop_seo_matches_reference] makes them; only the
+   bare ones can hold two synonyms of one source in two nodes, the case
+   absorption's synonym condition is for. *)
+type split = Last | Copy | Subset | Broader
+
+let absorption_case_gen =
+  QCheck2.Gen.(
+    let* c = seo_case_gen in
+    let* split = oneofl [ Last; Copy; Subset; Broader ] in
+    let* i = int_bound (List.length c.docs - 1) in
+    let leaves = List.nth c.docs i in
+    let* keep = list_repeat (List.length leaves) bool in
+    return
+      (match split with
+      | Last -> c
+      | Copy -> { c with docs = c.docs @ [ leaves ] }
+      | Subset ->
+          { c with docs = c.docs @ [ List.filteri (fun k _ -> List.nth keep k) leaves ] }
+      | Broader ->
+          let up (tag, s) = (tag, Option.value ~default:s (List.assoc_opt s c.isa)) in
+          { c with docs = c.docs @ [ List.map up leaves ] }))
+
+let same_fusion a b =
+  let relations = Ontology.relations a in
+  relations = Ontology.relations b
+  && List.for_all
+       (fun rel -> Hierarchy.equal (Ontology.get rel a) (Ontology.get rel b))
+       relations
+
+let absorbed = ref 0 and not_absorbed = ref 0
+
+let prop_absorbs_iff_fusion_unchanged =
+  QCheck2.Test.make ~name:"absorbed iff fusion is unchanged" ~count:500
+    ~print:print_seo_case absorption_case_gen (fun c ->
+      let docs = List.map Doc.of_tree (case_trees c) in
+      let lexicon = case_lexicon ~synonyms:true c in
+      let fuse os =
+        Result.get_ok (Fusion.fuse_ontologies os (Maker.auto_constraints ~lexicon os))
+      in
+      List.for_all
+        (fun synonyms ->
+          let all = Maker.make_all ~lexicon:(case_lexicon ~synonyms c) docs in
+          let n = List.length all in
+          let old = List.filteri (fun k _ -> k < n - 1) all in
+          let fused = fuse old in
+          let absorbs = Seo.absorbs ~lexicon fused (List.nth all (n - 1)) in
+          incr (if absorbs then absorbed else not_absorbed);
+          absorbs = same_fusion (fuse all) fused)
+        [ true; false ])
+
+let test_absorbs_iff_fusion_unchanged () =
+  absorbed := 0;
+  not_absorbed := 0;
+  QCheck2.Test.check_exn ~rand:(Random.State.make [| 32 |]) prop_absorbs_iff_fusion_unchanged;
+  checkb "some new documents are absorbed" true (!absorbed > 0);
+  checkb "some new documents are not absorbed" true (!not_absorbed > 0)
 
 (* Canonical fusion against the reference on random hierarchies over
    overlapping per-source pools, some nodes holding two terms, under
@@ -512,6 +576,8 @@ let () =
             test_seo_matches_reference;
           Alcotest.test_case "fusion equals the reference" `Quick
             test_fusion_matches_reference;
+          Alcotest.test_case "absorbed iff fusion is unchanged" `Quick
+            test_absorbs_iff_fusion_unchanged;
           Alcotest.test_case "session rebuild equals the reference" `Quick
             test_rebuild_matches_reference;
           Alcotest.test_case "catches unchecked SEO reuse" `Quick

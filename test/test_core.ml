@@ -514,6 +514,11 @@ let counter ?labels name =
 
 let digests () = counter "seo.build.digests"
 
+let builds () =
+  match Metrics.find_histogram (Metrics.snapshot ()) "seo.build.seconds" with
+  | Some h -> h.Metrics.count
+  | None -> 0
+
 let rec rekey = function
   | Tree.Element e ->
       let key (k, v) = if k = "key" then (k, v ^ "-copy") else (k, v) in
@@ -526,12 +531,14 @@ let test_session_seo_cache_invalidation () =
   let seo1 = Result.get_ok (Session.seo s) in
   let seo1' = Result.get_ok (Session.seo s) in
   checkb "cached" true (seo1 == seo1');
-  (* A re-keyed copy leaves fusion's output unchanged: the rebuild digests
-     only the new document and returns the same SEO value. *)
-  let before = digests () in
+  (* The current fusion absorbs a re-keyed copy: the rebuild digests
+     only the new document and returns the same SEO value. It is still
+     one timed build. *)
+  let before = digests () and builds_before = builds () in
   Session.add_document s ~collection:"dblp" (rekey db);
   checkb "re-keyed copy keeps the SEO" true (Result.get_ok (Session.seo s) == seo1);
   checki "one new digest" 1 (digests () - before);
+  checki "one timed build" 1 (builds () - builds_before);
   Session.add_document s ~collection:"dblp" (Tree.leaf "extra" "x");
   let seo2 = Result.get_ok (Session.seo s) in
   checkb "rebuilt after a new term" true (not (seo1 == seo2));
