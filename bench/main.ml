@@ -1191,6 +1191,42 @@ let perf_suite () =
     | Tree.Element { children; _ } -> Array.of_list children
     | Tree.Text _ -> [||]
   in
+  (* Per-document kernel: every other selection kernel runs on one large
+     document, but a served collection grows one paper per insert. One
+     selective [~] author query over 200 one-paper documents (the SEO
+     made from the first 50), timed as a batch of 50 queries. *)
+  let select_docs =
+    let docs = papers 200 in
+    let coll = collection_of_trees "bib" (Array.to_list docs) in
+    let seo =
+      seo_of_docs ~eps:2.0 (List.init 50 (fun i -> Doc.of_tree docs.(i)))
+    in
+    let author =
+      match docs.(0) with
+      | Tree.Element { children; _ } ->
+          List.find_map
+            (function
+              | Tree.Element { tag = "author"; children = [ Tree.Text a ]; _ } -> Some a
+              | _ -> None)
+            children
+          |> Option.get
+      | Tree.Text _ -> assert false
+    in
+    let pattern, sl =
+      match
+        Toss_core.Tql.parse
+          (Printf.sprintf
+             "MATCH #1:inproceedings(/#2:author) WHERE #2.content ~ \"%s\" SELECT #1"
+             author)
+      with
+      | Ok { Toss_core.Tql.pattern; target = Toss_core.Tql.Select sl } -> (pattern, sl)
+      | _ -> failwith "select-docs kernel: query does not parse"
+    in
+    fun () ->
+      for _ = 1 to 50 do
+        ignore (Executor.select ~mode:Executor.Toss seo coll ~pattern ~sl)
+      done
+  in
   (* The i-th write-mix document: one of the 6 papers, re-keyed from the
      7th on. *)
   let write_mix =
@@ -1312,6 +1348,7 @@ let perf_suite () =
           ignore
             (Executor.select ~mode:Executor.Toss seo coll ~pattern:sel_pattern
                ~sl:sel_sl));
+      kernel "select-docs" runs select_docs;
       kernel "join" runs (fun () ->
           ignore
             (Executor.join ~mode:Executor.Toss join_seo left right

@@ -67,23 +67,75 @@ let gen_content ?pool rng =
 let gen_attrs rng =
   if Rng.chance rng 20 then [ ("k", Rng.pick rng word_pool) ] else []
 
-let rec gen_element ?pool rng ~depth ~budget =
-  let tag = Rng.pick rng tag_pool in
+(* What a case's condition names: the tags its tag equalities pin, and
+   the pool a list member's leaf text draws from — the case's pool plus,
+   once, the constants the condition's atoms compare against. Documents
+   are drawn after the condition, so their lists can collide with both. *)
+type focus = { tags : string list; list_pool : string list option }
+
+let focus_of ?pool condition =
+  let tags, values =
+    List.fold_right
+      (fun atom (tags, values) ->
+        match atom with
+        | Condition.Cmp (Condition.Tag _, Condition.Eq, Condition.Str t) ->
+            (t :: tags, values)
+        | Condition.Cmp (_, _, Condition.Str v)
+        | Condition.Sim (_, Condition.Str v)
+        | Condition.Isa (_, Condition.Str v)
+        | Condition.Part_of (_, Condition.Str v)
+        | Condition.Instance_of (_, Condition.Str v)
+        | Condition.Subtype_of (_, Condition.Str v)
+        | Condition.Below (_, Condition.Str v)
+        | Condition.Above (Condition.Str v, _)
+        | Condition.Contains (_, v) ->
+            (tags, v :: values)
+        | _ -> (tags, values))
+      (Condition.atoms condition) ([], [])
+  in
+  let list_pool =
+    if values = [] then pool
+    else Some (values @ Option.value pool ~default:(word_pool @ number_pool))
+  in
+  { tags; list_pool }
+
+(* [item] is set for the members of a list: the tag they share and the
+   pool a member's own leaf text draws from. Everything else — deeper
+   elements, mixed-content text — draws from the case's [pool]. *)
+let rec gen_element ?pool ?item rng ~focus ~depth ~budget =
+  let tag, leaf_pool =
+    match item with
+    | Some (tag, leaf_pool) -> (tag, leaf_pool)
+    | None -> (Rng.pick rng tag_pool, pool)
+  in
   let attrs = gen_attrs rng in
   if depth >= 3 || !budget <= 1 || Rng.chance rng 40 then begin
     decr budget;
     let children =
-      if Rng.chance rng 75 then [ Tree.text (gen_content ?pool rng) ] else []
+      if Rng.chance rng 75 then [ Tree.text (gen_content ?pool:leaf_pool rng) ] else []
     in
     Tree.element ~attrs tag children
   end
   else begin
     decr budget;
     let n = 1 + Rng.int rng 3 in
+    (* Mostly a list: children sharing one tag (one the condition pins,
+       when it pins any), whose leaves may also hold the condition's
+       constants, as a paper lists several authors. Siblings of one tag
+       with different contents are what tell "some node of the tag
+       passes" from "the first one does". *)
+    let item =
+      if Rng.chance rng 70 then
+        Some
+          ( Rng.pick rng (if focus.tags = [] then tag_pool else focus.tags),
+            focus.list_pool )
+      else None
+    in
     let children = ref [] in
     for _ = 1 to n do
       if !budget > 0 then
-        children := gen_element ?pool rng ~depth:(depth + 1) ~budget :: !children
+        children :=
+          gen_element ?pool ?item rng ~focus ~depth:(depth + 1) ~budget :: !children
     done;
     (* Occasional mixed content: a text node among element children. *)
     let children =
@@ -93,11 +145,13 @@ let rec gen_element ?pool rng ~depth ~budget =
     Tree.element ~attrs tag (List.rev children)
   end
 
-let gen_doc ?pool rng =
+let gen_doc ?pool rng ~focus =
   let budget = ref (4 + Rng.int rng 9) in
-  gen_element ?pool rng ~depth:0 ~budget
+  gen_element ?pool rng ~focus ~depth:0 ~budget
 
-let gen_docs ?pool rng = List.init (1 + Rng.int rng 3) (fun _ -> gen_doc ?pool rng)
+let gen_docs ?pool rng condition =
+  let focus = focus_of ?pool condition in
+  List.init (1 + Rng.int rng 3) (fun _ -> gen_doc ?pool rng ~focus)
 
 (* ---------------------------- ontology ---------------------------- *)
 
@@ -206,7 +260,7 @@ let gen_select_case rng seed =
   {
     seed;
     op = Select;
-    docs = gen_docs rng;
+    docs = gen_docs rng condition;
     right_docs = [];
     isa_edges = gen_edges rng ~max_edges:6 ontology_terms;
     part_edges = gen_edges rng ~max_edges:4 ontology_terms;
@@ -274,8 +328,8 @@ let gen_join_case rng seed =
   {
     seed;
     op = Join;
-    docs = gen_docs ?pool rng;
-    right_docs = gen_docs ?pool rng;
+    docs = gen_docs ?pool rng condition;
+    right_docs = gen_docs ?pool rng condition;
     isa_edges = gen_edges rng ~max_edges:6 ontology_terms;
     part_edges = gen_edges rng ~max_edges:4 ontology_terms;
     eps = Rng.pick rng [ 0.; 1.; 2. ];

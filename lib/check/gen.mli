@@ -5,7 +5,11 @@
     drop edges), a similarity threshold, a pattern tree with a condition
     drawing on every predicate of the TOSS algebra ([~], [isa],
     [instance_of], [subtype_of], [above], [below], [part_of], typed
-    comparisons, containment), and a selection list.
+    comparisons, containment), and a selection list. Documents are
+    drawn after the condition: most elements' children form a list
+    sharing one tag the condition pins, whose leaves may hold the
+    condition's constants, so a generated document often has several
+    nodes of a tag that one predicate tells apart.
 
     Generation is deterministic: [case seed] always builds the same case,
     on every OCaml version ({!Rng} is self-contained), so CI can report a

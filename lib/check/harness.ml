@@ -15,6 +15,7 @@ let fault_of_string = function
   | "prune-first-only" -> Some Plan.Prune_first_only
   | "no-dedup" -> Some Plan.No_dedup
   | "compile-skip-descendant-edge" -> Some Plan.Compile_skip_descendant_edge
+  | "compile-prune-first-node" -> Some Plan.Compile_prune_first_node
   | "simjoin-prefix-too-short" -> Some Plan.Simjoin_prefix_too_short
   | "simjoin-no-recheck" -> Some Plan.Simjoin_no_recheck
   | _ -> None
@@ -26,6 +27,7 @@ let fault_names =
     "prune-first-only";
     "no-dedup";
     "compile-skip-descendant-edge";
+    "compile-prune-first-node";
     "simjoin-prefix-too-short";
     "simjoin-no-recheck";
   ]

@@ -33,6 +33,10 @@ type t = {
   tagged : (string, int list) Hashtbl.t;
   untagged : int list;
   ad_states : int list;
+  (* The tag-pinned states with their tags, leaves first (they tend to
+     carry the content predicates, so they reject a document soonest):
+     what {!viable} checks before an arena pass. *)
+  pinned : (int * string) list;
   (* The top-level conjuncts the per-state predicates do NOT already
      enforce: cross-label atoms, disjunctions, negations. Only these are
      re-evaluated over complete bindings; when every conjunct is local
@@ -80,11 +84,13 @@ let build ?(mode = Rewrite.Toss) seo (pattern : Pattern.t) =
   let tagged = Hashtbl.create 8 in
   let untagged = ref [] in
   let ad_states = ref [] in
+  let pinned = ref [] in
   for s = Array.length states - 1 downto 0 do
     (match Rewrite.pred_tag states.(s).pred with
     | Some tag ->
         let prev = Option.value ~default:[] (Hashtbl.find_opt tagged tag) in
-        Hashtbl.replace tagged tag (s :: prev)
+        Hashtbl.replace tagged tag (s :: prev);
+        pinned := (s, tag) :: !pinned
     | None -> untagged := s :: !untagged);
     if states.(s).edge = Some Pattern.Ad then ad_states := s :: !ad_states
   done;
@@ -113,6 +119,7 @@ let build ?(mode = Rewrite.Toss) seo (pattern : Pattern.t) =
     tagged;
     untagged = !untagged;
     ad_states = !ad_states;
+    pinned = List.rev !pinned;
     residual;
   }
 
@@ -131,6 +138,18 @@ let describe t =
            state_pred = Rewrite.pred_describe st.pred;
          })
        t.states)
+
+(* Every embedding maps each tag-pinned state to a node of its tag that
+   passes the state's predicate, and the root state to the document root
+   under [pin_root]; a document where some state has no such node has no
+   embedding, so skipping its arena pass changes no answer. *)
+let viable ~pin_root ~by_tag t doc =
+  let passes s n = Rewrite.pred_test t.states.(s).pred doc n in
+  ((not pin_root) || passes 0 (Doc.root doc))
+  && List.for_all
+       (fun (s, tag) ->
+         (pin_root && s = 0) || List.exists (passes s) (by_tag doc tag))
+       t.pinned
 
 type doc_stats = { nodes_visited : int; structural : int; n_matches : int }
 

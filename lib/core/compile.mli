@@ -46,6 +46,22 @@ val describe : t -> state_info list
 (** The automaton, state by state in pattern preorder — what EXPLAIN
     renders for a compiled plan. *)
 
+val viable :
+  pin_root:bool ->
+  by_tag:(Toss_xml.Tree.Doc.t -> string -> Toss_xml.Tree.Doc.node list) ->
+  t ->
+  Toss_xml.Tree.Doc.t ->
+  bool
+(** The prune before an arena pass: whether every tag-pinned state (see
+    {!Rewrite.pred_tag}) has a node of its tag that passes the state's
+    own predicate, and — under [pin_root] — the root state passes at
+    the document root. Every embedding needs both, so a document that
+    fails has no match and {!run_doc} need not visit it: the check is
+    exact, and costs one predicate test per node of the pinned tags.
+    [by_tag] lists a document's nodes of one tag, which is
+    {!Toss_xml.Tree.Doc.by_tag}; the {!Plan.Compile_prune_first_node}
+    fault passes a list cut to its first node. *)
+
 type doc_stats = {
   nodes_visited : int;  (** arena nodes visited (= the document size) *)
   structural : int;  (** structural matches before the full-condition filter *)
@@ -59,7 +75,9 @@ val run_doc :
   t ->
   Toss_xml.Tree.Doc.t ->
   (int * Toss_xml.Tree.Doc.node) list list * doc_stats
-(** One pass over one document's arena. Returns the complete bindings
+(** One pass over one document's arena, for a document {!viable}
+    admitted (on any other it returns no bindings, after a whole
+    pass). Returns the complete bindings
     (label, node) in pattern preorder, filtered by the full pattern
     condition and sorted — bit-for-bit what the interpreter's
     enumeration yields for the same document.

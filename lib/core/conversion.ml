@@ -23,6 +23,9 @@ let types t =
     t.table []
   |> List.sort_uniq String.compare
 
+let mem_type t ty =
+  Smap.mem ty t.table || Smap.exists (fun _ row -> Smap.mem ty row) t.table
+
 (* Breadth-first search over direct conversions, composing along the
    shortest path; identity for equal types. *)
 let path t ~from ~into =

@@ -25,6 +25,10 @@ val convert : t -> from:string -> into:string -> string -> string option
 
 val types : t -> string list
 
+val mem_type : t -> string -> bool
+(** Whether the type takes part in some registered conversion. A type
+    that does not converts to and from no other type. *)
+
 val check_coherence : t -> samples:(string * string) list -> (unit, string list) result
 (** For each [(type, value)] sample, converts along every simple path to
     every reachable type and reports pairs of paths that disagree. *)

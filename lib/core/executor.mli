@@ -19,7 +19,9 @@
     the plan's matching side is a {!Plan.Compiled_match} leaf: the
     pattern is compiled once into a single-pass arena matcher
     ({!Compile}) and no XPath scans are issued, so phase (ii) is empty
-    and phase (iii) holds one [match] span per document.
+    and phase (iii) holds one [match] span per arena pass: a document
+    whose tag-pinned states cannot all be matched is pruned before its
+    pass.
     [compile:false] — the CLI's [--no-compile] — runs the paper's
     rewrite→XPath→reassemble pipeline (planned scans, document pruning,
     per-document embedding), which doubles as the in-engine reference
@@ -58,9 +60,10 @@ type stats = {
           and, for joins, a [pair] span (annotated with the
           [strategy] and pair counts) — the operators EXPLAIN ANALYZE
           renders. Compiled runs (the default) issue no scans: [execute]
-          is empty and [assemble] holds one [match] span per document
-          (annotated [nodes]/[structural]/[matches]) instead of
-          [prune]/[embed]. Allocation deltas are populated when
+          is empty and [assemble] holds one [match] span per arena
+          pass (annotated [nodes]/[structural]/[matches]) instead of
+          [prune]/[embed]; documents pruned before their pass are
+          counted in [assemble]'s [pruned] meta. Allocation deltas are populated when
           [Toss_obs.Span.set_enabled true] was called beforehand. A run
           that raises (a deadline [check], say) returns no tree. *)
 }

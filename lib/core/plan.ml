@@ -170,6 +170,7 @@ type fault =
   | Prune_first_only
   | No_dedup
   | Compile_skip_descendant_edge
+  | Compile_prune_first_node
   | Simjoin_prefix_too_short
   | Simjoin_no_recheck
 
@@ -177,17 +178,19 @@ let fault = ref No_fault
 
 (* Set semantics preserving first-occurrence (document) order. *)
 let dedup trees =
-  if !fault = No_dedup then trees
-  else
-    let seen = Hashtbl.create 64 in
-    List.filter
-      (fun t ->
-        if Hashtbl.mem seen t then false
-        else begin
-          Hashtbl.replace seen t ();
-          true
-        end)
-      trees
+  match trees with
+  | [] | [ _ ] -> trees
+  | _ when !fault = No_dedup -> trees
+  | _ ->
+      let seen = Hashtbl.create 64 in
+      List.filter
+        (fun t ->
+          if Hashtbl.mem seen t then false
+          else begin
+            Hashtbl.replace seen t ();
+            true
+          end)
+        trees
 
 (* Hash-partitioning key for one term value. Both evaluators compare
    string values numerically whenever both sides parse as numbers (the
@@ -541,52 +544,73 @@ let run ?(check = ignore) ~eval ~coll_of plan =
         let coll = coll_of spec.side in
         let ids = Collection.Snapshot.doc_ids coll in
         let skip_descendant = !fault = Compile_skip_descendant_edge in
-        (* One [match] span per document; [check] fires inside the
-           matcher's arena loop (once per node), so a deadline unwinds a
-           compiled match mid-arena. *)
-        let match_doc ~meta doc_id =
-          Span.with_ ~meta Names.matcher (fun () ->
-              let doc = Collection.Snapshot.doc coll doc_id in
-              let bindings, (dstats : Compile.doc_stats) =
-                Compile.run_doc ~check ~pin_root:spec.pin_root ~skip_descendant
-                  matcher doc
-              in
-              n_candidates := !n_candidates + dstats.Compile.nodes_visited;
-              n_embeddings := !n_embeddings + dstats.Compile.n_matches;
-              Span.annotate
-                [
-                  ("nodes", string_of_int dstats.Compile.nodes_visited);
-                  ("structural", string_of_int dstats.Compile.structural);
-                  ("matches", string_of_int dstats.Compile.n_matches);
-                ];
-              (bindings, doc))
+        let by_tag =
+          if !fault = Compile_prune_first_node then fun doc tag ->
+            match Doc.by_tag doc tag with [] -> [] | first :: _ -> [ first ]
+          else Doc.by_tag
+        in
+        (* Every document of the side, in order. One the prune rejects
+           gets no arena pass and no span, and is counted on [assemble]
+           and in [plan.docs.pruned]; every other gets one [match] span.
+           [check] fires once per document and inside the matcher's
+           arena loop (once per node), so a deadline unwinds a compiled
+           match mid-arena. *)
+        let over_docs emit =
+          let pruned = ref 0 in
+          let out =
+            List.concat_map
+              (fun doc_id ->
+                check ();
+                let doc = Collection.Snapshot.doc coll doc_id in
+                if not (Compile.viable ~pin_root:spec.pin_root ~by_tag matcher doc)
+                then begin
+                  incr pruned;
+                  []
+                end
+                else
+                  let meta =
+                    match spec.side with
+                    | Single -> [ ("doc", string_of_int doc_id) ]
+                    | side -> [ ("side", side_name side); ("doc", string_of_int doc_id) ]
+                  in
+                  emit doc
+                    (Span.with_ ~meta Names.matcher (fun () ->
+                         let bindings, (dstats : Compile.doc_stats) =
+                           Compile.run_doc ~check ~pin_root:spec.pin_root
+                             ~skip_descendant matcher doc
+                         in
+                         n_candidates := !n_candidates + dstats.Compile.nodes_visited;
+                         n_embeddings := !n_embeddings + dstats.Compile.n_matches;
+                         Span.annotate
+                           [
+                             ("nodes", string_of_int dstats.Compile.nodes_visited);
+                             ("structural", string_of_int dstats.Compile.structural);
+                             ("matches", string_of_int dstats.Compile.n_matches);
+                           ];
+                         bindings)))
+              ids
+          in
+          Metrics.observe_int m_pruned !pruned;
+          Span.annotate
+            [
+              ( (match spec.side with
+                | Single -> "pruned"
+                | side -> "pruned_" ^ side_name side),
+                string_of_int !pruned );
+            ];
+          out
         in
         match spec.side with
         | Single ->
             Trees
-              (List.concat_map
-                 (fun doc_id ->
-                   let bindings, doc =
-                     match_doc ~meta:[ ("doc", string_of_int doc_id) ] doc_id
-                   in
+              (over_docs (fun doc bindings ->
                    dedup
                      (List.map
                         (fun b -> Witness.of_binding doc b ~sl:spec.sub_sl)
-                        bindings))
-                 ids)
+                        bindings)))
         | Left | Right ->
-            let name = side_name spec.side in
             Bindings
-              ( spec,
-                List.concat_map
-                  (fun doc_id ->
-                    let bindings, doc =
-                      match_doc
-                        ~meta:[ ("side", name); ("doc", string_of_int doc_id) ]
-                        doc_id
-                    in
-                    List.map (fun b -> (doc, b)) bindings)
-                  ids ))
+              (spec, over_docs (fun doc bindings -> List.map (fun b -> (doc, b)) bindings)))
   in
   let results =
     Span.with_ Names.assemble (fun () ->

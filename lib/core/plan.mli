@@ -90,12 +90,15 @@ type node =
           so the operator is an optimization, never a semantic change *)
   | Dedup of node
   | Compiled_match of { spec : embed_spec; matcher : Compile.t }
-      (** the compiled single-pass matcher ({!Compile}): no scans, no
-          pruning — every document of the side's snapshot is matched in
-          one arena pass, predicates evaluated inline. Produces witness
-          trees directly for [Single] sides and bindings for join
-          sides, exactly as [Embed] does, so the pairing operators are
-          shared between the compiled and interpreted pipelines. *)
+      (** the compiled single-pass matcher ({!Compile}): no scans —
+          each document of the side's snapshot that passes the prune
+          ({!Compile.viable}: every tag-pinned state has a node of its
+          tag passing its predicate) is matched in one arena pass,
+          predicates evaluated inline; the rest are skipped, which is
+          exact. Produces witness trees directly for [Single] sides and
+          bindings for join sides, exactly as [Embed] does, so the
+          pairing operators are shared between the compiled and
+          interpreted pipelines. *)
 
 type t = { mode : Rewrite.mode; root : node }
 
@@ -133,6 +136,11 @@ type fault =
           the arena, silently demoting every ad edge to pc semantics —
           matches deeper than one level under their pattern parent's
           image are dropped *)
+  | Compile_prune_first_node
+      (** [Compiled_match]'s prune ({!Compile.viable}) judges each
+          tag-pinned state by the first node of its tag alone, so a
+          document whose match sits on a later node of that tag is
+          skipped — missed results *)
   | Simjoin_prefix_too_short
       (** [Sim_pair] indexes one prefix token too few per build record
           (see {!Simjoin.build}), making some true pairs unreachable —
@@ -156,9 +164,12 @@ val run :
     mid-flight. One [execute] span containing an [xpath] span per
     scan, then one [assemble] span containing the [prune], per-document
     [embed] and (for joins) [pair] spans; compiled plans have no scans
-    (the [execute] span is empty) and one per-document [match] span
-    under [assemble] instead of [prune]/[embed]. Must be called inside an executor root span for
-    the trace to be observable; works standalone too (spans become
+    (the [execute] span is empty) and, instead of [prune]/[embed], one
+    [match] span per arena pass under [assemble] — a document the prune
+    skips gets none, and is counted in [plan.docs.pruned] and in the
+    [assemble] span's [pruned] meta ([pruned_left]/[pruned_right] for
+    join sides). Must be called inside an executor root span for the
+    trace to be observable; works standalone too (spans become
     no-ops), which is how tests and ablations run hand-built and
     reference plans. Label scans always go through the store's
     indexes; the unindexed reference lives in the store
@@ -167,8 +178,8 @@ val run :
     [check] is a cooperative cancellation checkpoint, called before
     every label scan, every per-document embedding enumeration, and
     every outer pairing iteration — the interpreter's unit-of-work
-    boundaries — and, for compiled plans, once per arena node inside
-    the matcher's loop. It does nothing by default; the query server passes one
+    boundaries — and, for compiled plans, once per document and once
+    per arena node inside the matcher's loop. It does nothing by default; the query server passes one
     that raises once the request's deadline has passed, which unwinds
     the interpreter mid-plan (no partial results escape: the exception
     propagates through {!Executor}). Checkpoint granularity bounds how

@@ -35,13 +35,22 @@ let m_cacheable = Metrics.counter "rewrite.queries.seo_independent"
 let m_cache_hits = Metrics.counter "rewrite.cache.hits"
 let m_cache_misses = Metrics.counter "rewrite.cache.misses"
 
+(* One memoized expansion: the terms, and the set the compiled
+   predicates test membership in, built once with them. *)
+type expansion = { terms : string list; set : (string, unit) Hashtbl.t }
+
 type expansion_cache = {
-  table : (string * string, string list) Hashtbl.t;
+  table : (string * string, expansion) Hashtbl.t;
   mutable owner : Seo.t option;
 }
 
 let cache_key : expansion_cache Domain.DLS.key =
   Domain.DLS.new_key (fun () -> { table = Hashtbl.create 64; owner = None })
+
+let set_of terms =
+  let tbl = Hashtbl.create (max 8 (List.length terms)) in
+  List.iter (fun t -> Hashtbl.replace tbl t ()) terms;
+  tbl
 
 let cached_expansion seo ~op ~constant compute =
   let cache = Domain.DLS.get cache_key in
@@ -51,18 +60,22 @@ let cached_expansion seo ~op ~constant compute =
       Hashtbl.reset cache.table;
       cache.owner <- Some seo);
   match Hashtbl.find_opt cache.table (op, constant) with
-  | Some terms ->
+  | Some e ->
       Metrics.incr m_cache_hits;
-      terms
+      e
   | None ->
       Metrics.incr m_cache_misses;
       let terms = compute seo constant in
-      Hashtbl.replace cache.table (op, constant) terms;
-      terms
+      let e = { terms; set = set_of terms } in
+      Hashtbl.replace cache.table (op, constant) e;
+      e
 
-let similar_terms seo s = cached_expansion seo ~op:"~" ~constant:s Seo.similar_terms
-let isa_below seo s = cached_expansion seo ~op:"isa" ~constant:s Seo.isa_below
-let part_below seo s = cached_expansion seo ~op:"part_of" ~constant:s Seo.part_below
+let similar_expansion seo s = cached_expansion seo ~op:"~" ~constant:s Seo.similar_terms
+let isa_expansion seo s = cached_expansion seo ~op:"isa" ~constant:s Seo.isa_below
+let part_expansion seo s = cached_expansion seo ~op:"part_of" ~constant:s Seo.part_below
+let similar_terms seo s = (similar_expansion seo s).terms
+let isa_below seo s = (isa_expansion seo s).terms
+let part_below seo s = (part_expansion seo s).terms
 
 (* [below] (and its mirror [above]) has a second leg besides the isa
    hierarchy: a value is below a primitive type name whenever its
@@ -255,14 +268,9 @@ module Value_type = Toss_xml.Value_type
 type pred = {
   pred_label : int;
   tests : (Doc.t -> Doc.node -> bool) list;
-  descriptions : string list;
+  describe : unit -> string list;
   required_tag : string option;
 }
-
-let set_of terms =
-  let tbl = Hashtbl.create (max 8 (List.length terms)) in
-  List.iter (fun t -> Hashtbl.replace tbl t ()) terms;
-  tbl
 
 (* The value a node-local term takes at one arena node. Only called on
    [Tag]/[Content] terms of the predicate's own label — [local_atoms]
@@ -304,15 +312,18 @@ let atom_str atom = Format.asprintf "%a" Condition.pp atom
    - [=]/[<>] against a plain-string constant: both modes compare
      numerically only when the constant parses as a float, and the TOSS
      evaluator converts only between inferred value types with a
-     registered conversion path — none of which reach "string" — so the
-     comparison reduces to string (in)equality. This is the matcher's
-     hottest atom (every tag constraint), evaluated once per arena node
-     per state.
+     registered conversion path — none of which reach "string" unless
+     "string" itself takes part in a conversion — so the comparison
+     reduces to string (in)equality. This is the matcher's hottest atom
+     (every tag constraint), evaluated once per arena node per state.
 
    Everything else — order comparisons, containment, unknown-term [~],
    reversed operators, node-to-node atoms like [#1.tag ~ #1.content] —
    compiles to the mode's evaluator under a single-label environment,
-   which is the same thing the interpreter's embedding prefilter runs. *)
+   which is the same thing the interpreter's embedding prefilter runs.
+
+   Each compiled atom carries its EXPLAIN line as a thunk: a query
+   renders it only when EXPLAIN asks. *)
 let plain_string_constant ~mode seo s =
   float_of_string_opt s = None
   &&
@@ -320,32 +331,38 @@ let plain_string_constant ~mode seo s =
   | Tax -> true
   | Toss ->
       Value_type.name (Value_type.infer s) = "string"
-      &&
-      let conv = Seo.conversions seo in
-      List.for_all
-        (fun t ->
-          t = "string"
-          || (not (Conversion.exists conv ~from:t ~into:"string")
-             && not (Conversion.exists conv ~from:"string" ~into:t)))
-        (Conversion.types conv)
+      && not (Conversion.mem_type (Seo.conversions seo) "string")
+
+(* A tag or string comparison the matcher may run as plain string
+   (in)equality: [Some (node term, op, constant)]. *)
+let string_comparison ~mode seo atom =
+  let plain x op s =
+    if is_node_term x && plain_string_constant ~mode seo s then Some (x, op, s)
+    else None
+  in
+  match atom with
+  | Condition.Cmp (x, ((Condition.Eq | Condition.Neq) as op), Condition.Str s) ->
+      plain x op s
+  | Condition.Cmp (Condition.Str s, ((Condition.Eq | Condition.Neq) as op), x) ->
+      plain x op s
+  | _ -> None
 
 let compile_atom ~mode seo atom =
-  let generic_eval =
-    match mode with Tax -> Condition.eval_tax | Toss -> Toss_condition.evaluator seo
-  in
   let generic label =
-    ( atom_str atom ^ " [direct]",
-      fun doc n ->
-        generic_eval (fun l -> if l = label then Some (doc, n) else None) atom )
+    let eval =
+      match mode with Tax -> Condition.eval_tax | Toss -> Toss_condition.evaluator seo
+    in
+    ( (fun () -> atom_str atom ^ " [direct]"),
+      fun doc n -> eval (fun l -> if l = label then Some (doc, n) else None) atom )
   in
-  let membership x terms =
-    let set = set_of terms in
-    ( Printf.sprintf "%s [set:%d]" (atom_str atom) (Hashtbl.length set),
+  let membership x { set; _ } =
+    ( (fun () -> Printf.sprintf "%s [set:%d]" (atom_str atom) (Hashtbl.length set)),
       fun doc n -> Hashtbl.mem set (node_value x doc n) )
   in
   let below_like x s =
-    let set = set_of (isa_below seo s) in
-    ( Printf.sprintf "%s [set:%d + type]" (atom_str atom) (Hashtbl.length set),
+    let { set; _ } = isa_expansion seo s in
+    ( (fun () ->
+        Printf.sprintf "%s [set:%d + type]" (atom_str atom) (Hashtbl.length set)),
       fun doc n ->
         let v = node_value x doc n in
         Hashtbl.mem set v || Value_type.name (Value_type.infer v) = s )
@@ -356,8 +373,9 @@ let compile_atom ~mode seo atom =
       | Condition.Eq -> fun doc n -> String.equal (node_value x doc n) s
       | _ -> fun doc n -> not (String.equal (node_value x doc n) s)
     in
-    ( Printf.sprintf "%s [string-%s]" (atom_str atom)
-        (if op = Condition.Eq then "eq" else "neq"),
+    ( (fun () ->
+        Printf.sprintf "%s [string-%s]" (atom_str atom)
+          (if op = Condition.Eq then "eq" else "neq")),
       test )
   in
   let label =
@@ -368,14 +386,14 @@ let compile_atom ~mode seo atom =
   match (atom, mode) with
   | Condition.Sim (x, Condition.Str s), Toss
     when is_node_term x && Seo.knows_term seo s ->
-      membership x (similar_terms seo s)
+      membership x (similar_expansion seo s)
   | Condition.Sim (Condition.Str s, x), Toss
     when is_node_term x && Seo.knows_term seo s ->
-      membership x (similar_terms seo s)
+      membership x (similar_expansion seo s)
   | Condition.Isa (x, Condition.Str s), Toss when is_node_term x ->
-      membership x (isa_below seo s)
+      membership x (isa_expansion seo s)
   | Condition.Part_of (x, Condition.Str s), Toss when is_node_term x ->
-      membership x (part_below seo s)
+      membership x (part_expansion seo s)
   | Condition.Below (x, Condition.Str s), Toss
   | Condition.Instance_of (x, Condition.Str s), Toss
     when is_node_term x ->
@@ -383,38 +401,33 @@ let compile_atom ~mode seo atom =
   | Condition.Above (Condition.Str s, x), Toss when is_node_term x ->
       below_like x s
   | Condition.Subtype_of (x, Condition.Str s), Toss when is_node_term x ->
-      if Seo.knows_term seo s then membership x (isa_below seo s)
-      else (atom_str atom ^ " [const:false]", fun _ _ -> false)
-  | Condition.Cmp (x, ((Condition.Eq | Condition.Neq) as op), Condition.Str s), _
-    when is_node_term x && plain_string_constant ~mode seo s ->
-      string_cmp x op s
-  | Condition.Cmp (Condition.Str s, ((Condition.Eq | Condition.Neq) as op), x), _
-    when is_node_term x && plain_string_constant ~mode seo s ->
-      string_cmp x op s
-  | _ -> generic label
+      if Seo.knows_term seo s then membership x (isa_expansion seo s)
+      else ((fun () -> atom_str atom ^ " [const:false]"), fun _ _ -> false)
+  | _ -> (
+      match string_comparison ~mode seo atom with
+      | Some (x, op, s) -> string_cmp x op s
+      | None -> generic label)
 
 let compile_pred ?(mode = Toss) seo condition label =
   let atoms = Condition.local_atoms condition label in
   let compiled = List.map (compile_atom ~mode seo) atoms in
   let required_tag =
     List.find_map
-      (function
-        | Condition.Cmp (Condition.Tag _, Condition.Eq, Condition.Str s)
-        | Condition.Cmp (Condition.Str s, Condition.Eq, Condition.Tag _)
-          when plain_string_constant ~mode seo s ->
-            Some s
+      (fun atom ->
+        match string_comparison ~mode seo atom with
+        | Some (Condition.Tag _, Condition.Eq, s) -> Some s
         | _ -> None)
       atoms
   in
   {
     pred_label = label;
     tests = List.map snd compiled;
-    descriptions = List.map fst compiled;
+    describe = (fun () -> List.map (fun (describe, _) -> describe ()) compiled);
     required_tag;
   }
 
 let pred_test p doc n = List.for_all (fun test -> test doc n) p.tests
-let pred_describe p = p.descriptions
+let pred_describe p = p.describe ()
 let pred_tag p = p.required_tag
 
 let rec expand_condition seo c =

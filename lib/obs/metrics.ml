@@ -79,6 +79,26 @@ let histogram ?labels name =
   | H h -> h
   | _ -> invalid_arg (Printf.sprintf "Metrics: %S is not a histogram" name)
 
+module Smap = Map.Make (String)
+
+(* Lock-free on a hit: the map is immutable and swapped in whole. Two
+   domains missing the same label at once both register it, and the
+   registry hands them the same handle. *)
+let per_label register =
+  let handles = Atomic.make Smap.empty in
+  let rec remember label handle =
+    let known = Atomic.get handles in
+    if not (Atomic.compare_and_set handles known (Smap.add label handle known)) then
+      remember label handle
+  in
+  fun label ->
+    match Smap.find_opt label (Atomic.get handles) with
+    | Some handle -> handle
+    | None ->
+        let handle = register label in
+        remember label handle;
+        handle
+
 let incr ?(by = 1) c =
   if by < 0 then invalid_arg "Metrics.incr: counters only go up";
   ignore (Atomic.fetch_and_add c by)

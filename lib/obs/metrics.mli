@@ -31,10 +31,11 @@ type labels = (string * string) list
 
 (** {1 Typed handles}
 
-    A call site whose labels vary per call (a per-pattern-label
-    fan-out, a per-code error count) registers its handle where it
-    updates it, which costs one hash lookup per call; hot paths register
-    at top level. *)
+    Hot paths register at top level. A call site whose label varies per
+    call over a small set (a per-op request count, a per-code error
+    count) resolves its handles through {!per_label}, once per label
+    value; a cold one may register where it updates, which costs a
+    lock and a hash lookup per call. *)
 
 type counter
 (** Monotonically increasing integer. *)
@@ -56,6 +57,13 @@ val gauge : ?labels:labels -> string -> gauge
 
 val histogram : ?labels:labels -> string -> histogram
 (** Registers (or retrieves) the histogram [(name, labels)]. *)
+
+val per_label : (string -> 'a) -> string -> 'a
+(** [per_label register] memoizes [register] by its argument, a label
+    value: the first call for a value registers its series (so the
+    registry, and a snapshot, hold only the values seen), and every
+    later call returns the handle without taking the registry lock.
+    Domain-safe; a hit reads one atomic and probes an immutable map. *)
 
 val incr : ?by:int -> counter -> unit
 (** Adds [by] (default 1) to the counter. Negative [by] raises

@@ -42,7 +42,8 @@ val embed : string
 val matcher : string
 (** One document's compiled single-pass match (child of {!assemble});
     annotated by the matcher with [nodes]/[structural]/[matches] — the
-    compiled counterpart of {!embed}. *)
+    compiled counterpart of {!embed}. One per arena pass: a document the
+    matcher's prune skips opens none. *)
 
 val pair : string
 (** The join's pairing operator (child of {!assemble}); annotated with

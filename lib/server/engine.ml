@@ -26,9 +26,16 @@ type t = {
   db_dir : string option;
 }
 
-let m_requests op = Metrics.counter ~labels:[ ("op", op) ] "server.requests.total"
-let m_errors code = Metrics.counter ~labels:[ ("code", code) ] "server.errors.total"
-let h_seconds op = Metrics.histogram ~labels:[ ("op", op) ] "server.request.seconds"
+let m_requests =
+  Metrics.per_label (fun op -> Metrics.counter ~labels:[ ("op", op) ] "server.requests.total")
+
+let m_errors =
+  Metrics.per_label (fun code ->
+      Metrics.counter ~labels:[ ("code", code) ] "server.errors.total")
+
+let h_seconds =
+  Metrics.per_label (fun op ->
+      Metrics.histogram ~labels:[ ("op", op) ] "server.request.seconds")
 
 let err code fmt = Printf.ksprintf (fun m -> Error (Protocol.error code m)) fmt
 

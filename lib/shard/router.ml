@@ -6,11 +6,19 @@ module Printer = Toss_xml.Printer
 module Witness = Toss_tax.Witness
 module Metrics = Toss_obs.Metrics
 
-let m_requests op = Metrics.counter ~labels:[ ("op", op) ] "router.requests.total"
-let m_errors code = Metrics.counter ~labels:[ ("code", code) ] "router.errors.total"
+let m_requests =
+  Metrics.per_label (fun op -> Metrics.counter ~labels:[ ("op", op) ] "router.requests.total")
+
+let m_errors =
+  Metrics.per_label (fun code ->
+      Metrics.counter ~labels:[ ("code", code) ] "router.errors.total")
+
 let m_shard_fail shard =
   Metrics.counter ~labels:[ ("shard", shard) ] "router.shard.failures.total"
-let h_seconds op = Metrics.histogram ~labels:[ ("op", op) ] "router.request.seconds"
+
+let h_seconds =
+  Metrics.per_label (fun op ->
+      Metrics.histogram ~labels:[ ("op", op) ] "router.request.seconds")
 
 let err code fmt = Printf.ksprintf (fun m -> Error (P.error code m)) fmt
 let ( let* ) = Result.bind

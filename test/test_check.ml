@@ -109,6 +109,13 @@ let test_fault_no_dedup () = expect_caught ~runs:200 "no-dedup" Plan.No_dedup
 let test_fault_prune_first_only () =
   expect_caught ~runs:200 "prune-first-only" Plan.Prune_first_only
 
+(* The compiled matcher's prune must find a passing node among all the
+   nodes of a pinned tag, not just the first; Gen's sibling lists are
+   what make a document whose first node of the tag fails but a later
+   one matches. *)
+let test_fault_compile_prune_first_node () =
+  expect_caught ~runs:500 "compile-prune-first-node" Plan.Compile_prune_first_node
+
 let test_fault_hash_no_recheck () =
   expect_caught ~op:Gen.Join ~runs:500 "hash-no-recheck" Plan.Hash_no_recheck
 
@@ -561,6 +568,8 @@ let () =
           Alcotest.test_case "catches missing dedup" `Quick test_fault_no_dedup;
           Alcotest.test_case "catches over-eager pruning" `Quick
             test_fault_prune_first_only;
+          Alcotest.test_case "catches over-eager compiled pruning" `Quick
+            test_fault_compile_prune_first_node;
           Alcotest.test_case "catches skipped hash recheck" `Quick
             test_fault_hash_no_recheck;
           Alcotest.test_case "catches too-short simjoin prefixes" `Quick

@@ -32,6 +32,7 @@ module Corpus = Toss_data.Corpus
 module Dblp_gen = Toss_data.Dblp_gen
 module Sigmod_gen = Toss_data.Sigmod_gen
 module Workload = Toss_data.Workload
+module Tql = Toss_core.Tql
 
 let checkb = Alcotest.(check bool)
 let checki = Alcotest.(check int)
@@ -202,7 +203,24 @@ let test_sigmod_hits_equivalence () =
   checkb "compiled trace has no prune span" true
     (Span.find stats.Executor.trace "prune" = None);
   checkb "compiled trace has a match span" true
-    (Span.find stats.Executor.trace "match" <> None)
+    (Span.find stats.Executor.trace "match" <> None);
+  (* The compiled matcher's own prune: one match span per arena pass,
+     and the assemble span counts the documents skipped without one. *)
+  let trace = stats.Executor.trace in
+  let rec count name (s : Span.t) =
+    List.fold_left (fun n c -> n + count name c)
+      (if s.Span.name = name then 1 else 0)
+      s.Span.children
+  in
+  let pruned =
+    match Span.find trace "assemble" with
+    | Some a -> int_of_string (List.assoc "pruned" a.Span.meta)
+    | None -> Alcotest.fail "compiled trace has no assemble span"
+  in
+  checkb "the compiled prune skips documents" true (pruned > 0);
+  checki "one match span per document not pruned"
+    (Collection.Snapshot.n_documents sigmod_coll - pruned)
+    (count "match" trace)
 
 (* ---------------------- equivalence: joins ------------------------ *)
 
@@ -394,6 +412,76 @@ let test_rewrite_cache_invalidation () =
         (Rewrite.part_below seo "article" = Seo.part_below seo "article"))
     [ seo_a; seo_b; seo_a; seo_b; seo_a ]
 
+(* --------------- per-document cost of a selective query -------------- *)
+
+(* One selective [~] author query over 50 and over 200 one-paper
+   documents. The 150 added documents cannot match, so what they cost
+   is the compiled plan's per-document overhead; it is counted in
+   allocated words ([Gc.minor_words]), which a given build makes the
+   same on every run, so the bound is deterministic. A document the
+   prune rejects costs no arena pass, span, histogram observation or
+   dedup table: a few dozen words, where an arena pass over a one-paper
+   document costs over 400. *)
+let test_per_document_words () =
+  let papers =
+    let c = Corpus.generate ~seed:23 ~n_papers:200 () in
+    match (Dblp_gen.render ~seed:23 c).Dblp_gen.tree with
+    | Tree.Element { children; _ } -> children
+    | Tree.Text _ -> []
+  in
+  checki "one document per paper" 200 (List.length papers);
+  let coll n =
+    let c = Collection.create "bib" in
+    List.iteri (fun i t -> if i < n then ignore (Collection.add_document c t)) papers;
+    Collection.snapshot c
+  in
+  let author =
+    match List.hd papers with
+    | Tree.Element { children; _ } ->
+        List.find_map
+          (function
+            | Tree.Element { tag = "author"; children = [ Tree.Text a ]; _ } -> Some a
+            | _ -> None)
+          children
+        |> Option.get
+    | Tree.Text _ -> assert false
+  in
+  let q =
+    match
+      Tql.parse
+        (Printf.sprintf
+           "MATCH #1:inproceedings(/#2:author) WHERE #2.content ~ \"%s\" SELECT #1"
+           author)
+    with
+    | Ok { Tql.pattern; target = Tql.Select sl } -> (pattern, sl)
+    | _ -> Alcotest.fail "query does not parse as a selection"
+  in
+  let seo =
+    match
+      Seo.of_documents ~metric:Workload.experiment_metric ~eps:2.0
+        (List.filteri (fun i _ -> i < 50) papers |> List.map Doc.of_tree)
+    with
+    | Ok seo -> seo
+    | Error msg -> failwith msg
+  in
+  checkb "the author is an ontology term" true (Seo.knows_term seo author);
+  let run coll =
+    let pattern, sl = q in
+    List.length (fst (Executor.select seo coll ~pattern ~sl))
+  in
+  let words coll =
+    ignore (run coll);
+    let before = Gc.minor_words () in
+    let results = run coll in
+    (Gc.minor_words () -. before, results)
+  in
+  let w50, r50 = words (coll 50) and w200, r200 = words (coll 200) in
+  checkb "the query is selective" true (r50 >= 1 && r50 <= 5);
+  checki "the added documents add no result" r50 r200;
+  let per_doc = (w200 -. w50) /. 150. in
+  if per_doc > 256. then
+    Alcotest.failf "%.0f words per added document (bound 256)" per_doc
+
 let () =
   Alcotest.run "toss_planner"
     [
@@ -418,5 +506,7 @@ let () =
           Alcotest.test_case "rewrite expansion cache" `Quick test_rewrite_cache;
           Alcotest.test_case "cache invalidation on SEO/eps change" `Quick
             test_rewrite_cache_invalidation;
+          Alcotest.test_case "words per document a selective query skips" `Quick
+            test_per_document_words;
         ] );
     ]
