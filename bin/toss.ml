@@ -303,7 +303,7 @@ let query files right query mode eps show_xpath explain no_compile trace
                     Option.iter
                       (fun path ->
                         write_out (Some path)
-                          (Toss_obs.Span.to_json stats.Executor.trace ^ "\n"))
+                          (Toss_json.to_string (Toss_obs.Span.to_json stats.Executor.trace) ^ "\n"))
                       analyze_json;
                     if show_stats then
                       print_string
@@ -370,7 +370,7 @@ let query files right query mode eps show_xpath explain no_compile trace
                 end;
                 Option.iter
                   (fun path ->
-                    write_out (Some path) (Toss_core.Explain.to_json plan ^ "\n"))
+                    write_out (Some path) (Toss_json.to_string (Toss_core.Explain.to_json plan) ^ "\n"))
                   analyze_json
               end);
           if show_stats then
@@ -509,13 +509,12 @@ let stats_cmd =
 
 (* ----------------------------- serve ------------------------------ *)
 
-let serve_run listen db domains max_queue default_deadline_ms no_cache
-    cache_capacity eps slow_ms access_log trace_sample =
+let serve_run listen db domains max_queue default_deadline_ms cache_capacity eps
+    slow_ms access_log trace_sample =
   if domains < 0 then `Error (true, "--domains must be >= 0")
   else if max_queue < 0 then `Error (true, "--max-queue must be >= 0")
   else if trace_sample < 0 then `Error (true, "--trace-sample must be >= 0")
   else begin
-    let cache_capacity = if no_cache then 0 else cache_capacity in
     match
       (* The same composite measure one-shot [toss query] uses, so a
          served query returns the same answers as the CLI. *)
@@ -583,13 +582,10 @@ let serve_cmd =
     Arg.(value & opt (some int) None & info [ "default-deadline-ms" ] ~docv:"MS"
            ~doc:"Deadline applied to requests that carry none.")
   in
-  let no_cache =
-    Arg.(value & flag & info [ "no-cache" ]
-           ~doc:"Disable the versioned query-result cache.")
-  in
   let cache_capacity =
     Arg.(value & opt int 256 & info [ "cache-capacity" ] ~docv:"N"
-           ~doc:"Result-cache entry bound (FIFO eviction).")
+           ~doc:"Result-cache entry bound (FIFO eviction); 0 disables the \
+                 cache.")
   in
   let eps =
     Arg.(value & opt float 2.0 & info [ "eps" ] ~docv:"EPS"
@@ -622,8 +618,8 @@ let serve_cmd =
              result cache.")
     Term.(ret
             (const serve_run $ listen_arg $ db $ domains $ max_queue
-             $ default_deadline_ms $ no_cache $ cache_capacity $ eps $ slow_ms
-             $ access_log $ trace_sample))
+             $ default_deadline_ms $ cache_capacity $ eps $ slow_ms $ access_log
+             $ trace_sample))
 
 (* ----------------------------- client ----------------------------- *)
 

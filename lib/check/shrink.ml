@@ -6,10 +6,12 @@ module Condition = Toss_tax.Condition
    whenever one still reproduces a discrepancy, restart from the smaller
    case; stop at a fixpoint. Reductions drop whole documents, prune
    document subtrees, drop top-level condition conjuncts, drop ontology
-   edges, drop SL entries, and remove leaf pattern nodes (together with
-   the conjuncts and SL entries that mention them). *)
+   edges, drop SL entries, remove leaf pattern nodes (together with
+   the conjuncts and SL entries that mention them), and strip wrapper
+   elements. *)
 
 let drop_nth n xs = List.filteri (fun i _ -> i <> n) xs
+let replace_nth n x xs = List.mapi (fun i y -> if i = n then x else y) xs
 
 let indices xs = List.init (List.length xs) Fun.id
 
@@ -32,15 +34,28 @@ let prune_variants tree =
           List.concat_map
             (fun i ->
               List.map
-                (fun c' ->
-                  Tree.element ~attrs tag
-                    (List.mapi (fun j c -> if j = i then c' else c) children))
+                (fun c' -> Tree.element ~attrs tag (replace_nth i c' children))
                 (go (List.nth children i)))
             (indices children)
         in
         drops @ recursed
   in
   go tree
+
+(* Every tree obtainable by replacing one element, the root included,
+   by one of its element children: what strips a wrapper around the
+   failing part, which deleting children alone cannot. *)
+let rec hoist_variants tree =
+  match tree with
+  | Tree.Text _ -> []
+  | Tree.Element { tag; attrs; children } ->
+      List.filter (function Tree.Element _ -> true | Tree.Text _ -> false) children
+      @ List.concat_map
+          (fun i ->
+            List.map
+              (fun c' -> Tree.element ~attrs tag (replace_nth i c' children))
+              (hoist_variants (List.nth children i)))
+          (indices children)
 
 (* Remove one leaf (non-root, and for joins not a side root) from the
    pattern shape; the condition loses every conjunct mentioning the
@@ -92,6 +107,17 @@ let reductions (case : Gen.case) =
   let with_condition cs =
     { case with Gen.pattern = Pattern.v case.Gen.pattern.Pattern.root (Condition.conj cs) }
   in
+  (* One document of either side replaced by each of its variants. *)
+  let each_doc variants =
+    let side docs with_docs =
+      List.concat_map
+        (fun i ->
+          List.map (fun d' -> with_docs (replace_nth i d' docs)) (variants (List.nth docs i)))
+        (indices docs)
+    in
+    side case.Gen.docs (fun docs -> { case with Gen.docs })
+    @ side case.Gen.right_docs (fun right_docs -> { case with Gen.right_docs })
+  in
   List.concat
     [
       List.map (fun i -> { case with Gen.docs = drop_nth i case.Gen.docs })
@@ -108,23 +134,8 @@ let reductions (case : Gen.case) =
       List.map (fun i -> { case with Gen.sl = drop_nth i case.Gen.sl })
         (indices case.Gen.sl);
       List.map (without_label case) (removable_leaves case);
-      List.concat_map
-        (fun i ->
-          List.map
-            (fun d' ->
-              { case with
-                Gen.docs = List.mapi (fun j d -> if j = i then d' else d) case.Gen.docs })
-            (prune_variants (List.nth case.Gen.docs i)))
-        (indices case.Gen.docs);
-      List.concat_map
-        (fun i ->
-          List.map
-            (fun d' ->
-              { case with
-                Gen.right_docs =
-                  List.mapi (fun j d -> if j = i then d' else d) case.Gen.right_docs })
-            (prune_variants (List.nth case.Gen.right_docs i)))
-        (indices case.Gen.right_docs);
+      each_doc prune_variants;
+      each_doc hoist_variants;
     ]
 
 let minimize ?(max_steps = 400) (case : Gen.case) =

@@ -4,9 +4,10 @@
     reports a discrepancy, repeatedly applies the smallest-footprint
     reduction that still fails — dropping documents (on either side of a
     join), pruning document subtrees (again on both sides), dropping
-    top-level condition conjuncts, ontology edges and SL entries, and
-    removing leaf pattern nodes — until no single-step reduction
-    reproduces the failure. *)
+    top-level condition conjuncts, ontology edges and SL entries,
+    removing leaf pattern nodes, and replacing an element (a document
+    root included) by one of its element children — until no
+    single-step reduction reproduces the failure. *)
 
 val minimize : ?max_steps:int -> Gen.case -> Gen.case * Diff.failure * int
 (** [minimize case] returns a locally-minimal failing case, its (possibly

@@ -1,6 +1,5 @@
 module Condition = Toss_tax.Condition
 module Collection = Toss_store.Collection
-module Xpath = Toss_store.Xpath
 module Metrics = Toss_obs.Metrics
 module Span = Toss_obs.Span
 module Names = Toss_obs.Names
@@ -14,7 +13,6 @@ type stats = {
   n_candidates : int;
   n_embeddings : int;
   n_results : int;
-  queries : (int * string) list;
   trace : Span.t;
 }
 
@@ -74,7 +72,7 @@ let root_meta ~mode collection =
    planner rewrites the pattern and consults collection statistics),
    phases (ii)/(iii) are [Plan.run]. *)
 
-let finish ~plan (results, (exec : Plan.exec_stats)) trace =
+let finish (results, (exec : Plan.exec_stats)) trace =
   let phases = phases_of_trace trace in
   let n_results = List.length results in
   let trace =
@@ -83,31 +81,27 @@ let finish ~plan (results, (exec : Plan.exec_stats)) trace =
   note_phases phases;
   note_sizes ~candidates:exec.Plan.n_candidates ~embeddings:exec.Plan.n_embeddings
     ~results:n_results;
-  let query_strings =
-    List.map (fun (l, q) -> (l, Xpath.to_string q)) (Plan.label_queries plan)
-  in
   ( results,
     {
       phases;
       n_candidates = exec.Plan.n_candidates;
       n_embeddings = exec.Plan.n_embeddings;
       n_results;
-      queries = query_strings;
       trace;
     } )
 
 let select ?(mode = Toss) ?compile ?check seo collection ~pattern ~sl =
   Metrics.incr m_selects;
   let eval = evaluator_of mode seo in
-  let (plan, outcome), trace =
+  let outcome, trace =
     Span.run ~meta:(root_meta ~mode collection) Names.select_root (fun () ->
         let plan =
           Span.with_ Names.rewrite (fun () ->
               Planner.plan_select ~mode ?compile seo collection ~pattern ~sl)
         in
-        (plan, Plan.run ?check ~eval ~coll_of:(fun _ -> collection) plan))
+        Plan.run ?check ~eval ~coll_of:(fun _ -> collection) plan)
   in
-  finish ~plan outcome trace
+  finish outcome trace
 
 let join ?(mode = Toss) ?compile ?check seo left_coll right_coll ~pattern ~sl =
   Metrics.incr m_joins;
@@ -116,13 +110,13 @@ let join ?(mode = Toss) ?compile ?check seo left_coll right_coll ~pattern ~sl =
     | Plan.Left | Plan.Single -> left_coll
     | Plan.Right -> right_coll
   in
-  let (plan, outcome), trace =
+  let outcome, trace =
     Span.run ~meta:(root_meta ~mode left_coll) Names.join_root (fun () ->
         let plan =
           Span.with_ Names.rewrite (fun () ->
               Planner.plan_join ~mode ?compile seo left_coll right_coll ~pattern
                 ~sl)
         in
-        (plan, Plan.run ?check ~eval ~coll_of plan))
+        Plan.run ?check ~eval ~coll_of plan)
   in
-  finish ~plan outcome trace
+  finish outcome trace

@@ -16,7 +16,7 @@
     and (iii) interpret it.
 
     [compile] is the engine's only switch. By default ([compile:true])
-    the plan's matching side is a {!Plan.Compiled_match} leaf: the
+    each input of the plan is a {!Plan.Compiled} matcher: the
     pattern is compiled once into a single-pass arena matcher
     ({!Compile}) and no XPath scans are issued, so phase (ii) is empty
     and phase (iii) holds one [match] span per arena pass: a document
@@ -42,9 +42,6 @@ type stats = {
   n_candidates : int;  (** candidate nodes fetched across labels *)
   n_embeddings : int;  (** pattern embeddings found during assembly *)
   n_results : int;  (** witness trees returned (after deduplication) *)
-  queries : (int * string) list;
-      (** label -> XPath sent to the store, in scan (execution) order —
-          most-selective-first *)
   trace : Toss_obs.Span.t;
       (** the full span tree of this run — its only record: EXPLAIN
           ANALYZE, the access log's sampled traces and the slow-query
@@ -113,7 +110,7 @@ val join :
     a document; a pc edge pins it to the document root. Cross-collection
     atoms are evaluated during assembly: equality atoms split across the
     sides hash-partition the pairing, failing that a [~]/[isa] atom
-    selects the signature-indexed similarity pairing ({!Plan.Sim_pair})
+    selects the signature-indexed similarity pairing ({!Plan.Sim})
     when the build side is big enough, and anything else pairs by nested
     loop (the full condition is still re-checked on every key match or
     overlap candidate). The pairing is chosen the same way under either

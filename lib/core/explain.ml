@@ -88,31 +88,34 @@ let pp ppf t =
 let to_string t = Format.asprintf "%a" pp t
 
 let to_json t =
-  let str s = Toss_json.quote s in
-  let arr items = "[" ^ String.concat "," items ^ "]" in
-  let queries =
-    List.map
-      (fun (label, q) -> Printf.sprintf "{\"label\":%d,\"xpath\":%s}" label (str q))
-      t.label_queries
-  in
-  let expansions =
-    List.map
-      (fun e ->
-        Printf.sprintf "{\"operator\":%s,\"constant\":%s,\"terms\":%s}"
-          (str e.operator) (str e.constant)
-          (arr (List.map str e.terms)))
-      t.expansions
-  in
-  Printf.sprintf
-    "{\"mode\":%s,\"label_queries\":%s,\"expansions\":%s,\"residual_atoms\":%s%s%s}"
-    (str (match t.mode with Rewrite.Tax -> "tax" | Rewrite.Toss -> "toss"))
-    (arr queries) (arr expansions)
-    (arr (List.map str t.residual_atoms))
-    (match t.plan with
-    | None -> ""
-    | Some plan ->
-        ",\"plan\":"
-        ^ arr (List.map str (String.split_on_char '\n' (Plan.to_string plan))))
-    (match t.trace with
-    | None -> ""
-    | Some trace -> ",\"trace\":" ^ Toss_obs.Span.to_json trace)
+  let module J = Toss_json in
+  let strs l = J.Arr (List.map (fun s -> J.Str s) l) in
+  J.Obj
+    ([
+       ("mode", J.Str (match t.mode with Rewrite.Tax -> "tax" | Rewrite.Toss -> "toss"));
+       ( "label_queries",
+         J.Arr
+           (List.map
+              (fun (label, q) ->
+                J.Obj [ ("label", J.Num (float_of_int label)); ("xpath", J.Str q) ])
+              t.label_queries) );
+       ( "expansions",
+         J.Arr
+           (List.map
+              (fun e ->
+                J.Obj
+                  [
+                    ("operator", J.Str e.operator);
+                    ("constant", J.Str e.constant);
+                    ("terms", strs e.terms);
+                  ])
+              t.expansions) );
+       ("residual_atoms", strs t.residual_atoms);
+     ]
+    @ (match t.plan with
+      | None -> []
+      | Some plan -> [ ("plan", strs (String.split_on_char '\n' (Plan.to_string plan))) ])
+    @
+    match t.trace with
+    | None -> []
+    | Some trace -> [ ("trace", Toss_obs.Span.to_json trace) ])

@@ -49,7 +49,7 @@ val with_trace : t -> Toss_obs.Span.t -> t
 
 val to_string : t -> string
 
-val to_json : t -> string
+val to_json : t -> Toss_json.t
 (** The plan as a JSON object ([mode], [label_queries], [expansions],
     [residual_atoms], plus [trace] when attached) — the machine-readable
     EXPLAIN ANALYZE. *)

@@ -15,59 +15,40 @@ type scan = { scan_label : int; xpath : Xpath.t; est_rows : int option }
 
 type side = Single | Left | Right
 
-type embed_spec = {
-  side : side;
-  sub_pattern : Pattern.t;
-  sub_sl : int list;
-  pin_root : bool;
-}
+type embed_spec = { sub_pattern : Pattern.t; sub_sl : int list; pin_root : bool }
 
-type node =
-  | Label_scan of scan
-  | Candidate_filter of { side : side; scans : node list }
-  | Doc_prune of { required : int list; input : node }
-  | Embed of { spec : embed_spec; input : node }
-  | Nested_loop_pair of {
-      cross_condition : Condition.t;
-      left : node;
-      right : node;
-    }
-  | Hash_pair of {
-      keys : (Condition.term * Condition.term) list;
-      cross_condition : Condition.t;
-      left : node;
-      right : node;
-    }
-  | Sim_pair of {
+type source = Scans of { scans : scan list; prune : bool } | Compiled of Compile.t
+
+type input = { spec : embed_spec; source : source }
+
+type pairing =
+  | Nested_loop
+  | Hash of (Condition.term * Condition.term) list
+  | Sim of {
       atom : Condition.t;
       lterm : Condition.term;
       rterm : Condition.term;
       scheme : Simjoin.scheme;
-      cross_condition : Condition.t;
-      left : node;
-      right : node;
     }
-  | Dedup of node
-  | Compiled_match of { spec : embed_spec; matcher : Compile.t }
 
-type t = { mode : Rewrite.mode; root : node }
+type root =
+  | Select of input
+  | Join of {
+      pairing : pairing;
+      cross_condition : Condition.t;
+      left : input;
+      right : input;
+    }
 
-let scan_of = function
-  | Label_scan s -> s
-  | _ -> invalid_arg "Plan: Candidate_filter children must be Label_scan nodes"
+type t = { mode : Rewrite.mode; root : root }
 
-let rec node_scans = function
-  | Label_scan s -> [ s ]
-  | Candidate_filter { scans; _ } -> List.concat_map node_scans scans
-  | Doc_prune { input; _ } | Embed { input; _ } | Dedup input -> node_scans input
-  | Nested_loop_pair { left; right; _ }
-  | Hash_pair { left; right; _ }
-  | Sim_pair { left; right; _ } ->
-      node_scans left @ node_scans right
-  | Compiled_match _ -> []
-
-let scans t = node_scans t.root
-let label_queries t = List.map (fun s -> (s.scan_label, s.xpath)) (scans t)
+let scans t =
+  let of_input input =
+    match input.source with Scans { scans; _ } -> scans | Compiled _ -> []
+  in
+  match t.root with
+  | Select input -> of_input input
+  | Join { left; right; _ } -> of_input left @ of_input right
 
 (* ------------------------- rendering ------------------------------ *)
 
@@ -77,9 +58,8 @@ let side_suffix = function
   | Right -> " side=right"
 
 let labels_str labels = String.concat "," (List.map string_of_int labels)
-
-let atom_str (l, r) =
-  Format.asprintf "%a" Condition.pp (Condition.Cmp (l, Condition.Eq, r))
+let cond_str c = Format.asprintf "%a" Condition.pp c
+let atom_str (l, r) = cond_str (Condition.Cmp (l, Condition.Eq, r))
 
 let to_string t =
   let buf = Buffer.create 256 in
@@ -91,49 +71,12 @@ let to_string t =
         Buffer.add_char buf '\n')
       fmt
   in
-  let rec render indent = function
-    | Label_scan s ->
-        line indent "scan #%d: %s%s" s.scan_label (Xpath.to_string s.xpath)
-          (match s.est_rows with
-          | None -> ""
-          | Some n -> Printf.sprintf "  (~%d rows)" n)
-    | Candidate_filter { side; scans } ->
-        line indent "candidate-filter%s" (side_suffix side);
-        List.iter (render (indent + 2)) scans
-    | Doc_prune { required; input } ->
-        line indent "doc-prune labels=[%s]" (labels_str required);
-        render (indent + 2) input
-    | Embed { spec; input } ->
-        line indent "embed%s sl=[%s]%s" (side_suffix spec.side)
-          (labels_str spec.sub_sl)
-          (if spec.pin_root then " pin-root" else "");
-        render (indent + 2) input
-    | Nested_loop_pair { cross_condition; left; right } ->
-        line indent "nested-loop-pair on %s"
-          (Format.asprintf "%a" Condition.pp cross_condition);
-        render (indent + 2) left;
-        render (indent + 2) right
-    | Hash_pair { keys; cross_condition; left; right } ->
-        line indent "hash-pair keys=[%s] recheck %s"
-          (String.concat "; " (List.map atom_str keys))
-          (Format.asprintf "%a" Condition.pp cross_condition);
-        render (indent + 2) left;
-        render (indent + 2) right
-    | Sim_pair { atom; scheme; cross_condition; left; right; _ } ->
-        line indent "sim-pair on %s sig=%s overlap=%s recheck %s"
-          (Format.asprintf "%a" Condition.pp atom)
-          (Simjoin.scheme_name scheme)
-          (Simjoin.overlap_name scheme)
-          (Format.asprintf "%a" Condition.pp cross_condition);
-        render (indent + 2) left;
-        render (indent + 2) right
-    | Dedup input ->
-        line indent "dedup";
-        render (indent + 2) input
-    | Compiled_match { spec; matcher } ->
-        line indent "compiled-match%s states=%d sl=[%s]%s" (side_suffix spec.side)
-          (Compile.n_states matcher) (labels_str spec.sub_sl)
-          (if spec.pin_root then " pin-root" else "");
+  let render_input indent side { spec; source } =
+    let pin = if spec.pin_root then " pin-root" else "" in
+    match source with
+    | Compiled matcher ->
+        line indent "compiled-match%s states=%d sl=[%s]%s" (side_suffix side)
+          (Compile.n_states matcher) (labels_str spec.sub_sl) pin;
         List.iter
           (fun (info : Compile.state_info) ->
             line (indent + 2) "state #%d %s: %s" info.Compile.state_label
@@ -145,14 +88,46 @@ let to_string t =
               | [] -> "true"
               | preds -> String.concat "; " preds))
           (Compile.describe matcher)
+    | Scans { scans; prune } ->
+        line indent "embed%s sl=[%s]%s" (side_suffix side) (labels_str spec.sub_sl) pin;
+        let indent = indent + 2 in
+        let indent =
+          if prune then begin
+            line indent "doc-prune labels=[%s]"
+              (labels_str (Pattern.labels spec.sub_pattern));
+            indent + 2
+          end
+          else indent
+        in
+        line indent "candidate-filter%s" (side_suffix side);
+        List.iter
+          (fun s ->
+            line (indent + 2) "scan #%d: %s%s" s.scan_label (Xpath.to_string s.xpath)
+              (match s.est_rows with
+              | None -> ""
+              | Some n -> Printf.sprintf "  (~%d rows)" n))
+          scans
   in
   line 0 "plan mode=%s" (match t.mode with Rewrite.Tax -> "tax" | Rewrite.Toss -> "toss");
-  render 0 t.root;
+  (match t.root with
+  | Select input -> render_input 0 Single input
+  | Join { pairing; cross_condition; left; right } ->
+      line 0 "dedup";
+      (match pairing with
+      | Nested_loop -> line 2 "nested-loop-pair on %s" (cond_str cross_condition)
+      | Hash keys ->
+          line 2 "hash-pair keys=[%s] recheck %s"
+            (String.concat "; " (List.map atom_str keys))
+            (cond_str cross_condition)
+      | Sim { atom; scheme; _ } ->
+          line 2 "sim-pair on %s sig=%s overlap=%s recheck %s" (cond_str atom)
+            (Simjoin.scheme_name scheme) (Simjoin.overlap_name scheme)
+            (cond_str cross_condition));
+      render_input 4 Left left;
+      render_input 4 Right right);
   (* drop the trailing newline: callers add their own framing *)
   let s = Buffer.contents buf in
-  if s <> "" && s.[String.length s - 1] = '\n' then
-    String.sub s 0 (String.length s - 1)
-  else s
+  String.sub s 0 (String.length s - 1)
 
 (* ------------------------- execution ------------------------------ *)
 
@@ -204,7 +179,10 @@ let normalize_key s =
   | Some f -> Printf.sprintf "%.17g" f
   | None -> s
 
-let binding_env doc bind label =
+(* One embedding of a join side, with the document it binds into. *)
+type side_binding = Doc.t * Embedding.binding
+
+let binding_env ((doc, bind) : side_binding) label =
   match List.assoc_opt label bind with Some n -> Some (doc, n) | None -> None
 
 (* The composite key of one binding, [None] when a key term is unbound —
@@ -220,402 +198,295 @@ let key_of env terms =
   in
   go [] terms
 
-(* Internal value flowing between operators during interpretation. *)
-type value =
-  | Docs of side * Collection.doc_id list
-  | Bindings of embed_spec * (Doc.t * (int * Doc.node) list) list
-  | Trees of Tree.t list
-
-let expect_docs = function
-  | Docs (side, ids) -> (side, ids)
-  | _ -> invalid_arg "Plan.run: operator expects a document stream"
-
-let expect_bindings = function
-  | Bindings (spec, bs) -> (spec, bs)
-  | _ -> invalid_arg "Plan.run: pairing expects embedded bindings"
-
-let rec candidate_filters = function
-  | Candidate_filter { side; scans } -> [ (side, List.map scan_of scans) ]
-  | Label_scan _ | Compiled_match _ -> []
-  | Doc_prune { input; _ } | Embed { input; _ } | Dedup input ->
-      candidate_filters input
-  | Nested_loop_pair { left; right; _ }
-  | Hash_pair { left; right; _ }
-  | Sim_pair { left; right; _ } ->
-      candidate_filters left @ candidate_filters right
-
-(* Phase ii: run every scan of one side, in order, each in its own
-   [xpath] span (annotated by the store with rows / index hit counts). *)
-let fetch_side ~check coll scans =
-  let table : (int * int, Doc.node list) Hashtbl.t = Hashtbl.create 64 in
-  let total = ref 0 in
-  List.iter
-    (fun s ->
-      check ();
-      let hits =
-        Span.with_
-          ~meta:[ ("label", string_of_int s.scan_label) ]
-          Names.xpath
-          (fun () -> Collection.Snapshot.eval coll s.xpath)
-      in
-      List.iter
-        (fun (doc_id, node) ->
-          incr total;
-          let key = (doc_id, s.scan_label) in
-          Hashtbl.replace table key
-            (node :: Option.value ~default:[] (Hashtbl.find_opt table key)))
-        hits)
-    scans;
-  (table, !total)
-
 let side_name = function Single -> "single" | Left -> "left" | Right -> "right"
 
+(* A span's meta naming the join side it works on; selections carry
+   none. *)
+let with_side side meta =
+  match side with Single -> meta | s -> ("side", side_name s) :: meta
+
+(* What phase ii leaves for one input's document loop: the candidate
+   table of its label scans, or the compiled matcher that needs none. *)
+type fetched =
+  | Candidates of { table : (int * int, Doc.node list) Hashtbl.t; prune : bool }
+  | Arena of Compile.t
+
+(* A pairing strategy's candidate filter over the right side: for one
+   left binding, the right bindings worth checking, in right-side order
+   (so accepted pairs come out exactly as the nested loop would produce
+   them); whether each candidate still gets the cross-condition recheck;
+   and the counts its [pair] span reports. *)
+type filter = {
+  candidates : side_binding -> side_binding list;
+  recheck : bool;
+  report : n_cands:int -> n_results:int -> (string * string) list;
+}
+
+let pair_counts ~n_cands ~n_results =
+  [ ("pairs", string_of_int n_cands); ("results", string_of_int n_results) ]
+
+let filter_of ~check pairing rights =
+  match pairing with
+  | Nested_loop ->
+      { candidates = (fun _ -> rights); recheck = true; report = pair_counts }
+  | Hash keys ->
+      let lterms = List.map fst keys and rterms = List.map snd keys in
+      let partitions : (string list, side_binding list) Hashtbl.t =
+        Hashtbl.create (max 16 (List.length rights))
+      in
+      List.iter
+        (fun r ->
+          match key_of (binding_env r) rterms with
+          | None -> ()
+          | Some k ->
+              Hashtbl.replace partitions k
+                (r :: Option.value ~default:[] (Hashtbl.find_opt partitions k)))
+        rights;
+      {
+        candidates =
+          (fun l ->
+            match key_of (binding_env l) lterms with
+            | None -> []
+            | Some k ->
+                List.rev (Option.value ~default:[] (Hashtbl.find_opt partitions k)));
+        recheck = !fault <> Hash_no_recheck;
+        report = pair_counts;
+      }
+  | Sim { lterm; rterm; scheme; _ } ->
+      let rarr = Array.of_list rights in
+      let index =
+        Simjoin.build ~check
+          ~drop_last_prefix_token:(!fault = Simjoin_prefix_too_short)
+          scheme
+          (Array.map (fun r -> Condition.term_value (binding_env r) rterm) rarr)
+      in
+      {
+        candidates =
+          (fun l ->
+            (* unbound: the atom, hence the cross condition, is false;
+               probes return ascending build ordinals *)
+            match Condition.term_value (binding_env l) lterm with
+            | None -> []
+            | Some v -> List.map (Array.get rarr) (Simjoin.probe index v));
+        recheck = !fault <> Simjoin_no_recheck;
+        report =
+          (fun ~n_cands ~n_results ->
+            [
+              ("candidates", string_of_int n_cands);
+              ("verified", string_of_int n_results);
+              ("indexed", string_of_int (Simjoin.n_indexed index));
+              ("fallback", string_of_int (Simjoin.n_fallback index));
+              ("results", string_of_int n_results);
+            ]);
+      }
+
+let strategy_name = function
+  | Nested_loop -> "nested-loop"
+  | Hash _ -> "hash"
+  | Sim _ -> "sim"
+
 let run ?(check = ignore) ~eval ~coll_of plan =
-  (* Phase ii: all label scans, one [execute] span. *)
-  let fetched =
-    Span.with_ Names.execute (fun () ->
-        List.map
-          (fun (side, scans) -> (side, fetch_side ~check (coll_of side) scans))
-          (candidate_filters plan.root))
-  in
   (* Scans report fetched candidate nodes; compiled matchers report
      arena nodes visited — both feed the same funnel statistic. *)
-  let n_candidates =
-    ref (List.fold_left (fun acc (_, (_, n)) -> acc + n) 0 fetched)
-  in
-  let lookup side doc_id label =
-    match List.assoc_opt side fetched with
-    | None -> Some []
-    | Some (table, _) ->
-        Some
-          (List.rev
-             (Option.value ~default:[] (Hashtbl.find_opt table (doc_id, label))))
-  in
-  (* Phase iii: prune, embed, pair, dedup — one [assemble] span. *)
-  let n_embeddings = ref 0 in
-  let pair_tree lspec rspec (ldoc, lbind) (rdoc, rbind) =
-    Tree.element Algebra.prod_root_tag
-      [
-        Witness.of_binding ldoc lbind ~sl:lspec.sub_sl;
-        Witness.of_binding rdoc rbind ~sl:rspec.sub_sl;
-      ]
-  in
-  let pair_env (ldoc, lbind) (rdoc, rbind) label =
-    match List.assoc_opt label lbind with
-    | Some n -> Some (ldoc, n)
-    | None -> (
-        match List.assoc_opt label rbind with
-        | Some n -> Some (rdoc, n)
-        | None -> None)
-  in
-  let rec exec_node = function
-    | Label_scan _ ->
-        invalid_arg "Plan.run: Label_scan outside a Candidate_filter"
-    | Candidate_filter { side; _ } ->
-        Docs (side, Collection.Snapshot.doc_ids (coll_of side))
-    | Doc_prune { required; input } ->
-        let side, ids = expect_docs (exec_node input) in
-        let meta =
-          match side with
-          | Single -> []
-          | s -> [ ("side", side_name s) ]
-        in
-        let kept =
-          Span.with_ ~meta Names.prune (fun () ->
-              let kept =
-                List.filter
-                  (fun doc_id ->
-                    List.for_all
-                      (fun label ->
-                        Option.value ~default:[] (lookup side doc_id label) <> [])
-                      required)
-                  ids
-              in
-              let kept =
-                match (!fault, kept) with
-                | Prune_first_only, first :: _ :: _ -> [ first ]
-                | _ -> kept
-              in
-              Span.annotate
-                [
-                  ("docs_in", string_of_int (List.length ids));
-                  ("docs_out", string_of_int (List.length kept));
-                ];
-              Metrics.observe_int m_pruned (List.length ids - List.length kept);
-              kept)
-        in
-        Docs (side, kept)
-    | Embed { spec; input } -> (
-        let side, ids = expect_docs (exec_node input) in
+  let n_candidates = ref 0 and n_embeddings = ref 0 in
+  (* Phase ii, per input: every scan in order, each in its own [xpath]
+     span (annotated by the store with rows / index hit counts). *)
+  let fetch side input =
+    match input.source with
+    | Compiled matcher -> Arena matcher
+    | Scans { scans; prune } ->
         let coll = coll_of side in
-        match spec.side with
-        | Single ->
-            (* Selection: witnesses directly, set semantics per document
-               (identical subtrees from different documents are distinct
-               results, as in TAX). *)
-            Trees
-              (List.concat_map
-                 (fun doc_id ->
-                   check ();
-                   Span.with_
-                     ~meta:[ ("doc", string_of_int doc_id) ]
-                     Names.embed
-                     (fun () ->
-                       let doc = Collection.Snapshot.doc coll doc_id in
-                       let bindings =
-                         Embedding.enumerate
-                           ~candidates:(lookup side doc_id)
-                           ~eval doc spec.sub_pattern
-                       in
-                       n_embeddings := !n_embeddings + List.length bindings;
-                       let witnesses =
-                         dedup
-                           (List.map
-                              (fun b -> Witness.of_binding doc b ~sl:spec.sub_sl)
-                              bindings)
-                       in
-                       Span.annotate
-                         [ ("witnesses", string_of_int (List.length witnesses)) ];
-                       witnesses))
-                 ids)
-        | Left | Right ->
-            let name = side_name spec.side in
-            let side_root = spec.sub_pattern.Pattern.root.Pattern.label in
-            Bindings
-              ( spec,
-                List.concat_map
-                  (fun doc_id ->
-                    check ();
-                    Span.with_
-                      ~meta:[ ("side", name); ("doc", string_of_int doc_id) ]
-                      Names.embed
-                      (fun () ->
-                        let doc = Collection.Snapshot.doc coll doc_id in
-                        let candidates label =
-                          let fetched = lookup side doc_id label in
-                          if spec.pin_root && label = side_root then
-                            Some
-                              (List.filter
-                                 (Int.equal (Doc.root doc))
-                                 (Option.value ~default:[] fetched))
-                          else fetched
-                        in
-                        let bindings =
-                          Embedding.enumerate ~candidates ~eval doc
-                            spec.sub_pattern
-                        in
-                        n_embeddings := !n_embeddings + List.length bindings;
-                        List.map (fun b -> (doc, b)) bindings))
-                  ids ))
-    | Nested_loop_pair { cross_condition; left; right } ->
-        let lspec, lefts = expect_bindings (exec_node left) in
-        let rspec, rights = expect_bindings (exec_node right) in
-        Trees
-          (Span.with_ ~meta:[ ("strategy", "nested-loop") ] Names.pair (fun () ->
-               let results =
-                 List.concat_map
-                   (fun l ->
-                     check ();
-                     List.filter_map
-                       (fun r ->
-                         if eval (pair_env l r) cross_condition then
-                           Some (pair_tree lspec rspec l r)
-                         else None)
-                       rights)
-                   lefts
-               in
-               Span.annotate
-                 [
-                   ( "pairs",
-                     string_of_int (List.length lefts * List.length rights) );
-                   ("results", string_of_int (List.length results));
-                 ];
-               results))
-    | Hash_pair { keys; cross_condition; left; right } ->
-        let lspec, lefts = expect_bindings (exec_node left) in
-        let rspec, rights = expect_bindings (exec_node right) in
-        Trees
-          (Span.with_ ~meta:[ ("strategy", "hash") ] Names.pair (fun () ->
-               let lterms = List.map fst keys and rterms = List.map snd keys in
-               let partitions : (string list, (Doc.t * (int * Doc.node) list) list) Hashtbl.t =
-                 Hashtbl.create (max 16 (List.length rights))
-               in
-               List.iter
-                 (fun ((rdoc, rbind) as r) ->
-                   match key_of (binding_env rdoc rbind) rterms with
-                   | None -> ()
-                   | Some k ->
-                       Hashtbl.replace partitions k
-                         (r :: Option.value ~default:[] (Hashtbl.find_opt partitions k)))
-                 rights;
-               let probed = ref 0 in
-               let results =
-                 List.concat_map
-                   (fun ((ldoc, lbind) as l) ->
-                     check ();
-                     match key_of (binding_env ldoc lbind) lterms with
-                     | None -> []
-                     | Some k ->
-                         (* rev restores right-side order, so accepted
-                            pairs come out exactly as the nested loop
-                            would produce them. *)
-                         let matches =
-                           List.rev
-                             (Option.value ~default:[]
-                                (Hashtbl.find_opt partitions k))
-                         in
-                         probed := !probed + List.length matches;
-                         List.filter_map
-                           (fun r ->
-                             if
-                               !fault = Hash_no_recheck
-                               || eval (pair_env l r) cross_condition
-                             then Some (pair_tree lspec rspec l r)
-                             else None)
-                           matches)
-                   lefts
-               in
-               Span.annotate
-                 [
-                   ("pairs", string_of_int !probed);
-                   ("results", string_of_int (List.length results));
-                 ];
-               results))
-    | Sim_pair { lterm; rterm; scheme; cross_condition; left; right; _ } ->
-        let lspec, lefts = expect_bindings (exec_node left) in
-        let rspec, rights = expect_bindings (exec_node right) in
-        Trees
-          (Span.with_ ~meta:[ ("strategy", "sim") ] Names.pair (fun () ->
-               let rarr = Array.of_list rights in
-               let rvals =
-                 Array.map
-                   (fun (rdoc, rbind) ->
-                     Condition.term_value (binding_env rdoc rbind) rterm)
-                   rarr
-               in
-               let index =
-                 Simjoin.build ~check
-                   ~drop_last_prefix_token:(!fault = Simjoin_prefix_too_short)
-                   scheme rvals
-               in
-               let n_cands = ref 0 and n_verified = ref 0 in
-               let results =
-                 List.concat_map
-                   (fun ((ldoc, lbind) as l) ->
-                     check ();
-                     match Condition.term_value (binding_env ldoc lbind) lterm with
-                     | None -> []  (* unbound: the atom, hence the cross
-                                      condition, is false *)
-                     | Some v ->
-                         (* candidates come back in ascending build
-                            ordinal, so verified pairs are emitted
-                            exactly as the nested loop would produce
-                            them. *)
-                         let cands = Simjoin.probe index v in
-                         n_cands := !n_cands + List.length cands;
-                         List.filter_map
-                           (fun i ->
-                             let r = rarr.(i) in
-                             if
-                               !fault = Simjoin_no_recheck
-                               || eval (pair_env l r) cross_condition
-                             then begin
-                               incr n_verified;
-                               Some (pair_tree lspec rspec l r)
-                             end
-                             else None)
-                           cands)
-                   lefts
-               in
-               Span.annotate
-                 [
-                   ("candidates", string_of_int !n_cands);
-                   ("verified", string_of_int !n_verified);
-                   ("indexed", string_of_int (Simjoin.n_indexed index));
-                   ("fallback", string_of_int (Simjoin.n_fallback index));
-                   ("results", string_of_int (List.length results));
-                 ];
-               results))
-    | Dedup input -> (
-        match exec_node input with
-        | Trees ts -> Trees (dedup ts)
-        | v -> v)
-    | Compiled_match { spec; matcher } -> (
-        let coll = coll_of spec.side in
+        let table = Hashtbl.create 64 in
+        List.iter
+          (fun s ->
+            check ();
+            let hits =
+              Span.with_
+                ~meta:[ ("label", string_of_int s.scan_label) ]
+                Names.xpath
+                (fun () -> Collection.Snapshot.eval coll s.xpath)
+            in
+            List.iter
+              (fun (doc_id, node) ->
+                incr n_candidates;
+                let key = (doc_id, s.scan_label) in
+                Hashtbl.replace table key
+                  (node :: Option.value ~default:[] (Hashtbl.find_opt table key)))
+              hits)
+          scans;
+        Candidates { table; prune }
+  in
+  (* Phase iii, per input: the side's documents in order, each that can
+     match turned into output by [emit doc bindings]. *)
+  let side_docs side { spec; _ } fetched emit =
+    let coll = coll_of side in
+    match fetched with
+    | Candidates { table; prune } ->
         let ids = Collection.Snapshot.doc_ids coll in
+        (* An embedding binds every label, so a document lacking
+           candidates for one cannot contribute. *)
+        let ids =
+          if not prune then ids
+          else
+            Span.with_ ~meta:(with_side side []) Names.prune (fun () ->
+                let labels = Pattern.labels spec.sub_pattern in
+                let kept =
+                  List.filter
+                    (fun doc_id ->
+                      List.for_all (fun label -> Hashtbl.mem table (doc_id, label)) labels)
+                    ids
+                in
+                let kept =
+                  match (!fault, kept) with
+                  | Prune_first_only, first :: _ :: _ -> [ first ]
+                  | _ -> kept
+                in
+                Span.annotate
+                  [
+                    ("docs_in", string_of_int (List.length ids));
+                    ("docs_out", string_of_int (List.length kept));
+                  ];
+                Metrics.observe_int m_pruned (List.length ids - List.length kept);
+                kept)
+        in
+        let side_root = spec.sub_pattern.Pattern.root.Pattern.label in
+        List.concat_map
+          (fun doc_id ->
+            check ();
+            Span.with_
+              ~meta:(with_side side [ ("doc", string_of_int doc_id) ])
+              Names.embed
+              (fun () ->
+                let doc = Collection.Snapshot.doc coll doc_id in
+                let candidates label =
+                  let fetched =
+                    List.rev
+                      (Option.value ~default:[] (Hashtbl.find_opt table (doc_id, label)))
+                  in
+                  Some
+                    (if spec.pin_root && label = side_root then
+                       List.filter (Int.equal (Doc.root doc)) fetched
+                     else fetched)
+                in
+                let bindings =
+                  Embedding.enumerate ~candidates ~eval doc spec.sub_pattern
+                in
+                n_embeddings := !n_embeddings + List.length bindings;
+                let out = emit doc bindings in
+                if side = Single then
+                  Span.annotate [ ("witnesses", string_of_int (List.length out)) ];
+                out))
+          ids
+    | Arena matcher ->
         let skip_descendant = !fault = Compile_skip_descendant_edge in
         let by_tag =
           if !fault = Compile_prune_first_node then fun doc tag ->
             match Doc.by_tag doc tag with [] -> [] | first :: _ -> [ first ]
           else Doc.by_tag
         in
-        (* Every document of the side, in order. One the prune rejects
-           gets no arena pass and no span, and is counted on [assemble]
-           and in [plan.docs.pruned]; every other gets one [match] span.
-           [check] fires once per document and inside the matcher's
-           arena loop (once per node), so a deadline unwinds a compiled
-           match mid-arena. *)
-        let over_docs emit =
-          let pruned = ref 0 in
-          let out =
-            List.concat_map
-              (fun doc_id ->
-                check ();
-                let doc = Collection.Snapshot.doc coll doc_id in
-                if not (Compile.viable ~pin_root:spec.pin_root ~by_tag matcher doc)
-                then begin
-                  incr pruned;
-                  []
-                end
-                else
-                  let meta =
-                    match spec.side with
-                    | Single -> [ ("doc", string_of_int doc_id) ]
-                    | side -> [ ("side", side_name side); ("doc", string_of_int doc_id) ]
-                  in
-                  emit doc
-                    (Span.with_ ~meta Names.matcher (fun () ->
-                         let bindings, (dstats : Compile.doc_stats) =
-                           Compile.run_doc ~check ~pin_root:spec.pin_root
-                             ~skip_descendant matcher doc
-                         in
-                         n_candidates := !n_candidates + dstats.Compile.nodes_visited;
-                         n_embeddings := !n_embeddings + dstats.Compile.n_matches;
-                         Span.annotate
-                           [
-                             ("nodes", string_of_int dstats.Compile.nodes_visited);
-                             ("structural", string_of_int dstats.Compile.structural);
-                             ("matches", string_of_int dstats.Compile.n_matches);
-                           ];
-                         bindings)))
-              ids
-          in
-          Metrics.observe_int m_pruned !pruned;
-          Span.annotate
-            [
-              ( (match spec.side with
-                | Single -> "pruned"
-                | side -> "pruned_" ^ side_name side),
-                string_of_int !pruned );
-            ];
-          out
+        (* A document the prune rejects gets no arena pass and no span,
+           and is counted on [assemble] and in [plan.docs.pruned]; every
+           other gets one [match] span. [check] fires once per document
+           and inside the matcher's arena loop (once per node), so a
+           deadline unwinds a compiled match mid-arena. *)
+        let pruned = ref 0 in
+        let out =
+          List.concat_map
+            (fun doc_id ->
+              check ();
+              let doc = Collection.Snapshot.doc coll doc_id in
+              if not (Compile.viable ~pin_root:spec.pin_root ~by_tag matcher doc)
+              then begin
+                incr pruned;
+                []
+              end
+              else
+                emit doc
+                  (Span.with_
+                     ~meta:(with_side side [ ("doc", string_of_int doc_id) ])
+                     Names.matcher
+                     (fun () ->
+                       let bindings, (dstats : Compile.doc_stats) =
+                         Compile.run_doc ~check ~pin_root:spec.pin_root
+                           ~skip_descendant matcher doc
+                       in
+                       n_candidates := !n_candidates + dstats.Compile.nodes_visited;
+                       n_embeddings := !n_embeddings + dstats.Compile.n_matches;
+                       Span.annotate
+                         [
+                           ("nodes", string_of_int dstats.Compile.nodes_visited);
+                           ("structural", string_of_int dstats.Compile.structural);
+                           ("matches", string_of_int dstats.Compile.n_matches);
+                         ];
+                       bindings)))
+            (Collection.Snapshot.doc_ids coll)
         in
-        match spec.side with
-        | Single ->
-            Trees
-              (over_docs (fun doc bindings ->
-                   dedup
-                     (List.map
-                        (fun b -> Witness.of_binding doc b ~sl:spec.sub_sl)
-                        bindings)))
-        | Left | Right ->
-            Bindings
-              (spec, over_docs (fun doc bindings -> List.map (fun b -> (doc, b)) bindings)))
+        Metrics.observe_int m_pruned !pruned;
+        Span.annotate
+          [
+            ( (match side with Single -> "pruned" | s -> "pruned_" ^ side_name s),
+              string_of_int !pruned );
+          ];
+        out
+  in
+  (* The one pairing loop: every left binding against the candidates the
+     strategy's filter hands it, each accepted pair a product tree. *)
+  let pair pairing cross_condition (lspec, lefts) (rspec, rights) =
+    Span.with_ ~meta:[ ("strategy", strategy_name pairing) ] Names.pair (fun () ->
+        let filter = filter_of ~check pairing rights in
+        let n_cands = ref 0 in
+        let results =
+          List.concat_map
+            (fun ((ldoc, lbind) as l) ->
+              check ();
+              List.filter_map
+                (fun ((rdoc, rbind) as r) ->
+                  incr n_cands;
+                  let env label =
+                    match binding_env l label with
+                    | Some _ as hit -> hit
+                    | None -> binding_env r label
+                  in
+                  if (not filter.recheck) || eval env cross_condition then
+                    Some
+                      (Tree.element Algebra.prod_root_tag
+                         [
+                           Witness.of_binding ldoc lbind ~sl:lspec.sub_sl;
+                           Witness.of_binding rdoc rbind ~sl:rspec.sub_sl;
+                         ])
+                  else None)
+                (filter.candidates l))
+            lefts
+        in
+        Span.annotate (filter.report ~n_cands:!n_cands ~n_results:(List.length results));
+        results)
   in
   let results =
-    Span.with_ Names.assemble (fun () ->
-        match exec_node plan.root with
-        | Trees ts -> ts
-        | _ -> invalid_arg "Plan.run: plan does not produce result trees")
+    match plan.root with
+    | Select input ->
+        let fetched = Span.with_ Names.execute (fun () -> fetch Single input) in
+        Span.with_ Names.assemble (fun () ->
+            (* set semantics per document: identical subtrees from
+               different documents are distinct results, as in TAX *)
+            side_docs Single input fetched (fun doc bindings ->
+                dedup
+                  (List.map
+                     (fun b -> Witness.of_binding doc b ~sl:input.spec.sub_sl)
+                     bindings)))
+    | Join { pairing; cross_condition; left; right } ->
+        let fetched_left, fetched_right =
+          Span.with_ Names.execute (fun () ->
+              let l = fetch Left left in
+              (l, fetch Right right))
+        in
+        Span.with_ Names.assemble (fun () ->
+            let bindings side input fetched =
+              ( input.spec,
+                side_docs side input fetched (fun doc bindings ->
+                    List.map (fun b -> (doc, b)) bindings) )
+            in
+            let lefts = bindings Left left fetched_left in
+            let rights = bindings Right right fetched_right in
+            dedup (pair pairing cross_condition lefts rights))
   in
   (results, { n_candidates = !n_candidates; n_embeddings = !n_embeddings })

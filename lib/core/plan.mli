@@ -1,30 +1,25 @@
-(** Logical query plans and their physical operators.
+(** Typed query plans and their interpreter.
 
-    The planner ({!Planner}) compiles a pattern-tree query into this IR;
+    The planner ({!Planner}) compiles a pattern-tree query into a plan;
     {!run} interprets it. Splitting the two keeps the executor's
     three-phase contract — the plan is built during the [rewrite] phase,
     and {!run} produces exactly one [execute] span (all label scans) and
     one [assemble] span (pruning, embedding, pairing, deduplication), so
     {!Executor.stats.phases} remains a faithful view over the trace.
 
-    A plan is a small operator tree:
+    A plan does one of the two things the paper's executor does
+    (Section 6): it selects over one collection, or it joins two. Each
+    side is an {!input}: the sub-pattern it embeds, and the source its
+    documents come from — either the paper's label scans (one XPath
+    query per pattern label, optionally followed by a prune of the
+    documents lacking a candidate for some label) or the compiled
+    single-pass matcher ({!Compile}). A join pairs its two inputs'
+    bindings by one of three {!pairing} strategies, all re-checking the
+    full cross condition, and deduplicates the pairs.
 
-    - [Label_scan] — one XPath query sent to the store for one pattern
-      label, carrying the planner's cardinality estimate;
-    - [Candidate_filter] — the set of scans feeding one side's
-      candidate tables, in execution order;
-    - [Doc_prune] — drop documents that lack candidates for a required
-      label (an embedding needs every label, so such documents cannot
-      contribute results);
-    - [Embed] — enumerate pattern embeddings per surviving document;
-    - [Nested_loop_pair] / [Hash_pair] / [Sim_pair] — combine the two
-      sides of a join, checking the cross condition on every pair, only
-      on hash-partitioned key matches, or only on signature-overlap
-      candidates of a [~]/[isa] atom ({!Simjoin});
-    - [Dedup] — global set semantics over the paired results.
-
-    Plans are pure data: rendering one ({!pp}) performs no store access,
-    which is what the CLI's [--explain] shows before running anything. *)
+    Plans are pure data: rendering one ({!to_string}) performs no store
+    access, which is what the CLI's [--explain] shows before running
+    anything. *)
 
 type scan = {
   scan_label : int;  (** the pattern label this scan fetches *)
@@ -36,11 +31,10 @@ type scan = {
 }
 
 type side = Single | Left | Right
-(** Which candidate table an operator reads: [Single] for selections,
+(** Which collection an input reads: [Single] for a selection,
     [Left]/[Right] for the two collections of a join. *)
 
 type embed_spec = {
-  side : side;
   sub_pattern : Toss_tax.Pattern.t;
   sub_sl : int list;  (** the SL labels that fall on this side *)
   pin_root : bool;
@@ -48,65 +42,65 @@ type embed_spec = {
           the join product root, as in the paper's Figure 14) *)
 }
 
-type node =
-  | Label_scan of scan
-  | Candidate_filter of { side : side; scans : node list }
-      (** [scans] are [Label_scan] nodes, in execution order *)
-  | Doc_prune of { required : int list; input : node }
-  | Embed of { spec : embed_spec; input : node }
-  | Nested_loop_pair of {
-      cross_condition : Toss_tax.Condition.t;
-      left : node;
-      right : node;
-    }
-  | Hash_pair of {
-      keys : (Toss_tax.Condition.term * Toss_tax.Condition.term) list;
-          (** equality atoms split across the sides: (left term, right
-              term) pairs used to partition; the full [cross_condition]
-              is still re-checked on every key match, so the operator is
-              an optimization, never a semantic change *)
-      cross_condition : Toss_tax.Condition.t;
-      left : node;
-      right : node;
-    }
-  | Sim_pair of {
+type source =
+  | Scans of { scans : scan list; prune : bool }
+      (** one store query per pattern label, in execution order, filling
+          the side's candidate tables; with [prune], documents lacking a
+          candidate for some label of the sub-pattern are dropped before
+          embedding (an embedding binds every label, so such documents
+          cannot contribute) *)
+  | Compiled of Compile.t
+      (** the compiled single-pass matcher: no scans — each document of
+          the side's snapshot that passes the prune ({!Compile.viable}:
+          every tag-pinned state has a node of its tag passing its
+          predicate) is matched in one arena pass, predicates evaluated
+          inline; the rest are skipped, which is exact *)
+
+type input = { spec : embed_spec; source : source }
+(** One side of a plan: a selection's witnesses, or a join side's
+    bindings. *)
+
+(** How a join finds the right bindings worth checking against each left
+    one. Every strategy re-checks the full cross condition on each
+    candidate, so the choice is an optimization, never a semantic
+    change. *)
+type pairing =
+  | Nested_loop  (** every left × right pair is a candidate *)
+  | Hash of (Toss_tax.Condition.term * Toss_tax.Condition.term) list
+      (** equality atoms split across the sides, as (left term, right
+          term) pairs: only key matches are candidates *)
+  | Sim of {
       atom : Toss_tax.Condition.t;
           (** the top-level [~]/[isa] cross conjunct driving the filter
               (for rendering; completeness relies on it being a
-              top-level conjunct of [cross_condition]) *)
+              top-level conjunct of the cross condition) *)
       lterm : Toss_tax.Condition.term;  (** probe-side (left) atom term *)
       rterm : Toss_tax.Condition.term;  (** build-side (right) atom term *)
       scheme : Simjoin.scheme;
           (** the taxonomic signature scheme ({!Simjoin}) the planner
               derived from the atom kind, mode and SEO *)
-      cross_condition : Toss_tax.Condition.t;
-      left : node;
-      right : node;
     }
-      (** the similarity-join operator: the right side is indexed by
-          frequency-ordered signature prefixes, the left probes with an
-          adaptive overlap constraint, and — exactly as for [Hash_pair]
-          — the full [cross_condition] is re-checked on every candidate,
-          so the operator is an optimization, never a semantic change *)
-  | Dedup of node
-  | Compiled_match of { spec : embed_spec; matcher : Compile.t }
-      (** the compiled single-pass matcher ({!Compile}): no scans —
-          each document of the side's snapshot that passes the prune
-          ({!Compile.viable}: every tag-pinned state has a node of its
-          tag passing its predicate) is matched in one arena pass,
-          predicates evaluated inline; the rest are skipped, which is
-          exact. Produces witness trees directly for [Single] sides and
-          bindings for join sides, exactly as [Embed] does, so the
-          pairing operators are shared between the compiled and
-          interpreted pipelines. *)
+      (** the similarity join: the right side is indexed by
+          frequency-ordered signature prefixes and the left probes with
+          an adaptive overlap constraint; only overlap candidates are
+          checked *)
 
-type t = { mode : Rewrite.mode; root : node }
+type root =
+  | Select of input  (** [σ_{P,SL}]: the input's witnesses, per document *)
+  | Join of {
+      pairing : pairing;
+      cross_condition : Toss_tax.Condition.t;
+      left : input;
+      right : input;
+    }
+      (** a condition join: product trees of the accepted pairs, with
+          global set semantics *)
+
+type t = { mode : Rewrite.mode; root : root }
 
 val scans : t -> scan list
-(** Every [Label_scan] in the plan, left to right (execution order). *)
-
-val label_queries : t -> (int * Toss_store.Xpath.t) list
-(** [scans] as (label, query) pairs — what reaches the store. *)
+(** Every label scan in the plan, left side first, in execution order —
+    what reaches the store. Empty for a compiled plan. *)
 
 val to_string : t -> string
 
@@ -126,28 +120,31 @@ type exec_stats = { n_candidates : int; n_embeddings : int }
 type fault =
   | No_fault
   | Hash_no_recheck
-      (** [Hash_pair] accepts every key match without re-checking the
-          full cross condition *)
+      (** the {!Hash} pairing accepts every key match without
+          re-checking the full cross condition *)
   | Prune_first_only
-      (** [Doc_prune] keeps only the first surviving document *)
-  | No_dedup  (** both deduplication sites pass duplicates through *)
+      (** the prune of a {!Scans} input keeps only the first surviving
+          document *)
+  | No_dedup
+      (** both deduplication sites — a selection's per-document
+          witnesses and a join's pairs — pass duplicates through *)
   | Compile_skip_descendant_edge
-      (** [Compiled_match] stops bubbling ancestor-descendant matches up
-          the arena, silently demoting every ad edge to pc semantics —
-          matches deeper than one level under their pattern parent's
-          image are dropped *)
+      (** a {!Compiled} input stops bubbling ancestor-descendant
+          matches up the arena, silently demoting every ad edge to pc
+          semantics — matches deeper than one level under their pattern
+          parent's image are dropped *)
   | Compile_prune_first_node
-      (** [Compiled_match]'s prune ({!Compile.viable}) judges each
+      (** a {!Compiled} input's prune ({!Compile.viable}) judges each
           tag-pinned state by the first node of its tag alone, so a
           document whose match sits on a later node of that tag is
           skipped — missed results *)
   | Simjoin_prefix_too_short
-      (** [Sim_pair] indexes one prefix token too few per build record
-          (see {!Simjoin.build}), making some true pairs unreachable —
-          missed results *)
+      (** the {!Sim} pairing indexes one prefix token too few per build
+          record (see {!Simjoin.build}), making some true pairs
+          unreachable — missed results *)
   | Simjoin_no_recheck
-      (** [Sim_pair] emits every overlap candidate without re-checking
-          the cross condition — false results *)
+      (** the {!Sim} pairing emits every overlap candidate without
+          re-checking the cross condition — false results *)
 
 val fault : fault ref
 

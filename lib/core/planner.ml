@@ -33,32 +33,23 @@ let scans_of ~optimize coll queries =
       scans
   else scans
 
-let filter_of ~optimize coll ~side ~required queries =
-  let scans = scans_of ~optimize coll queries in
-  let filter =
-    Plan.Candidate_filter
-      { side; scans = List.map (fun s -> Plan.Label_scan s) scans }
+(* One side's input: the compiled matcher, or the paper's label scans
+   (pruned under [optimize]). *)
+let input_of ~mode ~optimize ~compile seo coll spec =
+  let source =
+    if compile then Plan.Compiled (Compile.build ~mode seo spec.Plan.sub_pattern)
+    else
+      let queries = Rewrite.label_queries ~mode seo spec.Plan.sub_pattern in
+      Plan.Scans { scans = scans_of ~optimize coll queries; prune = optimize }
   in
-  if optimize then Plan.Doc_prune { required; input = filter } else filter
+  { Plan.spec; source }
 
 let plan_select ?(mode = Rewrite.Toss) ?(optimize = true) ?(compile = true) seo
     coll ~pattern ~sl =
   Metrics.incr m_plans;
-  let spec =
-    { Plan.side = Plan.Single; sub_pattern = pattern; sub_sl = sl; pin_root = false }
-  in
-  if compile then begin
-    Metrics.incr m_compiled;
-    let matcher = Compile.build ~mode seo pattern in
-    { Plan.mode; root = Plan.Compiled_match { spec; matcher } }
-  end
-  else
-    let queries = Rewrite.label_queries ~mode seo pattern in
-    let input =
-      filter_of ~optimize coll ~side:Plan.Single
-        ~required:(Pattern.labels pattern) queries
-    in
-    { Plan.mode; root = Plan.Embed { spec; input } }
+  if compile then Metrics.incr m_compiled;
+  let spec = { Plan.sub_pattern = pattern; sub_sl = sl; pin_root = false } in
+  { Plan.mode; root = Plan.Select (input_of ~mode ~optimize ~compile seo coll spec) }
 
 (* The sub-pattern rooted at a child of the join pattern's root, with the
    original condition restricted to the conjuncts local to that side. *)
@@ -162,27 +153,16 @@ let plan_join ?(mode = Rewrite.Toss) ?(optimize = true) ?(compile = true) seo
   in
   let left_pattern, left_labels = side_pattern pattern left_child in
   let right_pattern, right_labels = side_pattern pattern right_child in
-  let branch side coll kind sub_pattern labels =
-    let spec =
+  let input coll kind sub_pattern labels =
+    input_of ~mode ~optimize ~compile seo coll
       {
-        Plan.side;
-        sub_pattern;
+        Plan.sub_pattern;
         sub_sl = List.filter (fun l -> List.mem l labels) sl;
         pin_root = kind = Pattern.Pc;
       }
-    in
-    if compile then
-      Plan.Compiled_match { spec; matcher = Compile.build ~mode seo sub_pattern }
-    else
-      let queries = Rewrite.label_queries ~mode seo sub_pattern in
-      let input =
-        filter_of ~optimize coll ~side
-          ~required:(Pattern.labels sub_pattern) queries
-      in
-      Plan.Embed { spec; input }
   in
-  let left = branch Plan.Left left_coll left_kind left_pattern left_labels in
-  let right = branch Plan.Right right_coll right_kind right_pattern right_labels in
+  let left = input left_coll left_kind left_pattern left_labels in
+  let right = input right_coll right_kind right_pattern right_labels in
   let cross_condition = cross_condition_of pattern in
   let keys =
     if optimize then hash_keys ~left_labels ~right_labels cross_condition
@@ -201,16 +181,15 @@ let plan_join ?(mode = Rewrite.Toss) ?(optimize = true) ?(compile = true) seo
   let pairing =
     if keys <> [] then begin
       Metrics.incr m_hash_joins;
-      Plan.Hash_pair { keys; cross_condition; left; right }
+      Plan.Hash keys
     end
     else
       match sim with
       | Some (atom, lterm, rterm, scheme) ->
           Metrics.incr m_sim_joins;
-          Plan.Sim_pair
-            { atom; lterm; rterm; scheme; cross_condition; left; right }
+          Plan.Sim { atom; lterm; rterm; scheme }
       | None ->
           Metrics.incr m_nested_joins;
-          Plan.Nested_loop_pair { cross_condition; left; right }
+          Plan.Nested_loop
   in
-  { Plan.mode; root = Plan.Dedup pairing }
+  { Plan.mode; root = Plan.Join { pairing; cross_condition; left; right } }

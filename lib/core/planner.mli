@@ -1,4 +1,4 @@
-(** Cost-aware compilation of pattern trees into {!Plan} operator trees.
+(** Cost-aware compilation of pattern trees into typed {!Plan}s.
 
     The planner runs during the executor's [rewrite] phase: it rewrites
     the pattern into per-label XPath queries (through {!Rewrite}), then
@@ -10,20 +10,20 @@
 
     - label scans are ordered most-selective-first, so the candidate
       tables that prune hardest are populated cheapest-first;
-    - a [Doc_prune] operator drops documents lacking candidates for any
-      required label before embedding (an embedding binds every label,
-      so those documents cannot contribute);
+    - each side prunes the documents lacking candidates for any label
+      before embedding (an embedding binds every label, so those
+      documents cannot contribute);
     - join cross-conditions whose top-level conjuncts include an
-      equality split across the two sides are lowered to [Hash_pair]
-      (hash-partitioned pairing with a full recheck on key matches);
-      otherwise a top-level [~]/[isa] conjunct split across the sides is
-      lowered to [Sim_pair] (signature prefix filtering with an adaptive
+      equality split across the two sides pair by {!Plan.Hash}
+      (hash-partitioned candidates with a full recheck on key matches);
+      otherwise a top-level [~]/[isa] conjunct split across the sides
+      pairs by {!Plan.Sim} (signature prefix filtering with an adaptive
       overlap constraint — see {!Simjoin} — plus the same full recheck)
       whenever the build side's statistics show at least two documents;
-      anything else falls back to [Nested_loop_pair].
+      anything else falls back to {!Plan.Nested_loop}.
 
-    With [compile:true] (the default) the scan/prune/embed pipeline is
-    replaced wholesale by a single {!Plan.Compiled_match} leaf per side:
+    With [compile:true] (the default) each side's source is the
+    {!Plan.Compiled} matcher instead of the scan/prune/embed pipeline:
     the pattern is compiled once ({!Compile.build}) and every document
     of the snapshot is matched in one arena pass, with the
     SEO-expanded predicates evaluated inline instead of being lowered
@@ -33,11 +33,11 @@
     the pairing strategy is chosen the same way either way.
 
     [optimize] (default true) exists only to build reference plans:
-    with [optimize:false] the same IR is produced naively — rewrite
-    order, no statistics, no pruning, nested-loop pairing — which the
-    equivalence tests and the ABL-PLAN/ABL-SIMJOIN ablations run
-    through {!Plan.run} as the baseline the planned operators must
-    reproduce witness for witness. No serving path plans naively. *)
+    with [optimize:false] the plan is built naively — rewrite order, no
+    statistics, no pruning, nested-loop pairing — which the equivalence
+    tests and the ABL-PLAN/ABL-SIMJOIN ablations run through
+    {!Plan.run} as the baseline the planned plans must reproduce
+    witness for witness. No serving path plans naively. *)
 
 val plan_select :
   ?mode:Rewrite.mode ->
@@ -65,7 +65,7 @@ val plan_join :
 (** The plan for a condition join. The pattern's root must have exactly
     two children (the left and right sub-patterns); raises
     [Invalid_argument] otherwise, as {!Executor.join} always has. Under
-    [compile] each side becomes its own {!Plan.Compiled_match} leaf
-    feeding the shared pairing operators. With [optimize:false] every
-    cross condition pairs by [Nested_loop_pair] — the reference the
-    hash and sim-pair lowerings are checked against. *)
+    [compile] each side's input is its own {!Plan.Compiled} matcher.
+    With [optimize:false] every cross condition pairs by
+    {!Plan.Nested_loop} — the reference the hash and sim-pair lowerings
+    are checked against. *)

@@ -35,7 +35,8 @@
     Candidate generation is {e complete} (a pair the filter skips cannot
     satisfy the atom, hence not the cross condition it is a top-level
     conjunct of) but not sound on its own: the caller must re-check the
-    full cross condition on every candidate. {!Plan.Sim_pair} does. *)
+    full cross condition on every candidate. {!Plan.run}'s pairing loop
+    does. *)
 
 type scheme
 (** A signature scheme: how probe- and build-side values expand into

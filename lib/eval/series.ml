@@ -63,36 +63,16 @@ let gnuplot_script t =
   Buffer.add_string buf ("plot " ^ String.concat ", \\\n     " plots ^ "\n");
   Buffer.contents buf
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let to_json ?metrics t =
-  let str s = "\"" ^ json_escape s ^ "\"" in
-  let arr items = "[" ^ String.concat "," items ^ "]" in
-  let fields =
-    [
-      ("name", str t.name);
-      ("columns", arr (List.map str t.columns));
-      ("rows", arr (List.map (fun row -> arr (List.map str row)) t.rows));
-    ]
-    @ match metrics with None -> [] | Some m -> [ ("metrics", m) ]
-  in
-  "{"
-  ^ String.concat "," (List.map (fun (k, v) -> str k ^ ":" ^ v) fields)
-  ^ "}"
+  let module J = Toss_json in
+  let strs l = J.Arr (List.map (fun s -> J.Str s) l) in
+  J.Obj
+    ([
+       ("name", J.Str t.name);
+       ("columns", strs t.columns);
+       ("rows", J.Arr (List.map strs t.rows));
+     ]
+    @ match metrics with None -> [] | Some m -> [ ("metrics", m) ])
 
 let save_json ~dir ?metrics t =
   ensure_dir dir;
@@ -100,7 +80,7 @@ let save_json ~dir ?metrics t =
   let oc = open_out path in
   Fun.protect
     ~finally:(fun () -> close_out_noerr oc)
-    (fun () -> output_string oc (to_json ?metrics t));
+    (fun () -> output_string oc (Toss_json.to_string (to_json ?metrics t)));
   path
 
 let save_all ~dir ?metrics series =

@@ -10,6 +10,6 @@ val v : name:string -> columns:string list -> string list list -> t
 (** @raise Invalid_argument when a row's width differs from the header's
     or the name is empty. *)
 
-val save_all : dir:string -> ?metrics:string -> t list -> string list
+val save_all : dir:string -> ?metrics:Toss_json.t -> t list -> string list
 (** CSVs plus one [.gp] and one [.json] per series; returns all written
     paths. [metrics] is embedded in each JSON artifact. *)

@@ -268,63 +268,46 @@ let to_table snap =
 
 (* -------------------------------- JSON -------------------------------- *)
 
-let json_escape = Toss_json.escape
+module J = Toss_json
 
-let json_float f =
-  if Float.is_nan f then "null"
-  else if Float.is_integer f && Float.abs f < 1e15 then
-    Printf.sprintf "%.1f" f
-  else Printf.sprintf "%.9g" f
-
-let json_obj fields =
-  "{" ^ String.concat "," (List.map (fun (k, v) -> Printf.sprintf "%S:%s" k v) fields) ^ "}"
+(* NaN (an empty histogram's min/max/quantiles) has no JSON number. *)
+let json_num f = if Float.is_nan f then J.Null else J.Num f
 
 let to_json snap =
   let keyed f =
-    List.filter_map
-      (fun (name, labels, value) ->
-        Option.map (fun v -> (name ^ render_labels labels, v)) (f value))
-      snap
+    J.Obj
+      (List.filter_map
+         (fun (name, labels, value) ->
+           Option.map (fun v -> (name ^ render_labels labels, v)) (f value))
+         snap)
   in
-  let counters =
-    keyed (function Counter c -> Some (string_of_int c) | _ -> None)
-  in
-  let gauges = keyed (function Gauge g -> Some (json_float g) | _ -> None) in
-  let histograms =
-    keyed (function
-      | Histogram h ->
-          let buckets =
-            List.map
-              (fun (bound, count) ->
-                ( (if bound = infinity then "+inf" else Printf.sprintf "%g" bound),
-                  string_of_int count ))
-              h.buckets
-          in
-          Some
-            (json_obj
-               [
-                 ("count", string_of_int h.count);
-                 ("sum", json_float h.sum);
-                 ("min", json_float h.min);
-                 ("max", json_float h.max);
-                 ("p50", json_float (quantile h 0.5));
-                 ("p95", json_float (quantile h 0.95));
-                 ("p99", json_float (quantile h 0.99));
-                 ("buckets", json_obj buckets);
-               ])
-      | _ -> None)
-  in
-  let section kvs =
-    "{"
-    ^ String.concat ","
-        (List.map (fun (k, v) -> Printf.sprintf "\"%s\":%s" (json_escape k) v) kvs)
-    ^ "}"
-  in
-  json_obj
+  J.Obj
     [
-      ("counters", section counters);
-      ("gauges", section gauges);
-      ("histograms", section histograms);
+      ("counters", keyed (function Counter c -> Some (J.Num (float_of_int c)) | _ -> None));
+      ("gauges", keyed (function Gauge g -> Some (json_num g) | _ -> None));
+      ( "histograms",
+        keyed (function
+          | Histogram h ->
+              Some
+                (J.Obj
+                   [
+                     ("count", J.Num (float_of_int h.count));
+                     ("sum", json_num h.sum);
+                     ("min", json_num h.min);
+                     ("max", json_num h.max);
+                     ("p50", json_num (quantile h 0.5));
+                     ("p95", json_num (quantile h 0.95));
+                     ("p99", json_num (quantile h 0.99));
+                     ( "buckets",
+                       J.Obj
+                         (List.map
+                            (fun (bound, count) ->
+                              ( (if bound = infinity then "+inf"
+                                 else Printf.sprintf "%g" bound),
+                                J.Num (float_of_int count) ))
+                            h.buckets) );
+                   ])
+          | _ -> None) );
     ]
 
 (* ----------------------------- Prometheus ------------------------------ *)

@@ -132,11 +132,12 @@ val to_table : snapshot -> string
 (** An aligned, human-readable table: one line per series; histograms
     show count/mean/p50/p95/p99/max ({!quantile} estimates). *)
 
-val to_json : snapshot -> string
-(** Compact JSON object with ["counters"], ["gauges"] and ["histograms"]
+val to_json : snapshot -> Toss_json.t
+(** A JSON object with ["counters"], ["gauges"] and ["histograms"]
     sub-objects keyed by [name{k="v",...}]; histogram objects carry
     count/sum/min/max, the {!quantile} estimates ["p50"]/["p95"]/["p99"],
-    and the cumulative buckets. Keys and strings are JSON-escaped. *)
+    and the cumulative buckets. An empty histogram's NaN statistics are
+    [null]. *)
 
 val to_prometheus : snapshot -> string
 (** Prometheus text exposition (format 0.0.4) of the snapshot — what

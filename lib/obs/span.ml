@@ -143,34 +143,31 @@ let pp ppf t =
 
 let to_string t = Format.asprintf "%a" pp t
 
-(* Names and meta are JSON-quoted, not OCaml-quoted: meta carries
-   client-supplied strings (a collection name) whose non-ASCII and
-   control bytes [%S] would turn into decimal escapes no JSON reader
-   accepts. *)
+module J = Toss_json
+
 let rec to_json t =
-  let q = Toss_json.quote in
-  let meta =
-    match t.meta with
-    | [] -> ""
-    | m ->
-        Printf.sprintf ",\"meta\":{%s}"
-          (String.concat ","
-             (List.map (fun (k, v) -> q k ^ ":" ^ q v) m))
-  in
-  Printf.sprintf
-    "{\"name\":%s,\"elapsed_s\":%.9f,\"alloc_bytes\":%.0f%s,\"children\":[%s]}"
-    (q t.name) t.elapsed_s t.alloc_bytes meta
-    (String.concat "," (List.map to_json t.children))
+  J.Obj
+    ([ ("name", J.Str t.name); ("elapsed_s", J.Num t.elapsed_s);
+       ("alloc_bytes", J.Num t.alloc_bytes) ]
+    @ (match t.meta with
+      | [] -> []
+      | m -> [ ("meta", J.Obj (List.map (fun (k, v) -> (k, J.Str v)) m)) ])
+    @ [ ("children", J.Arr (List.map to_json t.children)) ])
 
 let slow_record ~threshold_s root =
   if root.elapsed_s < threshold_s then None
   else
     let trace_id =
       match List.assoc_opt "trace_id" root.meta with
-      | Some id -> ",\"trace_id\":" ^ Toss_json.quote id
-      | None -> ""
+      | Some id -> [ ("trace_id", J.Str id) ]
+      | None -> []
     in
     Some
-      (Printf.sprintf
-         "{\"type\":\"slow_query\"%s,\"threshold_s\":%.6f,\"elapsed_s\":%.6f,\"trace\":%s}"
-         trace_id threshold_s root.elapsed_s (to_json root))
+      (J.to_string
+         (J.Obj
+            ((("type", J.Str "slow_query") :: trace_id)
+            @ [
+                ("threshold_s", J.Num threshold_s);
+                ("elapsed_s", J.Num root.elapsed_s);
+                ("trace", to_json root);
+              ])))

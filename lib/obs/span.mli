@@ -74,11 +74,11 @@ val pp : Format.formatter -> t -> unit
 
 val to_string : t -> string
 
-val to_json : t -> string
-(** Nested JSON object mirroring the span tree. Names, meta keys and
-    meta values are written as JSON string literals (UTF-8 passes
-    through, control bytes become [\uXXXX]), so the output is valid JSON
-    whatever a client put into the meta, e.g. a collection name. *)
+val to_json : t -> Toss_json.t
+(** Nested JSON object mirroring the span tree: [name], [elapsed_s],
+    [alloc_bytes], [meta] (omitted when empty) and [children]. Printed
+    with {!Toss_json.to_string}, names and meta survive whatever a client
+    put into them, e.g. a collection name. *)
 
 (** {1 Slow-query log} *)
 

@@ -237,14 +237,14 @@ let do_explain t ~collection ~tql ~mode =
                   let e =
                     Explain.with_plan (Explain.explain ~mode seo q.Tql.pattern) plan
                   in
-                  Ok (J.parse_exn (Explain.to_json e)))))
+                  Ok (Explain.to_json e))))
 
 let do_stats () =
   let snap = Metrics.snapshot () in
   Ok
     (J.Obj
        [
-         ("metrics", J.parse_exn (Metrics.to_json snap));
+         ("metrics", Metrics.to_json snap);
          ("table", J.Str (Metrics.to_table snap));
        ])
 

@@ -230,7 +230,7 @@ let log_access state ~trace_id ~request ~queue_s ~exec_s ~body ~trace =
               ("status", J.Str status);
             ]
           @ opt "trace"
-              (Option.map (fun sp -> J.parse_exn (Span.to_json sp)) trace))
+              (Option.map Span.to_json trace))
       in
       Mutex.lock al.alock;
       Fun.protect

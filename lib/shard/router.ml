@@ -524,7 +524,7 @@ let do_stats () =
   Ok
     (J.Obj
        [
-         ("metrics", J.parse_exn (Metrics.to_json snap));
+         ("metrics", Metrics.to_json snap);
          ("table", J.Str (Metrics.to_table snap));
        ])
 

@@ -88,10 +88,13 @@ let test_clean_run_passes () =
 let expect_caught ?op ?max_per_side ~runs name fault =
   match Harness.run ~fault ?op ~seed:42 ~runs () with
   | Harness.Pass _ -> Alcotest.failf "%s: fault not caught in %d runs" name runs
-  | Harness.Fail { failure; _ } ->
+  | Harness.Fail { failure; steps; _ } ->
       let c = failure.Diff.case in
       let docs = List.length c.Gen.docs + List.length c.Gen.right_docs in
       checkb (name ^ ": shrunk to at most 3 documents") true (docs <= 3);
+      (* [minimize] stops at 400 steps; a shrink that reaches them was
+         cut off before its fixpoint. *)
+      checkb (name ^ ": shrunk within the step budget") true (steps < 400);
       Option.iter
         (fun m ->
           checkb
@@ -105,6 +108,21 @@ let expect_caught ?op ?max_per_side ~runs name fault =
       checkb (name ^ ": fault reset after run") true (!Plan.fault = Plan.No_fault)
 
 let test_fault_no_dedup () = expect_caught ~runs:200 "no-dedup" Plan.No_dedup
+
+(* The no-dedup repro on seed 42 once kept two wrapper elements around
+   its failing part, <item><note>…</note></item>; replacing an element
+   by its child strips them, leaving the one subtree whose two
+   embeddings share a witness. *)
+let test_no_dedup_repro_is_the_failing_subtree () =
+  match Harness.run ~fault:Plan.No_dedup ~seed:42 ~runs:200 () with
+  | Harness.Pass _ -> Alcotest.fail "no-dedup not caught in 200 runs"
+  | Harness.Fail { failure; _ } ->
+      Alcotest.(check (list string))
+        "the shrunk corpus"
+        [ "<paper><book>models</book><item>42</item></paper>" ]
+        (List.map Toss_xml.Printer.to_string failure.Diff.case.Gen.docs);
+      checki "two embeddings, one witness" 1 (List.length failure.Diff.expected);
+      checki "the duplicate kept" 2 (List.length failure.Diff.got)
 
 let test_fault_prune_first_only () =
   expect_caught ~runs:200 "prune-first-only" Plan.Prune_first_only
@@ -123,8 +141,9 @@ let test_fault_hash_no_recheck () =
    candidate completeness (a too-short signature prefix loses pairs the
    nested-loop reference finds) and soundness (skipping the cross-
    condition recheck emits pairs that merely share a prefix token).
-   Both must shrink to a couple of documents per side — [Sim_pair] still
-   fires there because the planner's build-side threshold is 2. *)
+   Both must shrink to a couple of documents per side — the [Sim]
+   pairing still fires there because the planner's build-side threshold
+   is 2. *)
 let test_fault_simjoin_prefix_too_short () =
   expect_caught ~op:Gen.Join ~max_per_side:2 ~runs:500 "simjoin-prefix-too-short"
     Plan.Simjoin_prefix_too_short
@@ -578,6 +597,8 @@ let () =
             test_fault_simjoin_no_recheck;
           Alcotest.test_case "shrinker rejects passing cases" `Quick
             test_shrinker_requires_failure;
+          Alcotest.test_case "shrinker strips wrapper elements" `Quick
+            test_no_dedup_repro_is_the_failing_subtree;
         ] );
       ( "seo build",
         [

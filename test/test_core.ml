@@ -333,19 +333,21 @@ let test_executor_join () =
   let pattern, sl = Toss_data.Workload.join_query () in
   let left = collection_of [ db ] in
   let right = collection_of [ sigmod ] in
-  let results, stats = Executor.join seo2 left right ~pattern ~sl in
+  let results, _ = Executor.join seo2 left right ~pattern ~sl in
   (* u1's title equals s1's title; nothing else joins. *)
   checki "one join result" 1 (List.length results);
   Alcotest.(check (list (pair string string))) "key pair"
     [ ("u1", "s1") ]
     (Toss_data.Workload.result_key_pairs results);
   (* The compiled default issues no store queries; the interpreted
-     pipeline records scans for both sides and must agree on results. *)
-  checkb "compiled join issues no queries" true (stats.Executor.queries = []);
-  let results_i, stats_i = Executor.join ~compile:false seo2 left right ~pattern ~sl in
+     pipeline scans both sides and must agree on results. *)
+  let scans ?compile () =
+    Plan.scans (Planner.plan_join ?compile seo2 left right ~pattern ~sl)
+  in
+  checkb "compiled join issues no queries" true (scans () = []);
+  let results_i, _ = Executor.join ~compile:false seo2 left right ~pattern ~sl in
   checkb "interpreted join agrees" true (results_i = results);
-  checkb "queries recorded for both sides" true
-    (List.length stats_i.Executor.queries >= 4);
+  checkb "queries for both sides" true (List.length (scans ~compile:false ()) >= 4);
   (* The oracle's join, evaluated from the definitions, agrees. *)
   let reference =
     Oracle.join ~eval:(Toss_condition.evaluator seo2) ~pattern ~sl [ Doc.of_tree db ]
@@ -436,16 +438,16 @@ let test_rewrite_max_expansion_degrades () =
   in
   let scans =
     List.map
-      (fun (scan_label, xpath) ->
-        Plan.Label_scan { Plan.scan_label; xpath; est_rows = None })
+      (fun (scan_label, xpath) -> { Plan.scan_label; xpath; est_rows = None })
       queries
   in
-  let spec =
-    { Plan.side = Plan.Single; sub_pattern = p; sub_sl = []; pin_root = false }
-  in
-  let input = Plan.Candidate_filter { side = Plan.Single; scans } in
+  let spec = { Plan.sub_pattern = p; sub_sl = []; pin_root = false } in
   let narrow, narrow_stats =
-    run { Plan.mode = Rewrite.Toss; root = Plan.Embed { spec; input } }
+    run
+      {
+        Plan.mode = Rewrite.Toss;
+        root = Plan.Select { spec; source = Plan.Scans { scans; prune = false } };
+      }
   in
   let wide, wide_stats =
     run (Planner.plan_select ~compile:false seo coll ~pattern:p ~sl:[])

@@ -14,6 +14,8 @@ module Doc = Tree.Doc
 module Collection = Toss_store.Collection
 module Seo = Toss_core.Seo
 module Executor = Toss_core.Executor
+module Planner = Toss_core.Planner
+module Plan = Toss_core.Plan
 module Corpus = Toss_data.Corpus
 module Dblp_gen = Toss_data.Dblp_gen
 module Sigmod_gen = Toss_data.Sigmod_gen
@@ -123,15 +125,20 @@ let test_phases_and_counts () =
     && stats.Executor.phases.Executor.assemble_s >= 0.);
   checki "result count" (List.length results) stats.Executor.n_results;
   checkb "candidates fetched" true (stats.Executor.n_candidates > 0);
-  checkb "compiled run issues no queries" true (stats.Executor.queries = []);
-  (* The interpreted pipeline still records its per-label store queries
-     and agrees on the answer. *)
-  let results_i, stats_i =
+  let scans ?compile () =
+    Plan.scans
+      (Planner.plan_select ~mode:Executor.Toss ?compile seo3 collection
+         ~pattern:q.Workload.pattern ~sl:q.Workload.sl)
+  in
+  checkb "compiled run issues no queries" true (scans () = []);
+  (* The interpreted pipeline still plans one store query per label and
+     agrees on the answer. *)
+  let results_i, _ =
     Executor.select ~mode:Executor.Toss ~compile:false seo3 collection
       ~pattern:q.Workload.pattern ~sl:q.Workload.sl
   in
   checkb "interpreted select agrees" true (results_i = results);
-  checkb "three xpath queries" true (List.length stats_i.Executor.queries = 3)
+  checkb "three xpath queries" true (List.length (scans ~compile:false ()) = 3)
 
 (* ------------------------------------------------------------------ *)
 (* Cross-schema join (Figure 16(b) shape) on a small corpus             *)

@@ -195,7 +195,7 @@ let test_json_export () =
   Metrics.incr ~by:3 (Metrics.counter "test.json.counter");
   Metrics.set (Metrics.gauge "test.json.gauge") 2.5;
   Metrics.observe (Metrics.histogram "test.json.histo") 1.0;
-  let json = Metrics.to_json (Metrics.snapshot ()) in
+  let json = Json.to_string (Metrics.to_json (Metrics.snapshot ())) in
   checkb "counter serialized" true
     (contains ~needle:"\"test.json.counter\":3" json);
   checkb "gauge serialized" true (contains ~needle:"\"test.json.gauge\":2.5" json);
@@ -323,7 +323,7 @@ let test_quantiles_in_exports () =
   checkb "table shows percentiles" true
     (contains ~needle:"p95=" (Metrics.to_table snap));
   checkb "json shows percentiles" true
-    (contains ~needle:"\"p95\":" (Metrics.to_json snap))
+    (contains ~needle:"\"p95\":" (Json.to_string (Metrics.to_json snap)))
 
 (* ------------------------------------------------------------------ *)
 (* Query records: the executor's span tree and the slow-query log       *)
@@ -470,7 +470,7 @@ let test_span_json_escaping () =
     Span.run ~meta:[ ("collection", awkward) ] "r\xc3\xa9sum\xc3\xa9" (fun () ->
         Span.with_ ~meta:[ (awkward, "v") ] "child" ignore)
   in
-  (match Json.parse (Span.to_json sp) with
+  (match Json.parse (Json.to_string (Span.to_json sp)) with
   | Error msg -> Alcotest.failf "span JSON does not parse: %s" msg
   | Ok json -> checkb "tree round-trips" true (replay json = shape sp));
   match Option.map Json.parse (Span.slow_record ~threshold_s:0. sp) with

@@ -65,17 +65,17 @@ let seo =
 
 let is_hash plan =
   match plan.Plan.root with
-  | Plan.Dedup (Plan.Hash_pair _) -> true
+  | Plan.Join { pairing = Plan.Hash _; _ } -> true
   | _ -> false
 
 let is_nested plan =
   match plan.Plan.root with
-  | Plan.Dedup (Plan.Nested_loop_pair _) -> true
+  | Plan.Join { pairing = Plan.Nested_loop; _ } -> true
   | _ -> false
 
 let is_sim plan =
   match plan.Plan.root with
-  | Plan.Dedup (Plan.Sim_pair _) -> true
+  | Plan.Join { pairing = Plan.Sim _; _ } -> true
   | _ -> false
 
 (* Runs every named plan through [Plan.run]; all must agree exactly with
@@ -197,7 +197,7 @@ let test_sigmod_hits_equivalence () =
   in
   checkb "naive plan has no prune operator" true
     (match naive.Plan.root with
-    | Plan.Embed { input = Plan.Candidate_filter _; _ } -> true
+    | Plan.Select { source = Plan.Scans { prune = false; _ }; _ } -> true
     | _ -> false);
   let _, stats = Executor.select seo sigmod_coll ~pattern ~sl:[] in
   checkb "compiled trace has no prune span" true
@@ -359,7 +359,7 @@ let test_pairing_choice () =
   checkb "flipped equality still hashes" true
     (is_hash (plan_of flipped [ 1; 3 ]));
   match (plan_of flipped [ 1; 3 ]).Plan.root with
-  | Plan.Dedup (Plan.Hash_pair { keys = [ (l, r) ]; _ }) ->
+  | Plan.Join { pairing = Plan.Hash [ (l, r) ]; _ } ->
       checkb "left key term is the left side's" true (l = Condition.Content 2);
       checkb "right key term is the right side's" true (r = Condition.Content 4)
   | _ -> Alcotest.fail "expected a single-key hash pair"
