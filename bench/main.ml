@@ -767,8 +767,9 @@ let serve_cache () =
           B.time_median ~runs:5 (fun () -> serve_query ~cache:false eng)
         in
         assert (cache_status off = "miss");
-        (* A write invalidates: the very next cached query misses again,
-           at the bumped collection version. *)
+        (* A write that brings new vocabulary (the title "x") changes
+           the SEO, so the very next cached query misses again, at the
+           bumped collection version. *)
         (match
            Engine.exec eng ~deadline:None
              (Protocol.Insert
@@ -778,7 +779,7 @@ let serve_cache () =
                 })
          with
         | Ok _ -> ()
-        | Error e -> failwith ("serve invalidating insert failed: " ^ e.Protocol.message));
+        | Error e -> failwith ("serve post-insert insert failed: " ^ e.Protocol.message));
         let post, post_t = B.time (fun () -> serve_query eng) in
         assert (cache_status post = "miss");
         (n_papers, cold_t, off_t, warm_t, post_t))
@@ -799,8 +800,8 @@ let serve_cache () =
        rows);
   Printf.printf
     "\ncold pays the SEO precompute; a warm hit skips execution entirely;\n\
-     an insert bumps the collection version so the next query misses --\n\
-     a cached result is never served across a write\n"
+     an insert with new vocabulary changes the SEO so the next query misses\n\
+     (a copy would extend the entry instead: the serve-after-insert kernel)\n"
 
 (* The parallel read path: N worker domains hammer the same collection
    with the uncached query for a fixed window; the row is completed
@@ -1334,6 +1335,81 @@ let perf_suite () =
                 failwith ("serve-sharded kernel: " ^ Client.failure_to_string f))
           ())
   in
+  (* An engine the way [toss serve] runs one, holding the first [n]
+     write-mix documents, one per insert. *)
+  let write_mix_engine name n =
+    let eng =
+      match Engine.create ~metric:Workload.experiment_metric () with
+      | Ok eng -> eng
+      | Error msg -> failwith (name ^ " kernel engine: " ^ msg)
+    in
+    let insert i =
+      match
+        Engine.exec eng ~deadline:None
+          (Protocol.Insert { collection = "bib"; xml = Printer.to_string (write_mix i) })
+      with
+      | Ok _ -> ()
+      | Error e -> failwith (name ^ " kernel insert: " ^ e.Protocol.message)
+    in
+    for i = 0 to n - 1 do
+      insert i
+    done;
+    let query tql =
+      match
+        Engine.exec eng ~deadline:None
+          (Protocol.Query { collection = "bib"; tql; mode = Executor.Toss; cache = true })
+      with
+      | Ok payload -> payload
+      | Error e -> failwith (name ^ " kernel query: " ^ e.Protocol.message)
+    in
+    (insert, query)
+  in
+  let loadgen_mix = Array.to_list (Loadgen.query_mix ~seed:7 ~n_papers:6) in
+  (* The read after an insert: the 36-document write-mix engine with the
+     corpus's [~]-author queries cached. Each run inserts the next
+     re-keyed copy, which the SEO absorbs, and answers the mix once, so
+     every answer extends its cached entry by one document. *)
+  let serve_after_insert () =
+    let insert, query = write_mix_engine "serve-after-insert" 36 in
+    let mix = List.filter (fun q -> String.contains q '~') loadgen_mix in
+    List.iter (fun q -> ignore (query q)) mix;
+    let next = ref 36 in
+    kernel "serve-after-insert" runs
+      (fun () ->
+        insert !next;
+        incr next;
+        List.iter
+          (fun q ->
+            if cache_status (query q) <> "delta" then
+              failwith "serve-after-insert kernel: an answer was not extended")
+          mix)
+      ()
+  in
+  (* The JSON writer: Wire.write of one hot-write-sized query response
+     to a null channel, as a batch of 500. The response is the mix's
+     answer over the 36-document engine closest to 3.5 KB. *)
+  let json_encode () =
+    let _, query = write_mix_engine "json-encode" 36 in
+    let responses =
+      List.map
+        (fun tql ->
+          Protocol.response_to_json
+            (Protocol.response ~id:1 ~server_ms:0.25 ~queue_ms:0.01 (Ok (query tql))))
+        loadgen_mix
+    in
+    let off r = abs (String.length (Toss_json.to_string r) - 3500) in
+    let response =
+      List.fold_left (fun a r -> if off r < off a then r else a) (List.hd responses) responses
+    in
+    let null = open_out_bin Filename.null in
+    Fun.protect
+      ~finally:(fun () -> close_out null)
+      (kernel "json-encode" runs (fun () ->
+           for _ = 1 to 500 do
+             Toss_server.Wire.write Protocol.Json null response
+           done;
+           flush null))
+  in
   let kernels =
     [
       kernel "select-toss" runs (fun () ->
@@ -1417,6 +1493,8 @@ let perf_suite () =
       (* One insert per run, and one more for the warm-up. *)
       seo_rebuild "seo-rebuild-known" (fun () -> Array.init (36 + runs + 1) write_mix) ~warm:36;
       seo_rebuild "seo-rebuild-new" (fun () -> papers (60 + runs + 1)) ~warm:60;
+      serve_after_insert;
+      json_encode;
     ]
   in
   Baseline.v ~label:suite_label (List.map (fun k -> k ()) kernels)

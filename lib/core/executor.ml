@@ -63,10 +63,18 @@ let mode_name = function Tax -> "tax" | Toss -> "toss"
 
 (* The root span records what the run was over and what it returned:
    meta [mode] and [collection] (a join's left collection) at open time,
-   and [results] once the plan has run — so a slow-query record or a
-   sampled trace stands on its own. *)
+   [from_doc] when the run covers only the documents from that id on
+   (the result cache extending an entry), and [results] once the plan
+   has run — so a slow-query record or a sampled trace stands on its
+   own. *)
 let root_meta ~mode collection =
+  let from =
+    match Collection.Snapshot.first collection with
+    | 0 -> []
+    | id -> [ ("from_doc", string_of_int id) ]
+  in
   [ ("mode", mode_name mode); ("collection", Collection.Snapshot.name collection) ]
+  @ from
 
 (* Both entry points are thin facades: phase (i) builds a plan (the
    planner rewrites the pattern and consults collection statistics),

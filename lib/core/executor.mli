@@ -47,7 +47,9 @@ type stats = {
           ANALYZE, the access log's sampled traces and the slow-query
           log all read it. The root ([executor.select] or
           [executor.join]) carries meta [mode], [collection] (a join's
-          left collection) and [results] (= [n_results]). [phases] is a
+          left collection), [from_doc] when the snapshot is a
+          {!Toss_store.Collection.Snapshot.since} view (the first
+          document id the run covered), and [results] (= [n_results]). [phases] is a
           view over its [rewrite]/[execute]/[assemble] children, so the
           two always agree. Under [execute] there is one [xpath] span
           per label query (annotated with [rows]/[indexed]/[scanned] by

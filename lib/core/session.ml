@@ -143,6 +143,7 @@ let pin2 t ~left ~right =
 let pinned_version p = Collection.Snapshot.version p.pin_snap
 let pinned_snapshot p = p.pin_snap
 let pinned_seo p = p.pin_seo
+let since p version = { p with pin_snap = Collection.Snapshot.since p.pin_snap version }
 
 let pinned2_versions p =
   (Collection.Snapshot.version p.pin2_left, Collection.Snapshot.version p.pin2_right)

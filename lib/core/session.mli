@@ -115,6 +115,14 @@ val pinned_seo : pinned -> (Seo.t, string) result
 (** The captured SEO ([Error] when ontology construction failed —
     surfaced on use, as {!query} always has). *)
 
+val since : pinned -> int -> pinned
+(** The same pin restricted to the documents inserted after [version]
+    ({!Toss_store.Collection.Snapshot.since}), under the same SEO.
+    Selection and projection answer per document, so {!query_at} over
+    it returns the trees that the answer at the pinned version adds to
+    the answer at [version]: the result cache extends an entry with
+    them. *)
+
 val query_at :
   ?mode:Executor.mode ->
   ?check:(unit -> unit) ->

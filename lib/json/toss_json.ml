@@ -231,67 +231,78 @@ let to_int = function Num f -> Some (int_of_float f) | _ -> None
 
 (* ------------------------------ writer ---------------------------- *)
 
-let escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+(* The writer's one walk and one escape, over any byte sink: [str]
+   appends a string, [sub] a substring. A string's bytes that need no
+   escape are copied as whole runs, so text without quotes, backslashes
+   or control characters costs one [sub] call. *)
+type sink = { str : string -> unit; sub : string -> int -> int -> unit }
 
-let quote s = "\"" ^ escape s ^ "\""
+let escapes =
+  Array.init 0x20 (fun c ->
+      match Char.chr c with
+      | '\n' -> "\\n"
+      | '\r' -> "\\r"
+      | '\t' -> "\\t"
+      | _ -> Printf.sprintf "\\u%04x" c)
+
+let escape_to sink s =
+  let n = String.length s in
+  let run = ref 0 in
+  for i = 0 to n - 1 do
+    let c = String.unsafe_get s i in
+    if c = '"' || c = '\\' || c < ' ' then begin
+      if i > !run then sink.sub s !run (i - !run);
+      sink.str
+        (match c with '"' -> "\\\"" | '\\' -> "\\\\" | c -> escapes.(Char.code c));
+      run := i + 1
+    end
+  done;
+  if !run = 0 then sink.str s else if n > !run then sink.sub s !run (n - !run)
 
 (* Shortest rendering that still round-trips: integral floats print as
    integers, others at increasing precision until re-parsing recovers
    the same bits. JSON has no non-finite numbers; render those as null
    rather than emit something no reader accepts. *)
 let number_to_string f =
-  if Float.is_integer f && Float.abs f < 1e15 then
-    Printf.sprintf "%.0f" f
+  if Float.is_nan f || f = Float.infinity || f = Float.neg_infinity then "null"
+  else if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.0f" f
   else
     let s = Printf.sprintf "%.12g" f in
     if float_of_string s = f then s else Printf.sprintf "%.17g" f
 
-let to_string v =
-  let buf = Buffer.create 256 in
+let write sink v =
   let rec go = function
-    | Null -> Buffer.add_string buf "null"
-    | Bool b -> Buffer.add_string buf (if b then "true" else "false")
-    | Num f ->
-        if Float.is_nan f || f = Float.infinity || f = Float.neg_infinity then
-          Buffer.add_string buf "null"
-        else Buffer.add_string buf (number_to_string f)
+    | Null -> sink.str "null"
+    | Bool b -> sink.str (if b then "true" else "false")
+    | Num f -> sink.str (number_to_string f)
     | Str s ->
-        Buffer.add_char buf '"';
-        Buffer.add_string buf (escape s);
-        Buffer.add_char buf '"'
+        sink.str "\"";
+        escape_to sink s;
+        sink.str "\""
     | Arr items ->
-        Buffer.add_char buf '[';
+        sink.str "[";
         List.iteri
           (fun i item ->
-            if i > 0 then Buffer.add_char buf ',';
+            if i > 0 then sink.str ",";
             go item)
           items;
-        Buffer.add_char buf ']'
+        sink.str "]"
     | Obj kvs ->
-        Buffer.add_char buf '{';
+        sink.str "{";
         List.iteri
           (fun i (k, item) ->
-            if i > 0 then Buffer.add_char buf ',';
-            Buffer.add_char buf '"';
-            Buffer.add_string buf (escape k);
-            Buffer.add_string buf "\":";
+            sink.str (if i > 0 then ",\"" else "\"");
+            escape_to sink k;
+            sink.str "\":";
             go item)
           kvs;
-        Buffer.add_char buf '}'
+        sink.str "}"
   in
-  go v;
+  go v
+
+let to_string v =
+  let buf = Buffer.create 1024 in
+  write { str = Buffer.add_string buf; sub = Buffer.add_substring buf } v;
   Buffer.contents buf
+
+let output oc v = write { str = output_string oc; sub = output_substring oc } v

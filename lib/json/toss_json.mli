@@ -58,15 +58,14 @@ val to_int : t -> int option
 
 (** {1 Writing} *)
 
-val escape : string -> string
-(** The body of a JSON string literal (no surrounding quotes): escapes
-    the double quote, the backslash, and all control characters below
-    [0x20] (newline, carriage return and tab symbolically, the rest as
-    [\uXXXX]). Bytes [>= 0x80] pass through, so UTF-8 text stays
-    UTF-8. *)
-
-val quote : string -> string
-(** [escape] with the surrounding quotes — a complete string literal. *)
-
 val to_string : t -> string
-(** Compact rendering. Object members keep their list order. *)
+(** Compact rendering. Object members keep their list order. A string
+    (value or key) escapes the double quote, the backslash, and all
+    control characters below [0x20] (newline, carriage return and tab
+    symbolically, the rest as [\uXXXX]); bytes [>= 0x80] pass through,
+    so UTF-8 text stays UTF-8. *)
+
+val output : out_channel -> t -> unit
+(** Writes [to_string v] to the channel without building it: the same
+    walk and escape, with each run of bytes that needs no escape copied
+    straight from its string ([output_substring]). Does not flush. *)

@@ -1,24 +1,34 @@
 module Metrics = Toss_obs.Metrics
 
-type key = {
-  collection : string;
-  version : int;
-  config : string;
-  mode : string;
-  tql : string;
-}
+type key = { collection : string; config : string; mode : string; tql : string }
+
+type entry = { version : int; trees : Toss_json.t list; count : int; compute_ms : float }
+
+type lookup = Hit of entry | Delta of entry | Miss
+
+type fault = No_fault | Extend_across_seo | Extend_skip_new_docs
+
+let fault = ref No_fault
+
+(* An entry with the SEO it was computed under, held weakly: once the
+   session has moved on to another SEO and no pin holds the old one, the
+   GC takes it, and the entry can only miss. *)
+type stored = { entry : entry; under : (Toss_core.Seo.t, unit) Ephemeron.K1.t }
 
 type t = {
   lock : Mutex.t;
   capacity : int;
-  table : (key, Toss_json.t) Hashtbl.t;
-  order : key Queue.t;  (** insertion order, for FIFO eviction *)
+  table : (key, stored) Hashtbl.t;
+  order : key Queue.t;
+      (* the table's keys in first-insertion order, for FIFO eviction:
+         entries leave only by eviction, so the two always agree *)
 }
 
 let m_hits = Metrics.counter "server.cache.hits"
 let m_misses = Metrics.counter "server.cache.misses"
+let m_deltas = Metrics.counter "server.cache.deltas"
+let m_delta_docs = Metrics.histogram "server.cache.delta_docs"
 let m_evictions = Metrics.counter "server.cache.evictions"
-let m_invalidations = Metrics.counter "server.cache.invalidations"
 let g_entries = Metrics.gauge "server.cache.entries"
 
 let create ?(capacity = 256) () =
@@ -33,75 +43,43 @@ let locked t f =
   Mutex.lock t.lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
 
-let note_size t = Metrics.set g_entries (float_of_int (Hashtbl.length t.table))
+let classify { entry = e; under } ~version ~seo =
+  let same_seo = Ephemeron.K1.query under seo = Some () in
+  if same_seo && e.version = version then Hit e
+  else if (same_seo || !fault = Extend_across_seo) && e.version <= version then Delta e
+  else Miss
 
-let find t key =
-  locked t (fun () ->
-      match Hashtbl.find_opt t.table key with
-      | Some v ->
-          Metrics.incr m_hits;
-          Some v
-      | None ->
-          Metrics.incr m_misses;
-          None)
-
-(* The order queue may hold keys already removed from the table (by
-   [invalidate] or a same-key replace); eviction skips them. *)
-let rec evict_one t =
-  match Queue.take_opt t.order with
-  | None -> ()
-  | Some oldest ->
-      if Hashtbl.mem t.table oldest then (
-        Hashtbl.remove t.table oldest;
-        Metrics.incr m_evictions)
-      else evict_one t
-
-(* Rebuild [order] keeping only the first occurrence of each key still
-   in the table. Without this, keys removed by [invalidate] would sit in
-   the queue forever whenever the table never reaches capacity (only
-   [evict_one] drains stale entries otherwise). *)
-let compact t =
-  let seen = Hashtbl.create (Hashtbl.length t.table) in
-  let keep = Queue.create () in
-  Queue.iter
-    (fun k ->
-      if Hashtbl.mem t.table k && not (Hashtbl.mem seen k) then begin
-        Hashtbl.add seen k ();
-        Queue.push k keep
-      end)
-    t.order;
-  Queue.clear t.order;
-  Queue.transfer keep t.order
-
-let add t key value =
-  if t.capacity > 0 then
+let find t key ~version ~seo =
+  let lookup =
     locked t (fun () ->
-        if not (Hashtbl.mem t.table key) then begin
-          while Hashtbl.length t.table >= t.capacity do
-            evict_one t
-          done;
-          Queue.push key t.order;
-          (* Backstop: bound the queue even under patterns [invalidate]'s
-             compaction doesn't see (e.g. repeated re-adds of a key whose
-             stale copy is still queued). *)
-          if Queue.length t.order > (2 * t.capacity) + 16 then compact t
-        end;
-        Hashtbl.replace t.table key value;
-        note_size t)
+        match Hashtbl.find_opt t.table key with
+        | Some stored -> classify stored ~version ~seo
+        | None -> Miss)
+  in
+  (match lookup with
+  | Hit _ -> Metrics.incr m_hits
+  | Delta e ->
+      Metrics.incr m_deltas;
+      Metrics.observe_int m_delta_docs (version - e.version)
+  | Miss -> Metrics.incr m_misses);
+  lookup
 
-let invalidate t ~collection =
-  locked t (fun () ->
-      let stale =
-        Hashtbl.fold
-          (fun k _ acc -> if k.collection = collection then k :: acc else acc)
-          t.table []
-      in
-      List.iter (Hashtbl.remove t.table) stale;
-      if stale <> [] then begin
-        Metrics.incr m_invalidations;
-        compact t
-      end;
-      note_size t)
+let publish t key ~seo entry =
+  if t.capacity > 0 then
+    let stored = { entry; under = Ephemeron.K1.make seo () } in
+    locked t (fun () ->
+        match Hashtbl.find_opt t.table key with
+        | Some old when old.entry.version > entry.version -> ()
+        | Some _ -> Hashtbl.replace t.table key stored
+        | None ->
+            if Hashtbl.length t.table >= t.capacity then
+              Option.iter
+                (fun oldest ->
+                  Hashtbl.remove t.table oldest;
+                  Metrics.incr m_evictions)
+                (Queue.take_opt t.order);
+            Queue.push key t.order;
+            Hashtbl.replace t.table key stored;
+            Metrics.set g_entries (float_of_int (Hashtbl.length t.table)))
 
 let size t = locked t (fun () -> Hashtbl.length t.table)
-let queue_length t = locked t (fun () -> Queue.length t.order)

@@ -17,8 +17,8 @@ exception Deadline
 type t = {
   write_lock : Mutex.t;
       (* serializes the write path only: session insert + persistence
-         append + cache invalidation commit together. Queries never
-         take it — they pin a session snapshot and run lock-free. *)
+         append commit together. Queries never take it — they pin a
+         session snapshot and run lock-free. *)
   session : Session.t;
   cache : Cache.t;
   cache_capacity : int;
@@ -93,12 +93,19 @@ let check_of_deadline deadline () =
   | Some d when Unix.gettimeofday () > d -> raise Deadline
   | _ -> ()
 
-(* The cached payload carries its compute-time cost; the cache status is
-   stamped per response so a hit is distinguishable from the miss that
-   populated it. *)
-let with_cache_status status = function
-  | J.Obj fields -> J.Obj (fields @ [ ("cache", J.Str status) ])
-  | v -> v
+(* A query's answer as the wire sees it: [compute_ms] is what the miss
+   or delta that produced the trees took, and [cache] says which path
+   this request took. *)
+let query_payload ~collection ~status ~version ~count ~compute_ms trees =
+  J.Obj
+    [
+      ("collection", J.Str collection);
+      ("version", J.Num (float_of_int version));
+      ("count", J.Num (float_of_int count));
+      ("compute_ms", J.Num compute_ms);
+      ("trees", J.Arr trees);
+      ("cache", J.Str status);
+    ]
 
 let do_insert t ~collection ~xml =
   match Parser.parse xml with
@@ -109,7 +116,6 @@ let do_insert t ~collection ~xml =
       Option.iter
         (fun dir -> Persist.append_document ~dir ~collection id tree)
         t.db_dir;
-      Cache.invalidate t.cache ~collection;
       Ok
         (J.Obj
            [
@@ -120,67 +126,74 @@ let do_insert t ~collection ~xml =
 
 (* The linearization point of a read is [Session.pin]: it captures the
    (SEO, snapshot) pair atomically with respect to writers, and both the
-   cache key's [version] and the executed query come from that capture —
-   so a cached payload and a computed answer for the same key are
-   answers to the same exact collection state, no matter how many writes
-   or other queries run meanwhile. *)
-(* Returns the body plus the executed query's span tree (None on cache
-   hits — nothing ran — and on errors), so the server can attach the
-   trace to sampled access-log records without re-running anything. *)
+   cache lookup and the executed query use that capture — so a hit, a
+   delta and a miss all answer exactly the pinned collection state, no
+   matter how many writes or other queries run meanwhile. A delta runs
+   the query over the documents inserted since its entry's version only
+   ([Session.since]) and appends their trees. Returns the body plus the
+   executed query's span tree (None on hits — nothing ran — on
+   projections and on errors), so the server can attach the trace to
+   sampled access-log records without re-running anything. *)
 let do_query t ~deadline ~collection ~tql ~mode ~cache =
   match Session.pin t.session ~collection with
   | Error msg -> (err Protocol.Unknown_collection "%s" msg, None)
   | Ok pinned -> (
       let version = Session.pinned_version pinned in
-      let key =
-        {
-          Cache.collection;
-          version;
-          config = t.config;
-          mode = mode_name mode;
-          tql;
-        }
+      let key = { Cache.collection; config = t.config; mode = mode_name mode; tql } in
+      (* Runs the query over [over] and answers with [prefix]'s trees
+         followed by the run's, publishing them under [seo] if given. *)
+      let extend ~status ?seo ?prefix over =
+        let t0 = Unix.gettimeofday () in
+        match Session.query_at ~mode ~check:(check_of_deadline deadline) over tql with
+        | exception Deadline ->
+            (err Protocol.Deadline_exceeded "deadline exceeded during execution", None)
+        | Error msg -> (err Protocol.Query_error "%s" msg, None)
+        | Ok answer ->
+            let compute_ms = (Unix.gettimeofday () -. t0) *. 1000. in
+            let fresh =
+              List.map
+                (fun tr -> J.Str (Printer.to_string ~decl:false tr))
+                answer.Session.trees
+            in
+            let trees, count =
+              match prefix with
+              | None -> (fresh, List.length fresh)
+              | Some (e : Cache.entry) ->
+                  (e.Cache.trees @ fresh, e.Cache.count + List.length fresh)
+            in
+            Option.iter
+              (fun seo ->
+                Cache.publish t.cache key ~seo { Cache.version; trees; count; compute_ms })
+              seo;
+            ( Ok (query_payload ~collection ~status ~version ~count ~compute_ms trees),
+              Option.map
+                (fun (s : Executor.stats) -> s.Executor.trace)
+                answer.Session.stats )
       in
-      let use_cache = cache && t.cache_capacity > 0 in
-      match if use_cache then Cache.find t.cache key else None with
-      | Some payload -> (Ok (with_cache_status "hit" payload), None)
-      | None -> (
-          let t0 = Unix.gettimeofday () in
-          let check = check_of_deadline deadline in
-          match Session.query_at ~mode ~check pinned tql with
-          | exception Deadline ->
-              ( err Protocol.Deadline_exceeded
-                  "deadline exceeded during execution",
+      match Session.pinned_seo pinned with
+      | Ok seo when cache && t.cache_capacity > 0 -> (
+          match Cache.find t.cache key ~version ~seo with
+          | Cache.Hit e ->
+              ( Ok
+                  (query_payload ~collection ~status:"hit" ~version ~count:e.Cache.count
+                     ~compute_ms:e.Cache.compute_ms e.Cache.trees),
                 None )
-          | Error msg -> (err Protocol.Query_error "%s" msg, None)
-          | Ok answer ->
-              let compute_ms = (Unix.gettimeofday () -. t0) *. 1000. in
-              let payload =
-                J.Obj
-                  [
-                    ("collection", J.Str collection);
-                    ("version", J.Num (float_of_int version));
-                    ("count", J.Num (float_of_int (List.length answer.trees)));
-                    ("compute_ms", J.Num compute_ms);
-                    ( "trees",
-                      J.Arr
-                        (List.map
-                           (fun tr -> J.Str (Printer.to_string ~decl:false tr))
-                           answer.trees) );
-                  ]
+          | Cache.Delta e ->
+              let from =
+                if !Cache.fault = Cache.Extend_skip_new_docs then version
+                else e.Cache.version
               in
-              if use_cache then Cache.add t.cache key payload;
-              ( Ok (with_cache_status "miss" payload),
-                Option.map
-                  (fun (s : Executor.stats) -> s.Executor.trace)
-                  answer.Session.stats )))
+              extend ~status:"delta" ~seo ~prefix:e (Session.since pinned from)
+          | Cache.Miss -> extend ~status:"miss" ~seo pinned)
+      | _ -> extend ~status:"miss" pinned)
 
 (* Joins pin both snapshots atomically ([Session.pin2]) but bypass the
-   result cache: its entries are keyed and invalidated per single
-   collection, and a two-collection key would go stale on writes to
-   either side. The deadline [check] reaches the pairing operator's
-   probe loop, so a join is cancellable mid-probe — with no partial
-   witnesses, since the whole request fails with [deadline_exceeded]. *)
+   result cache: its entries are keyed per single collection, and a
+   join's answer is not its left documents' answers in order (it pairs
+   them with every right document). The deadline [check] reaches the
+   pairing operator's probe loop, so a join is cancellable mid-probe —
+   with no partial witnesses, since the whole request fails with
+   [deadline_exceeded]. *)
 let do_join t ~deadline ~left ~right ~tql ~mode =
   match Session.pin2 t.session ~left ~right with
   | Error msg -> (err Protocol.Unknown_collection "%s" msg, None)

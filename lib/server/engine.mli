@@ -10,22 +10,26 @@
     - {b Reads} ([Query]/[Explain]) take no engine lock. Each request
       pins one (SEO, snapshot) capture via {!Toss_core.Session.pin} —
       the request's linearization point — and executes against it
-      lock-free. The pinned {!Toss_core.Session.pinned_version} is both
-      the result-cache key component and the [version] reported in the
-      answer, so every answer names the exact state it ran against, and
-      a cached payload is only ever served to a request that pinned the
-      same version (plus identical config/mode/TQL).
+      lock-free. The pinned version and SEO are what the result cache
+      compares ({!Cache.find}), and the version is the one reported in
+      the answer, so every answer names the exact state it ran against.
+      A query is a cache [hit] (the entry is at the pinned version
+      under the same SEO: nothing runs), a [delta] (the entry is older
+      under the same SEO: the query runs over the documents inserted
+      since, {!Toss_core.Session.since}, and their trees are appended)
+      or a [miss] (the whole query runs); a delta and a miss publish
+      their answer. A request with [cache:false] runs the whole query
+      and neither looks up nor publishes.
     - {b Writes} ([Insert]) serialize on an internal write mutex: the
-      session insert (which publishes the new collection version), the
-      document append to [db_dir] and the cache invalidation commit as
-      one critical section. In-flight reads are unaffected — they keep
-      answering at their pinned version; reads that pin after the write
-      see the new version.
-    - A stale re-population racing an invalidation (a reader finishing
-      at version [v] after a writer published [v+1]) is harmless by
-      construction: its cache entry is keyed at [v], versions only
-      advance, so no future request can pin [v] again — the entry is
-      dead weight until FIFO eviction, never a wrong answer.
+      session insert (which publishes the new collection version) and
+      the document append to [db_dir] commit as one critical section.
+      They leave the cache alone: an insert the SEO absorbs keeps the
+      SEO, so the next read extends its entry; one that brings new
+      vocabulary makes a new SEO, so every entry misses once. In-flight
+      reads are unaffected — they keep answering at their pinned
+      version; reads that pin after the write see the new version. A
+      reader that publishes after a newer one cannot move an entry
+      back: {!Cache.publish} never lowers its version.
     - [Stats]/[Metrics]/[Ping] touch only the domain-safe
       {!Toss_obs.Metrics} registry.
 
@@ -51,7 +55,7 @@ val create :
     {!Toss_core.Session} default); its name enters the cache-key
     fingerprint, so engines with different measures never share
     entries. [cache_capacity] of 0 disables the result cache
-    (default 256). [Error] aggregates hydration failures
+    (default 256; see {!Cache.create}). [Error] aggregates hydration failures
     ({!Toss_store.Persist.load_database}). *)
 
 val exec :
@@ -66,7 +70,8 @@ val exec_traced : t -> Server.exec
     returns the executed query's span tree when one was built: [Some]
     exactly for a [Query] or a [Join] whose executor ran to
     completion — rooted at [executor.select] or [executor.join]
-    respectively — and [None] otherwise: a cache hit runs nothing, a
+    respectively; a cache delta's root carries [from_doc], the first
+    document it ran over — and [None] otherwise: a cache hit runs nothing, a
     [PROJECT] query bypasses the executor, and a run that failed (a
     deadline, say) returns no tree. This is how the server records full
     traces for sampled requests and slow-query records at zero extra

@@ -32,6 +32,16 @@
     for a worker, so clients can split round-trip latency into queueing
     vs execution vs network.
 
+    A query's [result] is [{"collection", "version", "count",
+    "compute_ms", "trees", "cache"}]: [trees] in document order,
+    [compute_ms] what the run that produced them took, and [cache] the
+    path this request took through the result cache ({!Cache}) —
+    ["hit"] (served as stored), ["delta"] (the stored answer extended
+    by the documents inserted since) or ["miss"] (computed whole, also
+    when the request set [cache:false]). A router's merged answer is
+    ["hit"] when every shard hit, ["miss"] when any shard missed, and
+    ["delta"] otherwise.
+
     Error codes are a closed vocabulary so clients can switch on them:
 
     - [bad_request] — the message was a valid value but not a valid
@@ -76,7 +86,9 @@ type request =
       collection : string;
       tql : string;
       mode : Toss_core.Executor.mode;  (** default [Toss] *)
-      cache : bool;  (** consult/populate the result cache; default true *)
+      cache : bool;
+          (** consult, extend and populate the result cache; default
+              true *)
     }
   | Join of {
       left : string;
@@ -86,9 +98,9 @@ type request =
     }
       (** Condition join of two collections: the TQL pattern root's two
           children match [left] and [right] respectively. Joins bypass
-          the result cache — a cached entry would need invalidation on
-          writes to either collection, and the single-collection cache
-          is keyed (and invalidated) per collection. *)
+          the result cache: its entries are kept per collection, and a
+          join's answer does not grow by appending one side's new
+          documents (each pairs with every document of the other). *)
   | Explain of {
       collection : string;
       tql : string;

@@ -91,7 +91,7 @@ let read r =
 let write codec oc v =
   match codec with
   | Protocol.Json ->
-      output_string oc (J.to_string v);
+      J.output oc v;
       output_char oc '\n'
   | Protocol.Binary -> output_string oc (Protocol.encode_frame v)
 

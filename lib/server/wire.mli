@@ -35,8 +35,10 @@ val read_known : Protocol.codec -> in_channel -> read
 (** {!read} for a connection whose codec is fixed — the client side. *)
 
 val write : Protocol.codec -> out_channel -> Toss_json.t -> unit
-(** Writes one message (a JSON line or a binary frame). Does not flush;
-    the caller owns buffering and write locking. *)
+(** Writes one message (a JSON line or a binary frame). A JSON line is
+    streamed into the channel ({!Toss_json.output}), never built as one
+    string. Does not flush; the caller owns buffering and write
+    locking. *)
 
 val open_binary : out_channel -> unit
 (** Writes the magic byte that opens a binary connection — a binary

@@ -307,11 +307,14 @@ let merge_query state ~collection ~failed answered =
       let version =
         List.fold_left (fun acc p -> acc +. num_field p "version") 0. payloads
       in
-      let all_hit =
-        List.for_all (fun p -> jstr (J.member "cache" p) = Some "hit") payloads
+      let status = List.map (fun p -> jstr (J.member "cache" p)) payloads in
+      let cache =
+        if List.for_all (( = ) (Some "hit")) status then "hit"
+        else if List.mem (Some "miss") status then "miss"
+        else "delta"
       in
       ( [ ("collection", J.Str collection); ("version", J.Num version) ],
-        [ ("cache", J.Str (if all_hit then "hit" else "miss")) ] ))
+        [ ("cache", J.Str cache) ] ))
 
 let merge_join state ~left ~right ~failed answered =
   merge state ~failed answered (fun payloads ->

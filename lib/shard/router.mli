@@ -27,7 +27,8 @@
       {!Toss_tax.Witness.canonical} (the multiset normal form the
       differential harness compares in), [version] = sum of shard
       versions, [count] = merged tree count, [cache] = ["hit"] iff
-      every shard hit, plus a per-shard array of
+      every shard hit, ["miss"] if any shard missed and ["delta"]
+      otherwise, plus a per-shard array of
       [{shard, addr, server_ms, queue_ms, count}]. A shard that does
       not know the collection contributes an empty partition;
       [unknown_collection] propagates only when {e every} shard reports

@@ -29,6 +29,7 @@ type view = {
   snap_name : string;
   snap_version : int;
   entries : entry array;  (* dense: entry i is document i *)
+  first : int;  (* the view reads documents [first, length entries) *)
   snap_bytes : int;
   snap_stats : (string, int * int) Hashtbl.t option Atomic.t;
       (* tag -> (nodes, docs); built on demand, published once, read-only
@@ -55,6 +56,7 @@ let create ?max_bytes name =
           snap_name = name;
           snap_version = 0;
           entries = [||];
+          first = 0;
           snap_bytes = 0;
           snap_stats = Atomic.make None;
         };
@@ -84,6 +86,7 @@ let add_document t tree =
           snap_name = t.coll_name;
           snap_version = v.snap_version + 1;
           entries;
+          first = 0;
           snap_bytes = v.snap_bytes + bytes;
           snap_stats = Atomic.make None;
         };
@@ -103,7 +106,7 @@ let add_xml t xml =
 (* --------------------- reads, against one view --------------------- *)
 
 let v_entry v id =
-  if id < 0 || id >= Array.length v.entries then raise Not_found
+  if id < v.first || id >= Array.length v.entries then raise Not_found
   else v.entries.(id)
 
 let v_version v = v.snap_version
@@ -118,12 +121,18 @@ let force_index (e : entry) =
       if Atomic.compare_and_set e.idx None (Some built) then built
       else Option.get (Atomic.get e.idx)
 
-let v_doc_ids v = List.init (Array.length v.entries) Fun.id
-let v_n_documents v = Array.length v.entries
+let v_n_documents v = Array.length v.entries - v.first
+let v_doc_ids v = List.init (v_n_documents v) (fun i -> v.first + i)
+
+(* Documents [k, n) of a view of n documents: the same version and ids,
+   fresh statistics. *)
+let v_since v k =
+  if k <= v.first then v
+  else { v with first = min k (Array.length v.entries); snap_stats = Atomic.make None }
 
 let v_n_nodes v =
   let total = ref 0 in
-  for i = 0 to Array.length v.entries - 1 do
+  for i = v.first to Array.length v.entries - 1 do
     total := !total + Doc.size v.entries.(i).frozen
   done;
   !total
@@ -207,7 +216,7 @@ let v_eval ?(use_index = true) v xpath =
   Metrics.incr m_evals;
   let indexed = ref 0 and scanned = ref 0 in
   let results = ref [] in
-  for id = Array.length v.entries - 1 downto 0 do
+  for id = Array.length v.entries - 1 downto v.first do
     let d = v.entries.(id).frozen in
     let nodes = eval_in_doc ~use_index ~indexed ~scanned d xpath in
     results := List.rev_append (List.rev_map (fun n -> (id, n)) nodes) !results
@@ -239,7 +248,7 @@ let tag_table v =
   | Some table -> table
   | None ->
       let table = Hashtbl.create 64 in
-      for id = 0 to Array.length v.entries - 1 do
+      for id = v.first to Array.length v.entries - 1 do
         let d = v.entries.(id).frozen in
         List.iter
           (fun tag ->
@@ -260,7 +269,7 @@ let v_tag_count v tag =
 
 let v_eq_count v ~tag ~value =
   let total = ref 0 in
-  for id = 0 to Array.length v.entries - 1 do
+  for id = v.first to Array.length v.entries - 1 do
     total := !total + Index.eq_count (force_index v.entries.(id)) ~tag ~value
   done;
   !total
@@ -273,7 +282,7 @@ let v_eq_count v ~tag ~value =
    what the planner orders label scans by. *)
 let v_estimate_rows v xpath =
   let total_nodes = v_n_nodes v in
-  let n_docs = Array.length v.entries in
+  let n_docs = v_n_documents v in
   let rec est_pred ~tag base = function
     | Xpath.Content_eq value -> (
         match tag with
@@ -310,6 +319,8 @@ module Snapshot = struct
   let doc = v_doc
   let doc_ids = v_doc_ids
   let n_documents = v_n_documents
+  let since = v_since
+  let first v = v.first
   let eval = v_eval
   let eval_string = v_eval_string
   let estimate_rows = v_estimate_rows

@@ -73,6 +73,17 @@ module Snapshot : sig
 
   val n_documents : t -> int
 
+  val since : t -> int -> t
+  (** [since snap k] reads only the documents with ids [k] and up: the
+      ones inserted after version [k]. It keeps [snap]'s name, version
+      and ids, so a plan run over it returns exactly the part of its
+      answer over [snap] that comes from those documents. Every read
+      below, statistics included, covers just those documents. *)
+
+  val first : t -> doc_id
+  (** The first id the view reads: [0] for a {!snapshot}, [k] for
+      [since _ k]. *)
+
   val eval :
     ?use_index:bool -> t -> Xpath.t -> (doc_id * Toss_xml.Tree.Doc.node) list
   (** Evaluates the query against every document of this version, in

@@ -8,13 +8,14 @@ let checks = Alcotest.(check string)
 let checkb = Alcotest.(check bool)
 
 let test_escape () =
-  checks "plain" "abc" (J.escape "abc");
-  checks "quote" "say \\\"hi\\\"" (J.escape "say \"hi\"");
-  checks "backslash" "a\\\\b" (J.escape "a\\b");
-  checks "newline tab cr" "a\\nb\\tc\\rd" (J.escape "a\nb\tc\rd");
-  checks "control as unicode" "\\u0000\\u001f" (J.escape "\x00\x1f");
-  checks "utf8 passthrough" "caf\xc3\xa9" (J.escape "caf\xc3\xa9");
-  checks "quoted" "\"a\\\"b\"" (J.quote "a\"b")
+  let str s = J.to_string (J.Str s) in
+  checks "plain" "\"abc\"" (str "abc");
+  checks "quote" "\"say \\\"hi\\\"\"" (str "say \"hi\"");
+  checks "backslash" "\"a\\\\b\"" (str "a\\b");
+  checks "newline tab cr" "\"a\\nb\\tc\\rd\"" (str "a\nb\tc\rd");
+  checks "control as unicode" "\"\\u0000\\u001f\"" (str "\x00\x1f");
+  checks "utf8 passthrough" "\"caf\xc3\xa9\"" (str "caf\xc3\xa9");
+  checks "keys too" "{\"a\\\"b\":null}" (J.to_string (J.Obj [ ("a\"b", J.Null) ]))
 
 let test_to_string () =
   checks "null" "null" (J.to_string J.Null);
@@ -93,6 +94,54 @@ let prop_roundtrip =
   QCheck2.Test.make ~count:200 ~name:"to_string/parse round-trip" gen (fun v ->
       J.parse (J.to_string v) = Ok v)
 
+let prop_output_is_to_string =
+  (* [output] streams what [to_string] builds, byte for byte: strings
+     and keys over every byte 0-255 (runs with and without escapes),
+     nesting, and the floats JSON cannot express. *)
+  let every_byte = String.init 256 Char.chr in
+  let text =
+    QCheck2.Gen.(
+      oneof
+        [
+          string_size ~gen:char (int_range 0 40);
+          map (fun (i, n) -> String.sub every_byte i (min n (256 - i)))
+            (pair (int_range 0 255) (int_range 0 256));
+        ])
+  in
+  let gen =
+    QCheck2.Gen.(
+      sized @@ fix (fun self n ->
+          let leaf =
+            oneof
+              [
+                return J.Null;
+                map (fun b -> J.Bool b) bool;
+                map (fun f -> J.Num f) float;
+                map (fun f -> J.Num f) (oneofl [ nan; infinity; neg_infinity; -0.; 1e15; 0.1 ]);
+                map (fun i -> J.Num (float_of_int i)) (int_range (-1000) 1000);
+                map (fun s -> J.Str s) text;
+              ]
+          in
+          if n <= 0 then leaf
+          else
+            oneof
+              [
+                leaf;
+                map (fun l -> J.Arr l) (list_size (int_range 0 4) (self (n / 2)));
+                map (fun l -> J.Obj l) (list_size (int_range 0 4) (pair text (self (n / 2))));
+              ]))
+  in
+  let path = Filename.temp_file "toss_json" ".out" in
+  at_exit (fun () -> try Sys.remove path with Sys_error _ -> ());
+  let streamed v =
+    let oc = open_out_bin path in
+    J.output oc v;
+    close_out oc;
+    In_channel.with_open_bin path In_channel.input_all
+  in
+  QCheck2.Test.make ~count:300 ~name:"output writes to_string" gen (fun v ->
+      streamed v = J.to_string v)
+
 let test_unicode_escapes () =
   let ok input expect =
     match J.parse input with
@@ -141,5 +190,6 @@ let () =
           Alcotest.test_case "unicode escapes" `Quick test_unicode_escapes;
           Alcotest.test_case "accessors" `Quick test_accessors;
           QCheck_alcotest.to_alcotest prop_roundtrip;
+          QCheck_alcotest.to_alcotest prop_output_is_to_string;
         ] );
     ]

@@ -1,5 +1,5 @@
 (* Tests for the query server: wire protocol, result cache, worker
-   pool, engine semantics (deadlines, cache invalidation, durable
+   pool, engine semantics (deadlines, cache extension, durable
    hydration), and a live-socket concurrency stress test whose every
    answer is replayed against a single-threaded engine. *)
 
@@ -126,43 +126,79 @@ let test_response_roundtrip () =
 (* Cache                                                                *)
 (* ------------------------------------------------------------------ *)
 
-let key ?(version = 1) ?(mode = "toss") tql =
-  { Cache.collection = "c"; version; config = "eps=2"; mode; tql }
+let key ?(mode = "toss") tql = { Cache.collection = "c"; config = "eps=2"; mode; tql }
+let seo_a = Toss_core.Seo.create_exn Toss_ontology.Ontology.empty
+let seo_b = Toss_core.Seo.create_exn Toss_ontology.Ontology.empty
+
+let publish ?(seo = seo_a) c tql version tree =
+  Cache.publish c (key tql) ~seo
+    { Cache.version; trees = [ J.Str tree ]; count = 1; compute_ms = 0. }
+
+let status = function
+  | Cache.Hit e -> "hit " ^ string_of_int e.Cache.version
+  | Cache.Delta e -> "delta " ^ string_of_int e.Cache.version
+  | Cache.Miss -> "miss"
 
 let test_cache_basics () =
   let c = Cache.create ~capacity:2 () in
-  checkb "cold miss" true (Cache.find c (key "q1") = None);
-  Cache.add c (key "q1") (J.Str "r1");
-  checkb "hit" true (Cache.find c (key "q1") = Some (J.Str "r1"));
-  checkb "version isolates" true (Cache.find c (key ~version:2 "q1") = None);
-  checkb "mode isolates" true (Cache.find c (key ~mode:"tax" "q1") = None);
-  Cache.add c (key "q2") (J.Str "r2");
-  Cache.add c (key "q3") (J.Str "r3");
+  let find ?(seo = seo_a) ?(version = 1) tql =
+    status (Cache.find c (key tql) ~version ~seo)
+  in
+  checks "cold miss" "miss" (find "q1");
+  publish c "q1" 1 "r1";
+  checks "hit" "hit 1" (find "q1");
+  checks "a newer version extends" "delta 1" (find ~version:3 "q1");
+  checks "an older version misses" "miss" (find ~version:0 "q1");
+  checks "another SEO misses" "miss" (find ~seo:seo_b "q1");
+  checks "another SEO never extends" "miss" (find ~seo:seo_b ~version:3 "q1");
+  checkb "mode isolates" true
+    (Cache.find c (key ~mode:"tax" "q1") ~version:1 ~seo:seo_a = Cache.Miss);
+  publish c "q1" 3 "r1'";
+  checks "republished at the newer version" "hit 3" (find ~version:3 "q1");
+  publish c "q1" 2 "stale";
+  checks "publish never lowers a version" "hit 3" (find ~version:3 "q1");
+  publish c "q2" 1 "r2";
+  publish c "q3" 1 "r3";
   (* capacity 2: q1 was oldest and is gone *)
   checki "bounded" 2 (Cache.size c);
-  checkb "fifo evicted q1" true (Cache.find c (key "q1") = None);
-  checkb "q3 present" true (Cache.find c (key "q3") = Some (J.Str "r3"));
-  Cache.invalidate c ~collection:"c";
-  checki "invalidate drops all versions" 0 (Cache.size c);
+  checks "fifo evicted q1" "miss" (find ~version:3 "q1");
+  checks "q3 present" "hit 1" (find "q3");
   let off = Cache.create ~capacity:0 () in
-  Cache.add off (key "q1") (J.Str "r");
-  checkb "capacity 0 stores nothing" true (Cache.find off (key "q1") = None)
+  publish off "q1" 1 "r";
+  checkb "capacity 0 stores nothing" true
+    (Cache.find off (key "q1") ~version:1 ~seo:seo_a = Cache.Miss)
+
+(* An entry holds its SEO weakly: once nothing else does, the GC takes
+   it (and the entry can only miss). *)
+let publish_under_fresh_seo c collected =
+  let seo = Toss_core.Seo.create_exn Toss_ontology.Ontology.empty in
+  Gc.finalise (fun _ -> collected := true) seo;
+  publish ~seo c "q" 1 "r"
+
+let test_cache_holds_seo_weakly () =
+  let c = Cache.create () and collected = ref false in
+  publish_under_fresh_seo c collected;
+  Gc.full_major ();
+  checkb "the SEO was collected" true !collected;
+  checki "the entry stays" 1 (Cache.size c);
+  checkb "and misses" true (Cache.find c (key "q") ~version:1 ~seo:seo_a = Cache.Miss)
 
 let test_cache_order_bounded () =
-  (* Regression: under a query→insert interleaving the table never
-     fills, so invalidated keys used to leak in the eviction queue for
-     the life of the server. *)
-  let c = Cache.create ~capacity:8 () in
+  (* Republishing a key in place, as every delta does, keeps one slot
+     and its place in the eviction order. *)
+  let c = Cache.create ~capacity:2 () in
   for v = 1 to 200 do
-    Cache.add c (key ~version:v "q") (J.Str "r");
-    Cache.invalidate c ~collection:"c"
+    publish c "q" v "r"
   done;
-  checki "table empty after invalidations" 0 (Cache.size c);
-  checkb "eviction queue stays bounded" true
-    (Cache.queue_length c <= (2 * 8) + 16);
-  Cache.add c (key "q1") (J.Str "r1");
-  Cache.add c (key "q2") (J.Str "r2");
-  checki "live entries keep one slot each" 2 (Cache.queue_length c)
+  checki "one key, one entry" 1 (Cache.size c);
+  publish c "q1" 1 "r1";
+  publish c "q" 201 "r";
+  publish c "q2" 1 "r2";
+  checki "bounded" 2 (Cache.size c);
+  checkb "the first key in is the first out" true
+    (Cache.find c (key "q") ~version:201 ~seo:seo_a = Cache.Miss);
+  checks "the others stay" "hit 1"
+    (status (Cache.find c (key "q1") ~version:1 ~seo:seo_a))
 
 (* ------------------------------------------------------------------ *)
 (* Pool                                                                 *)
@@ -218,7 +254,7 @@ let query_request ?(cache = true) tql =
 let member_str name payload = Option.bind (J.member name payload) J.to_str
 let member_int name payload = Option.bind (J.member name payload) J.to_int
 
-let test_engine_cache_and_invalidation () =
+let test_engine_cache_and_extension () =
   let engine = Result.get_ok (Engine.create ()) in
   (match Engine.exec engine ~deadline:None (query_request tql) with
   | Error e -> checks "unknown collection" "unknown_collection" (Protocol.code_name e.Protocol.code)
@@ -237,11 +273,59 @@ let test_engine_cache_and_invalidation () =
     (member_int "count" r2 = member_int "count" r1);
   let r3 = exec_ok engine (query_request ~cache:false tql) in
   checkb "cache:false bypasses" true (member_str "cache" r3 = Some "miss");
-  ignore (exec_ok engine (Protocol.Insert { collection = "bib"; xml = paper 2 }));
-  let r4 = exec_ok engine (query_request tql) in
-  checkb "insert invalidates" true (member_str "cache" r4 = Some "miss");
+  (* A copy brings no new vocabulary, so the SEO stays and the entry is
+     extended by the new document's answer. *)
+  ignore (exec_ok engine (Protocol.Insert { collection = "bib"; xml = paper 1 }));
+  let r4, trace =
+    Engine.exec_traced engine ~deadline:None ~trace_id:"delta"
+      {
+        Protocol.id = None;
+        deadline_ms = None;
+        trace_id = None;
+        allow_partial = false;
+        request = query_request tql;
+      }
+  in
+  let r4 = Result.get_ok r4 in
+  checkb "an absorbed insert extends the entry" true (member_str "cache" r4 = Some "delta");
+  checkb "the delta ran from the new document" true
+    (Option.map (fun (t : Toss_obs.Span.t) -> List.assoc_opt "from_doc" t.Toss_obs.Span.meta) trace
+    = Some (Some "1"));
   checkb "new version visible" true (member_int "version" r4 = Some 2);
-  checkb "both similar authors match" true (member_int "count" r4 = Some 2)
+  checkb "the copy matches too" true (member_int "count" r4 = Some 2);
+  checkb "the delta answer equals a recompute" true
+    (J.member "trees" r4 = J.member "trees" (exec_ok engine (query_request ~cache:false tql)));
+  checkb "then hits" true (member_str "cache" (exec_ok engine (query_request tql)) = Some "hit");
+  (* A new author is new vocabulary: another SEO, so the entry misses. *)
+  ignore (exec_ok engine (Protocol.Insert { collection = "bib"; xml = paper 2 }));
+  let r5 = exec_ok engine (query_request tql) in
+  checkb "a new SEO recomputes" true (member_str "cache" r5 = Some "miss");
+  checkb "every similar author matches" true (member_int "count" r5 = Some 3)
+
+let test_engine_cache_follows_the_seo () =
+  (* The SEO is built over every collection, so an insert into another
+     collection can change this one's answer at an unchanged version:
+     "Mario Garcia" is not a term until [rev] brings it, and then SEA
+     puts it in "Maria Garcia"'s cluster. The cached answer must not
+     outlive the SEO it was computed under. *)
+  let engine = Result.get_ok (Engine.create ()) in
+  let insert collection author =
+    ignore
+      (exec_ok engine
+         (Protocol.Insert
+            { collection; xml = Printf.sprintf "<paper><author>%s</author></paper>" author }))
+  in
+  let q = {|MATCH #1:paper(/#2:author) WHERE #2.content ~ "Mario Garcia" SELECT #1|} in
+  insert "bib" "Maria Garcia";
+  checkb "unknown constant: no match" true
+    (member_int "count" (exec_ok engine (query_request q)) = Some 0);
+  insert "rev" "Mario Garcia";
+  let r = exec_ok engine (query_request q) in
+  checkb "same version" true (member_int "version" r = Some 1);
+  checkb "another SEO: recomputed" true (member_str "cache" r = Some "miss");
+  checkb "now similar" true (member_int "count" r = Some 1);
+  checkb "equal to an uncached answer" true
+    (J.member "trees" r = J.member "trees" (exec_ok engine (query_request ~cache:false q)))
 
 let test_engine_deadline () =
   let engine = Result.get_ok (Engine.create ()) in
@@ -266,6 +350,140 @@ let test_engine_explain_and_stats () =
   let s = exec_ok engine Protocol.Stats in
   checkb "stats carries the table" true (member_str "table" s <> None);
   checkb "stats carries metrics json" true (J.member "metrics" s <> None)
+
+(* The cache against no cache: one generated sequence of inserts and
+   queries runs through an engine with its result cache and through one
+   at capacity 0, and every step must agree — the same versions, the
+   same trees in the same order. Inserts are re-keyed copies (absorbed:
+   the SEO stays, so cached entries extend), documents drawn from a
+   near-miss pool of authors (new vocabulary: a new SEO, so entries
+   miss) and inserts into a second collection (a new SEO for the first
+   one's entries at an unchanged version). *)
+type cache_op =
+  | Copy of int  (** re-key the i-th (mod n) document of [bib] and insert it *)
+  | Fresh of int * int  (** a new [bib] document: author and title indexes *)
+  | Other of int * int  (** the same into the second collection *)
+  | Read of Executor.mode * int * int  (** mode, template, constant *)
+
+let near_miss_authors =
+  [| "Maria Garcia"; "Mario Garcia"; "Marie Garcia"; "Maria Garcla"; "John Smith"; "Jon Smith" |]
+
+let near_miss_titles = [| "Query Processing"; "Query Procesing"; "Data Mining" |]
+
+let read_templates =
+  [|
+    Printf.sprintf {|MATCH #1:paper(/#2:author) WHERE #2.content ~ "%s" SELECT #1|};
+    Printf.sprintf {|MATCH #1:paper(/#2:author) WHERE #2.content ~ "%s" PROJECT #2|};
+    Printf.sprintf
+      {|MATCH #1:paper(/#2:author, /#3:title) WHERE #2.content ~ "%s" OR #3.content ~ "Query Processing" SELECT #1,#3|};
+  |]
+
+let cache_op_to_string = function
+  | Copy i -> Printf.sprintf "Copy %d" i
+  | Fresh (a, t) -> Printf.sprintf "Fresh (%d, %d)" a t
+  | Other (a, t) -> Printf.sprintf "Other (%d, %d)" a t
+  | Read (m, q, c) ->
+      Printf.sprintf "Read (%s, %d, %d)" (if m = Executor.Tax then "Tax" else "Toss") q c
+
+let gen_cache_ops =
+  QCheck2.Gen.(
+    let pick a = int_range 0 (Array.length a - 1) in
+    let op =
+      frequency
+        [
+          (3, map (fun i -> Copy i) (int_range 0 9));
+          (1, map2 (fun a t -> Fresh (a, t)) (pick near_miss_authors) (pick near_miss_titles));
+          (1, map2 (fun a t -> Other (a, t)) (pick near_miss_authors) (pick near_miss_titles));
+          ( 6,
+            map3
+              (fun tax q c -> Read ((if tax then Executor.Tax else Executor.Toss), q, c))
+              (frequency [ (1, return true); (3, return false) ])
+              (pick read_templates) (int_range 0 2) );
+        ]
+    in
+    map (fun ops -> Fresh (0, 0) :: ops) (list_size (int_range 1 14) op))
+
+(* Runs the sequence; [Error] names the first step where the engines
+   disagree. Each cached read's status is counted in [seen]. *)
+let run_cache_ops seen ops =
+  let cached = Result.get_ok (Engine.create ()) in
+  let plain = Result.get_ok (Engine.create ~cache_capacity:0 ()) in
+  let docs = ref [||] and next_key = ref 0 in
+  let doc a t =
+    incr next_key;
+    Printf.sprintf "<paper key=\"k%d\"><author>%s</author><title>%s</title></paper>" !next_key
+      near_miss_authors.(a) near_miss_titles.(t)
+  in
+  let field name r = Option.map J.to_string (J.member name r) in
+  let step i op =
+    let request =
+      match op with
+      | Copy k ->
+          let a, t = !docs.(k mod Array.length !docs) in
+          docs := Array.append !docs [| (a, t) |];
+          Protocol.Insert { collection = "bib"; xml = doc a t }
+      | Fresh (a, t) ->
+          docs := Array.append !docs [| (a, t) |];
+          Protocol.Insert { collection = "bib"; xml = doc a t }
+      | Other (a, t) -> Protocol.Insert { collection = "rev"; xml = doc a t }
+      | Read (mode, q, c) ->
+          Protocol.Query
+            {
+              collection = "bib";
+              tql = read_templates.(q) near_miss_authors.(c);
+              mode;
+              cache = true;
+            }
+    in
+    match (Engine.exec cached ~deadline:None request, Engine.exec plain ~deadline:None request) with
+    | Ok a, Ok b ->
+        Option.iter
+          (fun s -> Hashtbl.replace seen s ())
+          (Option.bind (J.member "cache" a) J.to_str);
+        if List.for_all (fun f -> field f a = field f b) [ "version"; "doc_id"; "trees" ] then Ok ()
+        else
+          Error
+            (Printf.sprintf "step %d (%s): cached %s, uncached %s" i (cache_op_to_string op)
+               (J.to_string a) (J.to_string b))
+    | _ -> Error (Printf.sprintf "step %d (%s) failed" i (cache_op_to_string op))
+  in
+  let rec go i = function
+    | [] -> Ok ()
+    | op :: rest -> ( match step i op with Ok () -> go (i + 1) rest | e -> e)
+  in
+  go 0 ops
+
+let cache_ops_prop ?(count = 150) seen =
+  QCheck2.Test.make ~count ~name:"cached engine answers as an uncached one"
+    ~print:(fun ops -> String.concat "; " (List.map cache_op_to_string ops))
+    gen_cache_ops
+    (fun ops ->
+      match run_cache_ops seen ops with
+      | Ok () -> true
+      | Error msg -> QCheck2.Test.fail_report msg)
+
+let test_cache_ops_equal_uncached () =
+  let seen = Hashtbl.create 3 in
+  QCheck2.Test.check_exn ~rand:(Random.State.make [| 35 |]) (cache_ops_prop seen);
+  List.iter
+    (fun s -> checkb (s ^ " occurs") true (Hashtbl.mem seen s))
+    [ "hit"; "delta"; "miss" ]
+
+let test_cache_faults_caught () =
+  List.iter
+    (fun (name, f) ->
+      Cache.fault := f;
+      let caught =
+        match
+          QCheck2.Test.check_exn ~rand:(Random.State.make [| 35 |])
+            (cache_ops_prop (Hashtbl.create 3))
+        with
+        | () -> false
+        | exception QCheck2.Test.Test_fail _ -> true
+      in
+      Cache.fault := Cache.No_fault;
+      checkb (name ^ " caught") true caught)
+    [ ("extend-across-seo", Cache.Extend_across_seo); ("extend-skip-new-docs", Cache.Extend_skip_new_docs) ]
 
 let test_engine_hydration () =
   let db_dir = temp_name "toss_serve_db" in
@@ -583,10 +801,15 @@ let test_stress_cache_metrics () =
   let snap = Metrics.snapshot () in
   checkb "hit counter advanced" true
     (find_counter snap "server.cache.hits" > find_counter snap0 "server.cache.hits");
-  ignore (call (Protocol.Insert { collection = "bib"; xml = paper 2 }));
+  ignore (call (Protocol.Insert { collection = "bib"; xml = paper 1 }));
   let r3 = call (query_request tql) in
-  checkb "insert invalidates across the wire" true
-    (member_str "cache" r3 = Some "miss");
+  checkb "an absorbed insert extends across the wire" true
+    (member_str "cache" r3 = Some "delta");
+  checkb "the delta answer equals a recompute" true
+    (J.member "trees" r3 = J.member "trees" (call (query_request ~cache:false tql)));
+  let snap' = Metrics.snapshot () in
+  checkb "delta counter advanced" true
+    (find_counter snap' "server.cache.deltas" > find_counter snap "server.cache.deltas");
   Client.close conn;
   stop ()
 
@@ -1762,9 +1985,11 @@ let () =
         ] );
       ( "cache",
         [
-          Alcotest.test_case "hit/miss/evict/invalidate" `Quick test_cache_basics;
+          Alcotest.test_case "hit/delta/miss/evict" `Quick test_cache_basics;
           Alcotest.test_case "eviction queue bounded" `Quick
             test_cache_order_bounded;
+          Alcotest.test_case "entries hold their SEO weakly" `Quick
+            test_cache_holds_seo_weakly;
         ] );
       ( "pool",
         [
@@ -1773,11 +1998,16 @@ let () =
         ] );
       ( "engine",
         [
-          Alcotest.test_case "cache and invalidation" `Quick
-            test_engine_cache_and_invalidation;
+          Alcotest.test_case "cache hit, delta and miss" `Quick
+            test_engine_cache_and_extension;
           Alcotest.test_case "deadline" `Quick test_engine_deadline;
           Alcotest.test_case "explain and stats" `Quick test_engine_explain_and_stats;
           Alcotest.test_case "hydration" `Quick test_engine_hydration;
+          Alcotest.test_case "cache follows the SEO across collections" `Quick
+            test_engine_cache_follows_the_seo;
+          Alcotest.test_case "cached answers equal uncached" `Quick
+            test_cache_ops_equal_uncached;
+          Alcotest.test_case "cache faults caught" `Quick test_cache_faults_caught;
         ] );
       ( "snapshot isolation",
         [

@@ -218,6 +218,30 @@ let test_collection_eq_lookup_and_subtrees () =
   let trees = Collection.subtrees c hits in
   checkb "subtree materialized" true (Tree.equal (List.hd trees) (Tree.leaf "a" "1"))
 
+let test_snapshot_since () =
+  (* A suffix view reads the documents inserted after a version: same
+     version and ids, and every read — statistics too — over just those
+     documents, equal to the same read's part over the whole snapshot. *)
+  let c, _, _ = make_collection () in
+  ignore (Collection.add_document c small_doc_a);
+  let snap = Collection.snapshot c in
+  let since = Collection.Snapshot.since snap 1 in
+  let q = Xpath_parser.parse_exn "//a" in
+  checki "same version" (Collection.Snapshot.version snap) (Collection.Snapshot.version since);
+  checki "first id" 1 (Collection.Snapshot.first since);
+  check_il "the later ids" [ 1; 2 ] (Collection.Snapshot.doc_ids since);
+  checki "their count" 2 (Collection.Snapshot.n_documents since);
+  checkb "the suffix of the whole snapshot's answer" true
+    (Collection.Snapshot.eval since q
+    = List.filter (fun (id, _) -> id >= 1) (Collection.Snapshot.eval snap q));
+  checkb "statistics over the suffix" true
+    (Collection.Snapshot.estimate_rows since q
+    < Collection.Snapshot.estimate_rows snap q);
+  Alcotest.check_raises "an earlier id is not in the view" Not_found (fun () ->
+      ignore (Collection.Snapshot.doc since 0));
+  check_il "past the end: empty" [] (Collection.Snapshot.doc_ids (Collection.Snapshot.since snap 9));
+  checkb "since 0 is the snapshot" true (Collection.Snapshot.since snap 0 == snap)
+
 (* ------------------------------------------------------------------ *)
 (* Database                                                             *)
 (* ------------------------------------------------------------------ *)
@@ -398,6 +422,7 @@ let () =
           Alcotest.test_case "insert from xml" `Quick test_collection_add_xml;
           Alcotest.test_case "eq lookup and subtrees" `Quick
             test_collection_eq_lookup_and_subtrees;
+          Alcotest.test_case "snapshot since a version" `Quick test_snapshot_since;
         ] );
       ("database", [ Alcotest.test_case "facade" `Quick test_database ]);
       ( "persistence",
